@@ -18,8 +18,8 @@
 //!    ladder on stable WiFi.
 //!
 //! The shaping formulas are specified in DESIGN.md §13. All signals flow
-//! through [`NetSignal`] on the [`RoundContext`], so the server shards,
-//! the simulator and `richnote-perf` drive the policy through one API.
+//! through [`NetSignal`] on the [`RoundContext`], so the server shards
+//! and the simulator drive the policy through one API.
 
 use crate::ids::ContentId;
 use crate::policy::{

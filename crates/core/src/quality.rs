@@ -12,9 +12,8 @@
 //!   of suppressed notifications), reported by every policy through the
 //!   defaulted [`SelectionObserver::on_quality`] hook;
 //! * [`CohortLedger`] — a fixed-size accumulator of samples keyed by
-//!   `{policy, connectivity, level}`, used directly by the simulator and
-//!   `richnote-perf` (the daemon streams samples into its metrics registry
-//!   instead).
+//!   `{policy, connectivity, level}`, used directly by the simulator (the
+//!   daemon streams samples into its metrics registry instead).
 //!
 //! The exported metric families are named here once — [`UTILITY_FAMILY`],
 //! [`DELIVERED_BYTES_FAMILY`], [`SUPPRESSED_FAMILY`] — so the live daemon

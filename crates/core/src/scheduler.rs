@@ -462,18 +462,6 @@ impl RichNoteScheduler {
         RichNoteSchedulerBuilder::default()
     }
 
-    /// Creates a scheduler with the given configuration.
-    #[deprecated(since = "0.1.0", note = "use RichNoteScheduler::builder().config(cfg).build()")]
-    pub fn new(cfg: RichNoteConfig) -> Self {
-        Self::builder().config(cfg).build()
-    }
-
-    /// Creates a scheduler with the paper's default parameters.
-    #[deprecated(since = "0.1.0", note = "use RichNoteScheduler::builder().build()")]
-    pub fn with_defaults() -> Self {
-        Self::builder().build()
-    }
-
     /// Read-only view of the Lyapunov state (for telemetry).
     pub fn lyapunov(&self) -> &LyapunovState {
         &self.lyap
@@ -817,13 +805,6 @@ impl FifoScheduler {
         FixedLevelBuilder::default()
     }
 
-    /// Creates a FIFO scheduler delivering at `fixed_level` (clamped to
-    /// each item's ladder depth).
-    #[deprecated(since = "0.1.0", note = "use FifoScheduler::builder().fixed_level(n).build()")]
-    pub fn new(fixed_level: u8) -> Self {
-        Self::builder().fixed_level(fixed_level).build()
-    }
-
     /// The configured fixed level.
     pub fn fixed_level(&self) -> u8 {
         self.state.fixed_level
@@ -888,12 +869,6 @@ impl UtilScheduler {
     /// A builder; `UtilScheduler::builder().fixed_level(n).build()`.
     pub fn builder() -> FixedLevelBuilder<UtilScheduler> {
         FixedLevelBuilder::default()
-    }
-
-    /// Creates a UTIL scheduler delivering at `fixed_level`.
-    #[deprecated(since = "0.1.0", note = "use UtilScheduler::builder().fixed_level(n).build()")]
-    pub fn new(fixed_level: u8) -> Self {
-        Self::builder().fixed_level(fixed_level).build()
     }
 
     /// The configured fixed level.

@@ -440,8 +440,8 @@ mod tests {
 
     #[test]
     fn sub_bucket_interpolation_separates_quantiles_and_stays_monotone() {
-        // The BENCH_5 regression: a steady-state run whose select latencies
-        // all land in one coarse upper bucket reported p50 == p95 == p99.
+        // A steady-state run whose select latencies all land in one coarse
+        // upper bucket once reported p50 == p95 == p99.
         // With rank-position interpolation, distinct quantiles of samples
         // sharing a bucket must come out distinct, ordered, and inside the
         // observed span.

@@ -59,43 +59,18 @@ struct SeriesDef {
 }
 
 /// The registry: registered families plus per-series cells.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
-    enabled: bool,
     families: Vec<FamilyDef>,
     counters: Vec<(SeriesDef, u64)>,
     gauges: Vec<(SeriesDef, f64)>,
     histograms: Vec<(SeriesDef, Log2Histogram)>,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Registry {
-    /// An empty, enabled registry.
+    /// An empty registry.
     pub fn new() -> Self {
-        Registry {
-            enabled: true,
-            families: Vec::new(),
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: Vec::new(),
-        }
-    }
-
-    /// An empty registry whose recording operations are no-ops.
-    /// Registration still hands out valid handles, so instrumented code
-    /// needs no `if enabled` branches of its own.
-    pub fn disabled() -> Self {
-        Registry { enabled: false, ..Registry::new() }
-    }
-
-    /// Whether recording is live.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        Registry::default()
     }
 
     fn family(&mut self, name: &str, help: &str, kind: MetricKind) -> usize {
@@ -161,17 +136,13 @@ impl Registry {
 
     /// Adds `by` to a counter.
     pub fn inc(&mut self, h: CounterHandle, by: u64) {
-        if self.enabled {
-            self.counters[h.0].1 += by;
-        }
+        self.counters[h.0].1 += by;
     }
 
     /// Overwrites a counter (used when restoring lifetime counters from a
     /// checkpoint).
     pub fn set_counter(&mut self, h: CounterHandle, value: u64) {
-        if self.enabled {
-            self.counters[h.0].1 = value;
-        }
+        self.counters[h.0].1 = value;
     }
 
     /// Current value of a counter.
@@ -181,16 +152,12 @@ impl Registry {
 
     /// Sets a gauge.
     pub fn set_gauge(&mut self, h: GaugeHandle, value: f64) {
-        if self.enabled {
-            self.gauges[h.0].1 = value;
-        }
+        self.gauges[h.0].1 = value;
     }
 
     /// Records one microsecond sample into a histogram.
     pub fn observe_us(&mut self, h: HistogramHandle, us: u64) {
-        if self.enabled {
-            self.histograms[h.0].1.record_us(us);
-        }
+        self.histograms[h.0].1.record_us(us);
     }
 
     /// Merges a locally accumulated histogram into a series.
@@ -199,9 +166,7 @@ impl Registry {
     /// into their own [`Log2Histogram`] and fold them in periodically,
     /// instead of taking a shared registry lock per sample.
     pub fn merge_histogram(&mut self, h: HistogramHandle, other: &Log2Histogram) {
-        if self.enabled {
-            self.histograms[h.0].1.merge(other);
-        }
+        self.histograms[h.0].1.merge(other);
     }
 
     /// Read access to a histogram series (for in-process reporting).
@@ -345,6 +310,36 @@ impl RegistrySnapshot {
         })
     }
 
+    /// Sums a gauge family across all its series (0 when absent) — the
+    /// daemon-wide total of a per-shard gauge such as backlog.
+    pub fn gauge_total(&self, name: &str) -> f64 {
+        self.family(name).map_or(0.0, |f| {
+            f.series
+                .iter()
+                .map(|s| match s.value {
+                    MetricValue::Gauge(v) => v,
+                    _ => 0.0,
+                })
+                .sum()
+        })
+    }
+
+    /// Sums the counter and gauge series of a family that carry the label
+    /// pair `key=value` — one shard's slice of a per-shard family. `None`
+    /// when no such series exists (a dead shard contributes none).
+    pub fn value_where(&self, name: &str, key: &str, value: &str) -> Option<f64> {
+        self.family(name)?
+            .series
+            .iter()
+            .filter(|s| s.labels.iter().any(|(k, v)| k == key && v == value))
+            .filter_map(|s| match s.value {
+                MetricValue::Counter(v) => Some(v as f64),
+                MetricValue::Gauge(v) => Some(v),
+                MetricValue::Histogram(_) => None,
+            })
+            .reduce(|a, b| a + b)
+    }
+
     /// Merges a histogram family across all its series (empty when
     /// absent).
     pub fn histogram_merged(&self, name: &str) -> Log2Histogram {
@@ -412,19 +407,13 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let mut r = Registry::disabled();
-        let c = r.counter("x_total", "x", &[]);
-        r.inc(c, 10);
-        assert_eq!(r.counter_value(c), 0);
-        assert!(!r.is_enabled());
-    }
-
-    #[test]
     fn merge_of_shard_snapshots_sums() {
         let mut merged = shard_registry("0").snapshot();
         merged.merge(&shard_registry("1").snapshot());
         assert_eq!(merged.counter_total("richnote_pubs_total"), 6);
+        assert_eq!(merged.gauge_total("richnote_backlog"), 10.0);
+        assert_eq!(merged.value_where("richnote_pubs_total", "shard", "1"), Some(3.0));
+        assert_eq!(merged.value_where("richnote_pubs_total", "shard", "2"), None);
         assert_eq!(merged.family("richnote_pubs_total").unwrap().series.len(), 2);
         // Same-label histograms merged into one series.
         assert_eq!(merged.family("richnote_round_duration_us").unwrap().series.len(), 1);

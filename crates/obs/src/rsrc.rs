@@ -198,7 +198,7 @@ pub fn alloc_counts() -> AllocCounts {
 /// ```
 ///
 /// Only binaries that want allocation accounting install it (the daemon
-/// and `richnote-perf`); library users and the simulator pay nothing.
+/// and the benchmark); library users and the simulator pay nothing.
 pub struct CountingAlloc;
 
 impl CountingAlloc {

@@ -1,7 +1,7 @@
 //! Canonical snapshots: the deterministic projection of a daemon's
 //! observable state that replay runs are compared on.
 //!
-//! A raw `TraceDump` + `Stats` drain mixes deterministic facts (which
+//! A raw `Trace` + `Stats` drain mixes deterministic facts (which
 //! publications were selected, at what level, under what budget) with
 //! wall-clock and scheduling noise (stage latencies, CPU time, uptime,
 //! contention counts). Canonicalization keeps only what a correct replay

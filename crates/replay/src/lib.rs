@@ -18,13 +18,13 @@
 //!   (*.rncap)         │  per-session clients, global-order feed,
 //!                     │  --speed N / as-fast-as-possible pacing
 //!                     ▼
-//!              TraceDump + Stats drain ──▶ CanonicalSnapshot ──▶ diff vs golden
+//!              Trace + Stats drain ──▶ CanonicalSnapshot ──▶ diff vs golden
 //! ```
 //!
 //! Only state-bearing frames are replayed (`Subscribe`, `Publish`,
-//! `Tick`, `TickReport`); observer frames in the capture (`Stats`,
-//! `TraceDump`, …) are skipped and counted — replaying a destructive
-//! `TraceDump` would eat the very events the canonical snapshot needs.
+//! `Tick`, `TickReport`); observer and control frames in the capture are
+//! skipped and counted — replaying a destructive `Trace` read would eat
+//! the very events the canonical snapshot needs.
 
 pub mod canon;
 pub mod diff;
@@ -86,7 +86,7 @@ pub struct ReplayOutcome {
 ///
 /// Fails on connection or protocol errors, and with
 /// [`CaptureError::Record`] (naming the frame index) when a record's
-/// frame does not parse as a protocol-v2 request.
+/// state-bearing frame does not parse as a request.
 pub fn replay_into(
     addr: SocketAddr,
     capture: &str,
@@ -116,13 +116,25 @@ pub fn replay_into(
             }
         }
         last_session = Some(record.session);
-        let req: Request = serde_json::from_str(&record.frame).map_err(|e| {
-            ServerError::from(CaptureError::Record {
-                path: capture.to_string(),
-                index: record.index,
-                detail: format!("frame is not a protocol-v2 request: {e}"),
-            })
-        })?;
+        let req: Request = match serde_json::from_str(&record.frame) {
+            Ok(req) => req,
+            // A capture outlives the protocol version that wrote it: what
+            // must still parse are the state-bearing kinds, whose shape
+            // no version changed. Any other frame a daemon once recorded
+            // (protocol v2 had a request per read-only view) was an
+            // observer then and is skipped now.
+            Err(_) if !is_state_bearing(&record.frame) => {
+                skipped += 1;
+                continue;
+            }
+            Err(e) => {
+                return Err(ServerError::from(CaptureError::Record {
+                    path: capture.to_string(),
+                    index: record.index,
+                    detail: format!("frame is not a request: {e}"),
+                }))
+            }
+        };
         if !opts.as_fast_as_possible {
             let target = Duration::from_micros((record.ts_us as f64 / speed) as u64);
             let elapsed = started.elapsed();
@@ -164,17 +176,11 @@ pub fn replay_into(
                 fed += 1;
             }
             // Observer and control frames: replaying them would perturb
-            // the daemon (TraceDump drains the rings destructively;
+            // the daemon (the Trace view drains the rings destructively;
             // Drain/Shutdown would kill it mid-feed) without adding any
             // state the canonical snapshot compares.
             Request::Hello { .. }
-            | Request::Metrics
-            | Request::Stats
-            | Request::Health
-            | Request::TraceDump
-            | Request::FlightDump
-            | Request::Query(_)
-            | Request::Alerts
+            | Request::Observe(_)
             | Request::Checkpoint
             | Request::Drain
             | Request::Shutdown => skipped += 1,
@@ -202,6 +208,14 @@ pub fn replay_into(
     let snapshot = CanonicalSnapshot::build(&events, &stats.snapshot);
 
     Ok(ReplayOutcome { fed, skipped, sessions: clients.len(), elapsed_secs, snapshot })
+}
+
+/// Whether `frame` is JSON tagged as one of the four request kinds a
+/// replay feeds.
+fn is_state_bearing(frame: &str) -> bool {
+    serde_json::parse_value(frame).is_ok_and(|v| {
+        ["Subscribe", "Publish", "Tick", "TickReport"].iter().any(|kind| v.get(kind).is_some())
+    })
 }
 
 /// Strips host-coupled fields from a captured config so a replay daemon

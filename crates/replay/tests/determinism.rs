@@ -99,10 +99,6 @@ fn interleaved_multi_session_capture_replays_identically() {
         p.sync().unwrap();
     }
     ticker.tick(4).unwrap();
-    // Close the publisher connections before shutdown: the server joins
-    // its connection threads on exit, and they only notice the stop on
-    // client EOF.
-    drop(publishers);
     ticker.shutdown().unwrap();
     handle.join().expect("server thread");
 
@@ -114,6 +110,53 @@ fn interleaved_multi_session_capture_replays_identically() {
         second.snapshot.to_json(),
         "a multi-session capture must replay byte-identically"
     );
+    let _ = std::fs::remove_file(&capture);
+}
+
+/// A capture outlives the protocol version that wrote it. Protocol v2
+/// had a request per read-only view, and `loadgen` ended every recorded
+/// run with a few of them; such a capture must still replay, its
+/// observer frames skipped and counted as they always were, while a
+/// state-bearing frame that does not parse stays a hard error.
+#[test]
+fn observer_frames_of_a_protocol_v2_capture_are_skipped() {
+    use richnote_server::wire::Request;
+    use richnote_server::{CaptureWriter, ServerError};
+
+    let user = richnote_core::UserId::new(5);
+    let subscribe =
+        serde_json::to_string(&Request::Subscribe { user, topic: Topic::FriendFeed(user) })
+            .unwrap();
+    let tick = serde_json::to_string(&Request::Tick { rounds: 1 }).unwrap();
+    let v2_observers = [
+        r#""Metrics""#,
+        r#""Stats""#,
+        r#""TraceDump""#,
+        r#"{"Query":{"family":"richnote_pubs_total","labels":[],"window_secs":60}}"#,
+    ];
+    let write = |tag: &str, frames: &[&str]| {
+        let path = temp_path(tag);
+        let mut writer = CaptureWriter::create(&path, &golden_config()).expect("capture");
+        for (i, frame) in frames.iter().enumerate() {
+            writer.append(i as u64, 77, frame).expect("append");
+        }
+        writer.flush().expect("flush");
+        path
+    };
+
+    let mut frames = vec![subscribe.as_str()];
+    frames.extend(v2_observers);
+    frames.push(tick.as_str());
+    let capture = write("v2.rncap", &frames);
+    let outcome = replay_spawned(&capture, fast(), |_| {}).expect("a v2 capture replays");
+    assert_eq!((outcome.fed, outcome.skipped), (2, v2_observers.len() as u64));
+    let _ = std::fs::remove_file(&capture);
+
+    let capture = write("bad.rncap", &[subscribe.as_str(), r#"{"Tick":{"rounds":"many"}}"#]);
+    match replay_spawned(&capture, fast(), |_| {}) {
+        Err(ServerError::Capture(e)) => assert!(e.to_string().contains("not a request"), "{e}"),
+        other => panic!("a malformed Tick must fail the replay, got {other:?}"),
+    }
     let _ = std::fs::remove_file(&capture);
 }
 

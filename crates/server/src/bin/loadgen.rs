@@ -37,8 +37,8 @@
 //! With `--trace-sample 1/N`, the generator mints a deterministic 64-bit
 //! trace id per publication (from the workload seed, never the clock) and
 //! attaches it to the head-sampled subset, turning on end-to-end causal
-//! tracing for those publications. After the drain the run issues
-//! `TraceDump` and `FlightDump`, assembles the span trees, and — when
+//! tracing for those publications. After the drain the run reads the
+//! `Trace` and `Flight` views, assembles the span trees, and — when
 //! sampling at `1/1` — exits nonzero unless at least one complete
 //! publish→queue→select→serialize→ack tree carrying a selection decision
 //! came back. CI leans on that exit code.
@@ -318,7 +318,7 @@ fn verify_span_trees(control: &mut Client, a: &Args, minted: u64) -> ServerResul
     }
     if trees.is_empty() {
         return Err(ServerError::Frame(format!(
-            "tracing at {} minted {minted} ids but TraceDump returned no span trees \
+            "tracing at {} minted {minted} ids but the Trace view returned no span trees \
              (is the server running with --trace-capacity and --trace-sample?)",
             a.trace_sample
         )));
@@ -498,8 +498,8 @@ fn run(a: &Args) -> ServerResult<()> {
     // histogram covers all publications that were actually ingested.
     let mut drain_rounds = 0u32;
     loop {
-        let snap = control.metrics()?;
-        if snap.backlog() == 0 || drain_rounds >= 1_000 {
+        let backlog = control.stats()?.snapshot.gauge_total("richnote_backlog");
+        if backlog == 0.0 || drain_rounds >= 1_000 {
             break;
         }
         if stats_mode {
@@ -511,9 +511,16 @@ fn run(a: &Args) -> ServerResult<()> {
         drain_rounds += 8;
     }
 
-    let snap = control.metrics()?;
-    let lat = snap.selection_latency();
-    let rounds = snap.shards.iter().map(|s| s.rounds).max().unwrap_or(0);
+    let snap = control.stats()?.snapshot;
+    let ingested = snap.counter_total("richnote_pubs_total");
+    let dropped = snap.counter_total("richnote_queue_dropped_total");
+    let dropped_on_drain = snap.counter_total("richnote_dropped_on_drain_total");
+    let backlog = snap.gauge_total("richnote_backlog") as u64;
+    let lat = snap.histogram_merged("richnote_selection_latency_us");
+    let per_shard = |family: &str, shard: usize| {
+        snap.value_where(family, "shard", &shard.to_string()).unwrap_or(0.0)
+    };
+    let rounds = (0..shards).map(|s| per_shard("richnote_rounds_total", s)).fold(0.0, f64::max);
     println!(
         "published {} publications in {:.2}s: {:.0} pubs/sec sustained",
         total_pubs,
@@ -523,12 +530,12 @@ fn run(a: &Args) -> ServerResult<()> {
     println!(
         "ingested {} ({} dropped by backpressure, {} dropped on drain), \
          selected {} over {} rounds, backlog {}",
-        snap.ingested(),
-        snap.dropped(),
-        snap.dropped_on_drain,
-        snap.selected(),
+        ingested,
+        dropped,
+        dropped_on_drain,
+        snap.counter_total("richnote_selected_total"),
         rounds,
-        snap.backlog()
+        backlog
     );
     if a.fault_drop > 0.0 || retries.load(Ordering::Relaxed) > 0 {
         println!(
@@ -547,25 +554,23 @@ fn run(a: &Args) -> ServerResult<()> {
         fmt_us(lat.max_us()),
         lat.count()
     );
-    for s in &snap.shards {
+    for s in 0..shards {
         println!(
-            "  shard {}: {} users, {} ingested, {} selected, {} rounds, {:.1} MB budgeted, {:.1} MB spent",
-            s.shard,
-            s.users,
-            s.ingested,
-            s.selected,
-            s.rounds,
-            s.bytes_budgeted as f64 / 1e6,
-            s.bytes_spent as f64 / 1e6
+            "  shard {s}: {} users, {} ingested, {} selected, {} rounds, {:.1} MB budgeted, {:.1} MB spent",
+            per_shard("richnote_users", s),
+            per_shard("richnote_pubs_total", s),
+            per_shard("richnote_selected_total", s),
+            per_shard("richnote_rounds_total", s),
+            per_shard("richnote_bytes_budgeted_total", s) / 1e6,
+            per_shard("richnote_bytes_spent_total", s) / 1e6
         );
     }
 
     if stats_mode {
-        let server = control.stats()?.snapshot.histogram_merged("richnote_selection_latency_us");
         let client = client_lat.lock().unwrap().clone();
-        println!("{}", side_by_side(&server, &client));
+        println!("{}", side_by_side(&lat, &client));
         let agree = [0.50, 0.95, 0.99].iter().all(|&q| {
-            match (server.quantile_bucket(q), client.quantile_bucket(q)) {
+            match (lat.quantile_bucket(q), client.quantile_bucket(q)) {
                 (Some(s), Some(c)) => s.abs_diff(c) <= 1,
                 _ => false,
             }
@@ -583,16 +588,12 @@ fn run(a: &Args) -> ServerResult<()> {
     // Zero-acked-loss invariant: every publication was acked (sync above
     // succeeded on every connection), so each must be accounted for as
     // ingested, dropped by backpressure, or refused during a drain.
-    let accounted =
-        snap.ingested() + snap.dropped() + snap.dropped_on_drain + snap.backlog() as u64;
+    let accounted = ingested + dropped + dropped_on_drain + backlog;
     if accounted != total_pubs as u64 {
         return Err(ServerError::Frame(format!(
             "acked-publication loss: {total_pubs} acked but only {accounted} accounted for \
-             (ingested {} + dropped {} + dropped-on-drain {} + backlog {})",
-            snap.ingested(),
-            snap.dropped(),
-            snap.dropped_on_drain,
-            snap.backlog()
+             (ingested {ingested} + dropped {dropped} + dropped-on-drain {dropped_on_drain} \
+             + backlog {backlog})"
         )));
     }
     println!("acked-publication accounting: {accounted}/{total_pubs} — zero loss");

@@ -4,7 +4,7 @@
 //! richnote-server [--addr HOST:PORT] [--shards N] [--queue-capacity N]
 //!                 [--round-secs S] [--data-grant BYTES]
 //!                 [--checkpoint-dir DIR] [--checkpoint-every ROUNDS]
-//!                 [--metrics-addr HOST:PORT] [--no-metrics]
+//!                 [--metrics-addr HOST:PORT]
 //!                 [--history-capacity SNAPSHOTS]
 //!                 [--trace-capacity EVENTS] [--trace-sample 1/N]
 //!                 [--flight-capacity TREES] [--flight-dir DIR]
@@ -26,11 +26,10 @@
 //! `/query` endpoint next to it; `--history-capacity` bounds the
 //! metrics-history ring those windows are answered from (snapshots, one
 //! per tick batch; `0` disables history and `/query` answers empty).
-//! `--no-metrics` turns metric
-//! recording off entirely (for overhead measurement) and `--trace-capacity`
-//! enables the per-shard structured trace rings drained by the wire-level
-//! `TraceDump` request. `--trace-sample 1/N` head-samples per-publication
-//! span traces (anomalies are always kept; `0` disables spans),
+//! `--trace-capacity` enables the per-shard structured trace rings
+//! drained by the wire-level `Trace` view. `--trace-sample 1/N`
+//! head-samples per-publication span traces (anomalies are always kept;
+//! `0` disables spans),
 //! `--flight-capacity` bounds the per-shard flight recorder of finished
 //! span trees, and `--flight-dir` makes shard panics and checkpoint
 //! failures dump those trees to CRC-framed `flight-shard-N.rnfl` files.
@@ -39,7 +38,7 @@
 //! `richnote_server::record`); capture writes happen off the hot path and
 //! shed under backpressure (`richnote_record_shed_total`).
 //! `--codec` caps the richest frame codec the daemon will negotiate in
-//! the v2 handshake: `binary` (the default) lets binary-capable clients
+//! the handshake: `binary` (the default) lets binary-capable clients
 //! upgrade, `json` pins every connection to the JSON framing.
 //! `--policy` selects the scheduling policy every shard runs (default
 //! `richnote`; `adaptive` adds connectivity-aware grant scaling and
@@ -48,7 +47,7 @@
 //! `--no-rsrc` turns off per-thread CPU/allocation cost accounting
 //! (for overhead A/B runs; the counters export as zero). The `--slo-*`
 //! flags tune the health engine behind `/healthz` and the wire `Health`
-//! request: the rolling window length, the per-round and per-ack wall
+//! view: the rolling window length, the per-round and per-ack wall
 //! latencies past which an event burns error budget, and the budgeted
 //! shed fraction. `--alert-rules` loads a JSON array of
 //! [`richnote_server::AlertRule`] definitions replacing the built-in
@@ -79,7 +78,7 @@ fn usage() -> ! {
         "usage: richnote-server [--addr HOST:PORT] [--shards N] \
          [--queue-capacity N] [--round-secs S] [--data-grant BYTES] \
          [--checkpoint-dir DIR] [--checkpoint-every ROUNDS] \
-         [--metrics-addr HOST:PORT] [--no-metrics] \
+         [--metrics-addr HOST:PORT] \
          [--history-capacity SNAPSHOTS] [--trace-capacity EVENTS] \
          [--trace-sample 1/N] [--flight-capacity TREES] [--flight-dir DIR] \
          [--record PATH] [--codec json|binary] \
@@ -116,7 +115,6 @@ fn parse_args() -> ServerConfigBuilder {
             "--checkpoint-every" => builder
                 .checkpoint_every_rounds(parse(&value("--checkpoint-every"), "--checkpoint-every")),
             "--metrics-addr" => builder.metrics_addr(value("--metrics-addr")),
-            "--no-metrics" => builder.metrics_enabled(false),
             "--history-capacity" => {
                 builder.history_capacity(parse(&value("--history-capacity"), "--history-capacity"))
             }

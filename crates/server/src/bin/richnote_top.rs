@@ -5,10 +5,9 @@
 //! richnote-top [--addr HOST:PORT] [--interval-ms MS] [--once]
 //! ```
 //!
-//! Each refresh polls the wire-level `Stats` (merged metric registry),
-//! `Metrics` (per-shard scheduler counters), `TraceDump` (draining the
-//! span rings) and `FlightDump` (non-destructive flight-recorder read)
-//! requests and renders:
+//! Each refresh reads the wire-level `Stats` (merged metric registry),
+//! `Health`, `Alerts`, `Query`, `Trace` (draining the span rings) and
+//! `Flight` (non-destructive flight-recorder read) views and renders:
 //!
 //! * per-shard throughput (publications/sec between refreshes), backlog,
 //!   rounds and stage-latency percentiles (dequeue / select),
@@ -18,7 +17,7 @@
 //! * an alerting pane: firing/pending rule counts, every rule not
 //!   currently quiet with its value against its threshold, watchdog
 //!   verdicts for stalled shards, and the path of the last incident
-//!   bundle written (absent against pre-alerting servers),
+//!   bundle written,
 //! * a delivery-quality pane: per-policy utility-per-MB with a per-tick
 //!   trend sparkline, fed by the server's `/query` history so the very
 //!   first frame shows real rates (no second scrape needed), and
@@ -27,26 +26,24 @@
 //!   present in the flight recorder when tracing is on.
 //!
 //! Throughput rates are likewise sourced from the server-side history
-//! (virtual-time rates over the run) when the server supports `Query`;
-//! against older servers the pre-analytics behavior remains: rates are
-//! diffed client-side between refreshes and the first frame shows `-`.
+//! (virtual-time rates over the run).
 //!
 //! `--once` renders a single frame without clearing the screen and
 //! exits — the headless mode CI uses to prove the full observability
-//! path (Stats + TraceDump + FlightDump + rendering) works end to end.
-//! `TraceDump` drains the server's rings, so a live `richnote-top`
+//! path (every view + rendering) works end to end.
+//! The `Trace` view drains the server's rings, so a live `richnote-top`
 //! session is a consumer: runs that later assert on dumped spans should
 //! finish before a watcher starts, or rely on the flight recorder, whose
 //! reads are non-destructive.
 
 use richnote_obs::{MetricValue, RegistrySnapshot, SeriesSnapshot};
 use richnote_server::{
-    AlertsReply, Client, HealthReport, HistoryQuery, MetricsSnapshot, QueryResult, ServerResult,
+    AlertsReply, Client, FlightDump, HealthReport, HistoryQuery, QueryResult, ServerResult,
     SpanStage, SpanTree, StatsReply,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Levels 0..=6: suppressed, metadata, and the five preview lengths.
 const LEVELS: usize = 7;
@@ -105,22 +102,6 @@ fn parse_args() -> Args {
 
 fn label<'a>(s: &'a SeriesSnapshot, key: &str) -> Option<&'a str> {
     s.labels.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-}
-
-/// Per-shard totals of a counter family (series labeled `shard="N"`;
-/// the connection-side `shard="server"` series are skipped).
-fn shard_counters(snap: &RegistrySnapshot, name: &str) -> HashMap<usize, u64> {
-    let mut m = HashMap::new();
-    if let Some(f) = snap.family(name) {
-        for s in &f.series {
-            if let (Some(shard), MetricValue::Counter(v)) =
-                (label(s, "shard").and_then(|x| x.parse().ok()), &s.value)
-            {
-                *m.entry(shard).or_insert(0) += *v;
-            }
-        }
-    }
-    m
 }
 
 /// Merged histogram for one (`shard`, `stage`) label pair.
@@ -186,11 +167,11 @@ fn fmt_us(us: u64) -> String {
     }
 }
 
-fn fmt_rate(r: Option<f64>) -> String {
-    match r {
-        Some(r) if r >= 10_000.0 => format!("{:.0}k", r / 1e3),
-        Some(r) => format!("{r:.0}"),
-        None => "-".to_string(),
+fn fmt_rate(r: f64) -> String {
+    if r >= 10_000.0 {
+        format!("{:.0}k", r / 1e3)
+    } else {
+        format!("{r:.0}")
     }
 }
 
@@ -265,17 +246,8 @@ fn spark_f64(points: &[f64]) -> String {
         .collect()
 }
 
-/// The quality pane: per-policy utility-per-MB with its per-tick trend,
-/// fed entirely by the server-side history (real numbers on the very
-/// first frame — no second scrape needed).
-/// The alerting pane. `None` means the server predates the alerting
-/// plane (its codec rejects the `Alerts` request) — say so rather than
-/// rendering a silently empty pane.
-fn render_alerts(alerts: Option<&AlertsReply>) {
-    let Some(reply) = alerts else {
-        println!("alerts: (server predates alerting)");
-        return;
-    };
+/// The alerting pane.
+fn render_alerts(reply: &AlertsReply) {
     let active: Vec<String> = reply
         .alerts
         .iter()
@@ -302,11 +274,10 @@ fn render_alerts(alerts: Option<&AlertsReply>) {
     }
 }
 
-fn render_quality(quality: Option<&(QueryResult, QueryResult)>) {
-    let Some((utility, bytes)) = quality else {
-        println!("quality: unavailable (server predates the analytics layer)");
-        return;
-    };
+/// The quality pane: per-policy utility-per-MB with its per-tick trend,
+/// fed entirely by the server-side history (real numbers on the very
+/// first frame — no second scrape needed).
+fn render_quality(utility: &QueryResult, bytes: &QueryResult) {
     let rows = policy_quality(utility, bytes);
     if rows.is_empty() {
         println!("quality: no deliveries recorded yet");
@@ -327,19 +298,6 @@ fn render_quality(quality: Option<&(QueryResult, QueryResult)>) {
         })
         .collect();
     println!("quality: {}", cells.join(" | "));
-}
-
-/// Sum of a counter family across all series (every label set).
-fn counter_total(snap: &RegistrySnapshot, name: &str) -> u64 {
-    snap.family(name).map_or(0, |f| {
-        f.series
-            .iter()
-            .map(|s| match &s.value {
-                MetricValue::Counter(v) => *v,
-                _ => 0,
-            })
-            .sum()
-    })
 }
 
 /// `12.3µs/pub`-style per-publication cost, `-` when nothing published.
@@ -376,14 +334,14 @@ fn render_identity_and_cost(a: &Args, stats: &StatsReply, health: &HealthReport)
         health.shards_total,
     );
     let snap = &stats.snapshot;
-    let pubs = counter_total(snap, "richnote_pubs_total");
+    let pubs = snap.counter_total("richnote_pubs_total");
     println!(
         "cost: cpu {}µs/pub | {} allocs/pub | {} B/pub | contended queue {} registry {}",
-        per_pub(counter_total(snap, "richnote_cpu_us_total"), pubs),
-        per_pub(counter_total(snap, "richnote_allocs_total"), pubs),
-        per_pub(counter_total(snap, "richnote_alloc_bytes_total"), pubs),
-        counter_total(snap, "richnote_queue_contended_total"),
-        counter_total(snap, "richnote_registry_contended_total"),
+        per_pub(snap.counter_total("richnote_cpu_us_total"), pubs),
+        per_pub(snap.counter_total("richnote_allocs_total"), pubs),
+        per_pub(snap.counter_total("richnote_alloc_bytes_total"), pubs),
+        snap.counter_total("richnote_queue_contended_total"),
+        snap.counter_total("richnote_registry_contended_total"),
     );
     let slos: Vec<String> = health
         .slos
@@ -416,44 +374,33 @@ fn shard_rates(result: &QueryResult) -> HashMap<usize, f64> {
     m
 }
 
+/// The history windows one frame is drawn from, each over the whole run.
+struct Windows {
+    pubs: QueryResult,
+    utility: QueryResult,
+    bytes: QueryResult,
+}
+
 /// One rendered frame of the dashboard.
-#[allow(clippy::too_many_arguments)]
 fn render(
     a: &Args,
     reply: &StatsReply,
     health: &HealthReport,
-    metrics: &MetricsSnapshot,
     anomalies: &[SpanTree],
-    flight_trees: usize,
-    flight_dropped: u64,
-    pubs_window: Option<&QueryResult>,
-    quality: Option<&(QueryResult, QueryResult)>,
-    alerts: Option<&AlertsReply>,
-    prev_pubs: Option<&HashMap<usize, u64>>,
-    elapsed: Duration,
+    flights: &[FlightDump],
+    windows: &Windows,
+    alerts: &AlertsReply,
 ) {
     let stats = &reply.snapshot;
-    let pubs = shard_counters(stats, "richnote_pubs_total");
-    // Rates come from the server-side history when it is available (real
-    // numbers on the very first frame); client-side scrape diffing is the
-    // fallback for servers that predate the analytics layer.
-    let server_rates = pubs_window.map(shard_rates);
-    let total_rate: Option<f64> = match pubs_window {
-        Some(w) => Some(w.total.rate),
-        None => prev_pubs.map(|prev| {
-            let now: u64 = pubs.values().sum();
-            let before: u64 = prev.values().sum();
-            now.saturating_sub(before) as f64 / elapsed.as_secs_f64().max(1e-9)
-        }),
-    };
+    let rates = shard_rates(&windows.pubs);
     render_identity_and_cost(a, reply, health);
     println!(
         "{} shards | ingested {} | selected {} | backlog {} | {} pubs/s",
-        metrics.shards.len(),
-        metrics.ingested(),
-        metrics.selected(),
-        metrics.backlog(),
-        fmt_rate(total_rate),
+        health.shards_total,
+        stats.counter_total("richnote_pubs_total"),
+        stats.counter_total("richnote_selected_total"),
+        stats.gauge_total("richnote_backlog"),
+        fmt_rate(windows.pubs.total.rate),
     );
     println!(
         "{:>5} {:>7} {:>8} {:>8} {:>7} {:>8}  {:>15}  {:>15}  {:<7}",
@@ -467,29 +414,25 @@ fn render(
         "select p50/p95",
         "lv 0-6",
     );
-    for s in &metrics.shards {
-        let rate = match &server_rates {
-            Some(rates) => rates.get(&s.shard).copied().or(Some(0.0)),
-            None => prev_pubs.map(|prev| {
-                let now = pubs.get(&s.shard).copied().unwrap_or(0);
-                let before = prev.get(&s.shard).copied().unwrap_or(0);
-                now.saturating_sub(before) as f64 / elapsed.as_secs_f64().max(1e-9)
-            }),
-        };
-        let shard_label = s.shard.to_string();
+    // One row per configured shard; a dead shard has no series left in
+    // the merge and shows as zeros.
+    for shard in 0..health.shards_total {
+        let shard_label = shard.to_string();
+        let of_shard =
+            |family: &str| stats.value_where(family, "shard", &shard_label).unwrap_or(0.0);
         let dequeue = stage_hist(stats, &shard_label, "dequeue");
         let select = stage_hist(stats, &shard_label, "select");
         println!(
             "{:>5} {:>7} {:>8} {:>8} {:>7} {:>8}  {:>15}  {:>15}  {:<7}",
-            s.shard,
-            s.users,
-            fmt_rate(rate),
-            s.selected,
-            s.rounds,
-            s.backlog,
+            shard,
+            of_shard("richnote_users"),
+            fmt_rate(rates.get(&shard).copied().unwrap_or(0.0)),
+            of_shard("richnote_selected_total"),
+            of_shard("richnote_rounds_total"),
+            of_shard("richnote_backlog"),
             format!("{}/{}", fmt_us(dequeue.quantile_us(0.50)), fmt_us(dequeue.quantile_us(0.95))),
             format!("{}/{}", fmt_us(select.quantile_us(0.50)), fmt_us(select.quantile_us(0.95))),
-            sparkline(&level_counts(stats, s.shard)),
+            sparkline(&level_counts(stats, shard)),
         );
     }
     let stage_line: Vec<String> = ["match", "serialize", "ack"]
@@ -501,11 +444,12 @@ fn render(
         .collect();
     println!("conn stages: {}", stage_line.join(" | "));
     render_alerts(alerts);
-    render_quality(quality);
+    render_quality(&windows.utility, &windows.bytes);
     println!(
         "flight recorder: {} trees retained, {} evicted | last anomalous traces \
          (drops, level ≤ 1):",
-        flight_trees, flight_dropped
+        flights.iter().map(|f| f.trees.len()).sum::<usize>(),
+        flights.iter().map(|f| f.dropped).sum::<u64>(),
     );
     if anomalies.is_empty() {
         println!("  (none)");
@@ -536,35 +480,26 @@ fn render(
 
 fn run(a: &Args) -> ServerResult<()> {
     let mut client = Client::builder(&a.addr).connect()?;
-    let mut prev_pubs: Option<HashMap<usize, u64>> = None;
-    let mut last = Instant::now();
     loop {
         let stats = client.stats()?;
         let health = client.health()?;
-        let metrics = client.metrics()?;
-        // Server-side analytics windows; a pre-analytics server rejects
-        // the request and every consumer below falls back gracefully.
-        let window = |family: &str| HistoryQuery {
-            family: family.to_string(),
-            labels: Vec::new(),
-            window_secs: f64::MAX,
+        let mut window = |family: &str| {
+            client.query(HistoryQuery {
+                family: family.to_string(),
+                labels: Vec::new(),
+                window_secs: f64::MAX,
+            })
         };
-        let pubs_window = client.query(window("richnote_pubs_total")).ok();
-        let quality = if pubs_window.is_some() {
-            let u = client.query(window("richnote_utility_total")).ok();
-            let b = client.query(window("richnote_delivered_bytes_total")).ok();
-            u.zip(b)
-        } else {
-            None
+        let windows = Windows {
+            pubs: window("richnote_pubs_total")?,
+            utility: window("richnote_utility_total")?,
+            bytes: window("richnote_delivered_bytes_total")?,
         };
-        // Pre-alerting servers reject the request; the pane degrades.
-        let alerts = client.alerts().ok();
+        let alerts = client.alerts()?;
         // Flight-recorder reads are non-destructive; the trace ring is a
         // drain, which is fine for a live watcher (it is the consumer).
         let flights = client.flight_dump()?;
         let (events, _) = client.trace_dump()?;
-        let elapsed = last.elapsed();
-        last = Instant::now();
 
         let mut anomalies: Vec<SpanTree> = flights
             .iter()
@@ -573,31 +508,15 @@ fn run(a: &Args) -> ServerResult<()> {
             .cloned()
             .collect();
         anomalies.extend(SpanTree::assemble(&events).into_iter().filter(|t| t.is_anomalous()));
-        let flight_trees: usize = flights.iter().map(|f| f.trees.len()).sum();
-        let flight_dropped: u64 = flights.iter().map(|f| f.dropped).sum();
 
         if !a.once {
             // Clear screen and home the cursor, like top(1).
             print!("\x1b[2J\x1b[H");
         }
-        render(
-            a,
-            &stats,
-            &health,
-            &metrics,
-            &anomalies,
-            flight_trees,
-            flight_dropped,
-            pubs_window.as_ref(),
-            quality.as_ref(),
-            alerts.as_ref(),
-            prev_pubs.as_ref(),
-            elapsed,
-        );
+        render(a, &stats, &health, &anomalies, &flights, &windows, &alerts);
         if a.once {
             return Ok(());
         }
-        prev_pubs = Some(shard_counters(&stats.snapshot, "richnote_pubs_total"));
         std::thread::sleep(Duration::from_millis(a.interval_ms));
     }
 }

@@ -27,7 +27,6 @@
 //! rather than silently loading garbage or an older cut.
 
 use crate::error::{ServerError, ServerResult};
-use crate::metrics::LatencyHistogram;
 use richnote_core::{PolicyCheckpoint, UserId};
 use richnote_pubsub::Topic;
 use serde::{Deserialize, Serialize};
@@ -71,8 +70,6 @@ pub struct ShardCheckpoint {
     pub bytes_budgeted: u64,
     /// Lifetime bytes spent.
     pub bytes_spent: u64,
-    /// Selection-latency histogram (carried so metrics survive restarts).
-    pub latency: LatencyHistogram,
     /// Every user's scheduler state, ascending by user id.
     pub users: Vec<UserCheckpoint>,
 }
@@ -291,7 +288,6 @@ mod tests {
                 selected: 4,
                 bytes_budgeted: 1_000,
                 bytes_spent: 800,
-                latency: LatencyHistogram::new(),
                 users: Vec::new(),
             }],
         }
@@ -359,6 +355,24 @@ mod tests {
         store.save(&ck).unwrap();
         let err = store.load_latest().unwrap_err();
         assert!(err.to_string().contains("unsupported format 1"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shard_latency_field_of_earlier_format_2_files_is_ignored() {
+        // Until protocol v3 a shard checkpoint also carried a selection-
+        // latency histogram; files written then must keep restoring.
+        let dir = temp_dir("latency");
+        let store = CheckpointStore::open(&dir, 0).unwrap();
+        let ck = sample(3);
+        let body = serde_json::to_string(&ck).unwrap().replace(
+            "\"bytes_spent\":800,",
+            "\"bytes_spent\":800,\"latency\":{\"counts\":[1],\"count\":1,\"sum_us\":0,\"max_us\":0},",
+        );
+        assert!(body.contains("latency"));
+        let blob = richnote_obs::frame::encode_blob(CKPT_MAGIC, body.as_bytes());
+        fs::write(store.file_for(3), blob).unwrap();
+        assert_eq!(store.load_latest().unwrap().unwrap(), ck);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -22,13 +22,12 @@
 use crate::codec::{codec_for, CodecKind, FrameCodec};
 use crate::error::{ServerError, ServerResult};
 use crate::fault::FaultRng;
-use crate::metrics::MetricsSnapshot;
 use crate::wire::{
-    read_frame, write_frame, AlertsReply, BuildInfo, Delivery, ErrorCode, HealthReport, Request,
-    Response, PROTO_VERSION,
+    read_frame, write_frame, AlertsReply, Delivery, HealthReport, Observed, Request, Response,
+    StatsReply, View, PROTO_VERSION,
 };
 use richnote_core::{ContentItem, UserId};
-use richnote_obs::{FlightDump, HistoryQuery, QueryResult, RegistrySnapshot, TraceEvent};
+use richnote_obs::{FlightDump, HistoryQuery, QueryResult, TraceEvent};
 use richnote_pubsub::Topic;
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
@@ -71,19 +70,6 @@ impl RetryPolicy {
     }
 }
 
-/// What [`Client::stats`] returns: the merged registry snapshot plus the
-/// server's uptime and build identity.
-#[derive(Debug, Clone)]
-pub struct StatsReply {
-    /// Merged counters, gauges, and histograms from every shard plus the
-    /// server-side stage timers.
-    pub snapshot: RegistrySnapshot,
-    /// Seconds since the server started.
-    pub uptime_secs: u64,
-    /// Version, git sha, and build profile the server was compiled with.
-    pub build: BuildInfo,
-}
-
 /// A publication not yet covered by a cumulative ack.
 struct Pending {
     seq: u64,
@@ -100,7 +86,7 @@ struct Conn {
     /// Kept solely so chaos tests can slam the socket shut.
     stream: TcpStream,
     /// The frame codec negotiated in this connection's handshake. The
-    /// handshake itself always speaks v2 JSON framing; everything after
+    /// handshake itself always speaks JSON framing; everything after
     /// goes through this object (and its reused scratch buffer).
     codec: Box<dyn FrameCodec>,
 }
@@ -227,46 +213,6 @@ impl Client {
         }
     }
 
-    /// Connects, handshakes, and returns a client with the default
-    /// [`RetryPolicy`] and a fresh auto-generated session id.
-    ///
-    /// # Errors
-    ///
-    /// Returns connection and handshake failures (after exhausting
-    /// retries for transient ones).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Client::builder(addr).connect()`; will be removed in 0.2.0"
-    )]
-    pub fn connect<A: ToSocketAddrs + ToString>(addr: A) -> ServerResult<Client> {
-        Client::builder(addr).connect()
-    }
-
-    /// Connects with explicit retry and session choices. `policy: None`
-    /// disables retry entirely (every transient failure surfaces
-    /// immediately); `session: 0` opts out of publish deduplication.
-    ///
-    /// # Errors
-    ///
-    /// Returns connection and handshake failures.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Client::builder(addr)` with `.retry(..)`/`.no_retry()`/`.session(..)`; \
-                will be removed in 0.2.0"
-    )]
-    pub fn connect_with<A: ToSocketAddrs + ToString>(
-        addr: A,
-        policy: Option<RetryPolicy>,
-        session: u64,
-    ) -> ServerResult<Client> {
-        let builder = Client::builder(addr).session(session);
-        match policy {
-            Some(p) => builder.retry(p),
-            None => builder.no_retry(),
-        }
-        .connect()
-    }
-
     /// The session id used for idempotent republish.
     pub fn session(&self) -> u64 {
         self.session
@@ -324,7 +270,7 @@ impl Client {
             writer: BufWriter::new(stream.try_clone()?),
             stream,
             // Placeholder until the handshake negotiates: the handshake
-            // itself always runs over the v2 JSON framing.
+            // itself always runs over the JSON framing.
             codec: codec_for(CodecKind::Json),
         };
         write_frame(
@@ -341,10 +287,9 @@ impl Client {
         };
         match resp {
             Response::Hello { shards, resume_seq, codec, .. } => {
-                // An absent codec is a pre-codec server: JSON, the v2
-                // default. An unknown name means the server negotiated
-                // something this build cannot speak — bail rather than
-                // guess at the framing of the next frame.
+                // An absent codec means JSON. An unknown name means the
+                // server negotiated something this build cannot speak —
+                // bail rather than guess at the framing of the next frame.
                 let negotiated = match codec.as_deref() {
                     None => CodecKind::Json,
                     Some(name) => CodecKind::from_wire_name(name).ok_or_else(|| {
@@ -598,15 +543,17 @@ impl Client {
         }
     }
 
-    /// Fetches a metrics snapshot.
+    /// Reads one [`View`] of the daemon's state — the protocol's single
+    /// read path; the typed accessors below all go through it.
     ///
     /// # Errors
     ///
     /// Returns protocol or transport failures.
-    pub fn metrics(&mut self) -> ServerResult<MetricsSnapshot> {
-        match self.with_retry(|c| c.exchange(&Request::Metrics))? {
-            Response::Metrics(snapshot) => Ok(snapshot),
-            other => Err(unexpected("Metrics", &other)),
+    pub fn observe(&mut self, view: View) -> ServerResult<Observed> {
+        let req = Request::Observe(view);
+        match self.with_retry(|c| c.exchange(&req))? {
+            Response::Observed(observed) => Ok(observed),
+            other => Err(unexpected("Observed", &other)),
         }
     }
 
@@ -616,16 +563,11 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns protocol or transport failures. A server built before the
-    /// observability layer answers with `BadFrame`, which is surfaced as a
-    /// [`ServerError::Rejected`] explaining that `Stats` is unsupported.
+    /// As for [`Client::observe`].
     pub fn stats(&mut self) -> ServerResult<StatsReply> {
-        match self.with_retry(|c| c.exchange(&Request::Stats)) {
-            Ok(Response::StatsSnapshot { snapshot, uptime_secs, build }) => {
-                Ok(StatsReply { snapshot, uptime_secs, build })
-            }
-            Ok(other) => Err(unexpected("StatsSnapshot", &other)),
-            Err(e) => Err(pre_observability(e, "Stats")),
+        match self.observe(View::Stats)? {
+            Observed::Stats(reply) => Ok(reply),
+            other => Err(unexpected("Stats", &other)),
         }
     }
 
@@ -634,13 +576,11 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns protocol or transport failures; pre-SLO servers are
-    /// reported like in [`Client::stats`].
+    /// As for [`Client::observe`].
     pub fn health(&mut self) -> ServerResult<HealthReport> {
-        match self.with_retry(|c| c.exchange(&Request::Health)) {
-            Ok(Response::Health(report)) => Ok(report),
-            Ok(other) => Err(unexpected("Health", &other)),
-            Err(e) => Err(pre_observability(e, "Health")),
+        match self.observe(View::Health)? {
+            Observed::Health(report) => Ok(report),
+            other => Err(unexpected("Health", &other)),
         }
     }
 
@@ -650,10 +590,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns protocol or transport failures; pre-observability servers
-    /// are reported like in [`Client::stats`].
+    /// As for [`Client::observe`].
     pub fn trace_dump(&mut self) -> ServerResult<(Vec<TraceEvent>, u64)> {
-        // The server budgets every response to fit one wire frame
+        // The server budgets every reply to fit one wire frame
         // (`TRACE_DUMP_EVENT_BUDGET`), so rings larger than a frame
         // arrive as several partial dumps; keep draining until a batch
         // comes back empty. The iteration cap bounds the loop when a
@@ -661,16 +600,15 @@ impl Client {
         let mut events = Vec::new();
         let mut dropped = 0;
         for _ in 0..1024 {
-            match self.with_retry(|c| c.exchange(&Request::TraceDump)) {
-                Ok(Response::TraceDump { events: batch, dropped: d }) => {
+            match self.observe(View::Trace)? {
+                Observed::Trace { events: batch, dropped: d } => {
                     dropped += d;
                     if batch.is_empty() {
                         break;
                     }
                     events.extend(batch);
                 }
-                Ok(other) => return Err(unexpected("TraceDump", &other)),
-                Err(e) => return Err(pre_observability(e, "TraceDump")),
+                other => return Err(unexpected("Trace", &other)),
             }
         }
         Ok((events, dropped))
@@ -684,13 +622,11 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns protocol or transport failures; servers built before the
-    /// analytics layer are reported like in [`Client::stats`].
+    /// As for [`Client::observe`].
     pub fn query(&mut self, q: HistoryQuery) -> ServerResult<QueryResult> {
-        match self.with_retry(|c| c.exchange(&Request::Query(q.clone()))) {
-            Ok(Response::QueryResult(result)) => Ok(result),
-            Ok(other) => Err(unexpected("QueryResult", &other)),
-            Err(e) => Err(pre_observability(e, "Query")),
+        match self.observe(View::Query(q))? {
+            Observed::Query(result) => Ok(result),
+            other => Err(unexpected("Query", &other)),
         }
     }
 
@@ -700,13 +636,11 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns protocol or transport failures; servers built before the
-    /// alerting layer are reported like in [`Client::stats`].
+    /// As for [`Client::observe`].
     pub fn alerts(&mut self) -> ServerResult<AlertsReply> {
-        match self.with_retry(|c| c.exchange(&Request::Alerts)) {
-            Ok(Response::Alerts(reply)) => Ok(reply),
-            Ok(other) => Err(unexpected("Alerts", &other)),
-            Err(e) => Err(pre_observability(e, "Alerts")),
+        match self.observe(View::Alerts)? {
+            Observed::Alerts(reply) => Ok(reply),
+            other => Err(unexpected("Alerts", &other)),
         }
     }
 
@@ -717,13 +651,11 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Returns protocol or transport failures; pre-observability servers
-    /// are reported like in [`Client::stats`].
+    /// As for [`Client::observe`].
     pub fn flight_dump(&mut self) -> ServerResult<Vec<FlightDump>> {
-        match self.with_retry(|c| c.exchange(&Request::FlightDump)) {
-            Ok(Response::FlightDump { dumps }) => Ok(dumps),
-            Ok(other) => Err(unexpected("FlightDump", &other)),
-            Err(e) => Err(pre_observability(e, "FlightDump")),
+        match self.observe(View::Flight)? {
+            Observed::Flight { dumps } => Ok(dumps),
+            other => Err(unexpected("Flight", &other)),
         }
     }
 
@@ -770,22 +702,8 @@ impl Client {
     }
 }
 
-fn unexpected(expected: &'static str, got: &Response) -> ServerError {
+fn unexpected(expected: &'static str, got: &impl std::fmt::Debug) -> ServerError {
     ServerError::UnexpectedResponse { expected, got: format!("{got:?}") }
-}
-
-/// Rewrites the `BadFrame` a pre-observability server answers for an
-/// unknown request variant into an error that names the actual problem.
-fn pre_observability(e: ServerError, what: &str) -> ServerError {
-    match e {
-        ServerError::Rejected { code: ErrorCode::BadFrame, .. } => ServerError::Rejected {
-            code: ErrorCode::BadFrame,
-            message: format!(
-                "server does not support {what} (built before the observability layer)"
-            ),
-        },
-        other => other,
-    }
 }
 
 #[cfg(test)]

@@ -1,26 +1,24 @@
 //! Negotiated per-connection frame codecs.
 //!
-//! The v2 protocol originally spoke one framing: length-prefixed JSON
-//! (see [`crate::wire`]). This module redesigns the frame layer into an
-//! object per connection — a [`FrameCodec`] — with two implementations:
+//! The frame layer is an object per connection — a [`FrameCodec`] — with
+//! two implementations:
 //!
-//! * [`JsonCodec`]: byte-for-byte the v2 JSON framing, the compatibility
-//!   floor every peer can always fall back to;
+//! * [`JsonCodec`]: the length-prefixed JSON framing of [`crate::wire`],
+//!   the floor every peer can always fall back to;
 //! * [`BinaryCodec`]: a compact varint-framed binary encoding that
 //!   hand-codes the hot messages (`Publish`, `PubAck`, `Tick*`,
 //!   `Subscribe`, `Hello`) with pre-sized scratch buffers and zero-copy
-//!   slice decoding, and escapes the cold, deeply nested responses
-//!   (`Metrics`, `StatsSnapshot`, `Health`, `TraceDump`, `FlightDump`)
-//!   into the canonical JSON payload inside a binary frame.
+//!   slice decoding, and escapes the cold read path (`Observe` and its
+//!   deeply nested `Observed` answers) into the canonical JSON payload
+//!   inside a binary frame.
 //!
 //! # Negotiation
 //!
-//! The codec is negotiated inside the existing v2 `Hello` exchange, which
-//! always uses JSON framing; see [`negotiate`] for the exact matrix. Both
-//! sides switch to the negotiated codec for every frame after the
-//! server's `Hello` response. A pre-codec peer never sends (or sees) the
-//! `codec` field and keeps speaking JSON — old clients work unchanged
-//! against a binary-preferring server.
+//! The codec is negotiated inside the `Hello` exchange, which always uses
+//! JSON framing; see [`negotiate`] for the exact matrix. Both sides
+//! switch to the negotiated codec for every frame after the server's
+//! `Hello` response. A peer that leaves the `codec` field out keeps
+//! speaking JSON.
 //!
 //! # Binary frame layout
 //!
@@ -49,7 +47,6 @@ use crate::wire::{
 use richnote_core::content::{ContentFeatures, ContentItem, ContentKind, Interaction, SocialTie};
 use richnote_core::ids::PlaylistId;
 use richnote_core::{AlbumId, ArtistId, ContentId, TrackId, UserId};
-use richnote_obs::HistoryQuery;
 use richnote_pubsub::Topic;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -60,7 +57,7 @@ use std::str::FromStr;
 /// negotiation is simply the [`Ord::min`] of the two preferences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CodecKind {
-    /// Length-prefixed JSON — the original v2 framing, and the fallback.
+    /// Length-prefixed JSON — the handshake framing, and the fallback.
     Json,
     /// Varint-framed compact binary (this module).
     Binary,
@@ -185,7 +182,7 @@ pub fn codec_for(kind: CodecKind) -> Box<dyn FrameCodec> {
     }
 }
 
-/// The v2 JSON framing behind the [`FrameCodec`] API: delegates to the
+/// The JSON framing behind the [`FrameCodec`] API: delegates to the
 /// free functions in [`crate::wire`], which remain the handshake framing
 /// and the capture subsystem's canonical encode point.
 #[derive(Debug, Default)]
@@ -231,22 +228,16 @@ mod req_tag {
     pub const PUBLISH: u8 = 2;
     pub const TICK: u8 = 3;
     pub const TICK_REPORT: u8 = 4;
-    pub const METRICS: u8 = 5;
-    pub const STATS: u8 = 6;
-    pub const HEALTH: u8 = 7;
-    pub const TRACE_DUMP: u8 = 8;
-    pub const FLIGHT_DUMP: u8 = 9;
-    pub const CHECKPOINT: u8 = 10;
-    pub const DRAIN: u8 = 11;
-    pub const SHUTDOWN: u8 = 12;
-    pub const QUERY: u8 = 13;
-    pub const ALERTS: u8 = 14;
+    pub const OBSERVE: u8 = 5;
+    pub const CHECKPOINT: u8 = 6;
+    pub const DRAIN: u8 = 7;
+    pub const SHUTDOWN: u8 = 8;
 }
 
 /// Response frame tags. Hot responses are hand-coded; the cold, deeply
-/// nested ones ride the [`resp_tag::JSON`] escape hatch carrying the
-/// canonical JSON payload, so their wire shape has exactly one source of
-/// truth ([`encode_frame_payload`]).
+/// nested `Observed` answers ride the [`resp_tag::JSON`] escape hatch
+/// carrying the canonical JSON payload, so their wire shape has exactly
+/// one source of truth ([`encode_frame_payload`]).
 mod resp_tag {
     pub const HELLO: u8 = 0;
     pub const SUBSCRIBED: u8 = 1;
@@ -313,7 +304,7 @@ impl FrameCodec for BinaryCodec {
 
     fn write_request(&mut self, w: &mut dyn Write, req: &Request) -> ServerResult<()> {
         self.buf.clear();
-        enc_request(&mut self.buf, req);
+        enc_request(&mut self.buf, req)?;
         self.write_framed(w)
     }
 
@@ -649,7 +640,7 @@ fn dec_item(s: &mut &[u8]) -> ServerResult<ContentItem> {
     })
 }
 
-fn enc_request(out: &mut Vec<u8>, req: &Request) {
+fn enc_request(out: &mut Vec<u8>, req: &Request) -> ServerResult<()> {
     match req {
         Request::Hello { proto, session, codec } => {
             out.push(req_tag::HELLO);
@@ -677,26 +668,26 @@ fn enc_request(out: &mut Vec<u8>, req: &Request) {
             out.push(req_tag::TICK_REPORT);
             put_varint(out, u64::from(*rounds));
         }
-        Request::Metrics => out.push(req_tag::METRICS),
-        Request::Stats => out.push(req_tag::STATS),
-        Request::Health => out.push(req_tag::HEALTH),
-        Request::TraceDump => out.push(req_tag::TRACE_DUMP),
-        Request::FlightDump => out.push(req_tag::FLIGHT_DUMP),
+        // The read path is cold: the view rides as its canonical JSON, so
+        // a new view costs this codec nothing.
+        Request::Observe(view) => {
+            out.push(req_tag::OBSERVE);
+            out.extend_from_slice(&encode_frame_payload(view)?);
+        }
         Request::Checkpoint => out.push(req_tag::CHECKPOINT),
         Request::Drain => out.push(req_tag::DRAIN),
         Request::Shutdown => out.push(req_tag::SHUTDOWN),
-        Request::Query(q) => {
-            out.push(req_tag::QUERY);
-            put_str(out, &q.family);
-            put_varint(out, q.labels.len() as u64);
-            for (k, v) in &q.labels {
-                put_str(out, k);
-                put_str(out, v);
-            }
-            put_f64(out, q.window_secs);
-        }
-        Request::Alerts => out.push(req_tag::ALERTS),
     }
+    Ok(())
+}
+
+/// Decodes the JSON text filling the rest of the frame body.
+fn dec_json_rest<T: serde::Deserialize>(s: &mut &[u8]) -> ServerResult<T> {
+    let text = std::str::from_utf8(s).map_err(|e| bad(format!("escape not UTF-8: {e}")))?;
+    let msg =
+        serde_json::from_str(text).map_err(|e| bad(format!("bad JSON-escaped payload: {e}")))?;
+    *s = &[];
+    Ok(msg)
 }
 
 fn dec_request(s: &mut &[u8]) -> ServerResult<Request> {
@@ -717,27 +708,10 @@ fn dec_request(s: &mut &[u8]) -> ServerResult<Request> {
         }),
         req_tag::TICK => Ok(Request::Tick { rounds: get_u32v(s)? }),
         req_tag::TICK_REPORT => Ok(Request::TickReport { rounds: get_u32v(s)? }),
-        req_tag::METRICS => Ok(Request::Metrics),
-        req_tag::STATS => Ok(Request::Stats),
-        req_tag::HEALTH => Ok(Request::Health),
-        req_tag::TRACE_DUMP => Ok(Request::TraceDump),
-        req_tag::FLIGHT_DUMP => Ok(Request::FlightDump),
+        req_tag::OBSERVE => Ok(Request::Observe(dec_json_rest(s)?)),
         req_tag::CHECKPOINT => Ok(Request::Checkpoint),
         req_tag::DRAIN => Ok(Request::Drain),
         req_tag::SHUTDOWN => Ok(Request::Shutdown),
-        req_tag::QUERY => {
-            let family = get_str(s)?;
-            let count = get_usizev(s)?;
-            // Same forged-count guard as TickReport: a label pair needs
-            // at least two length bytes.
-            let mut labels = Vec::with_capacity(count.min(s.len() / 2 + 1));
-            for _ in 0..count {
-                labels.push((get_str(s)?, get_str(s)?));
-            }
-            let window_secs = get_f64(s)?;
-            Ok(Request::Query(HistoryQuery { family, labels, window_secs }))
-        }
-        req_tag::ALERTS => Ok(Request::Alerts),
         tag => Err(bad(format!("unknown request tag {tag}"))),
     }
 }
@@ -814,14 +788,8 @@ fn enc_response(out: &mut Vec<u8>, resp: &Response) -> ServerResult<()> {
         }
         // Cold, deeply nested observability payloads: escape to the
         // canonical JSON bytes so there is exactly one serialization of
-        // record, and every future field lands in both codecs for free.
-        Response::Metrics(_)
-        | Response::StatsSnapshot { .. }
-        | Response::Health(_)
-        | Response::TraceDump { .. }
-        | Response::FlightDump { .. }
-        | Response::QueryResult(_)
-        | Response::Alerts(_) => {
+        // record, and every future view lands in both codecs for free.
+        Response::Observed(_) => {
             out.push(resp_tag::JSON);
             out.extend_from_slice(&encode_frame_payload(resp)?);
         }
@@ -869,13 +837,7 @@ fn dec_response(s: &mut &[u8]) -> ServerResult<Response> {
         }),
         resp_tag::SHUTTING_DOWN => Ok(Response::ShuttingDown),
         resp_tag::ERROR => Ok(Response::Error { code: dec_error_code(s)?, message: get_str(s)? }),
-        resp_tag::JSON => {
-            let text = std::str::from_utf8(s).map_err(|e| bad(format!("escape not UTF-8: {e}")))?;
-            let resp = serde_json::from_str(text)
-                .map_err(|e| bad(format!("bad JSON-escaped payload: {e}")))?;
-            *s = &[];
-            Ok(resp)
-        }
+        resp_tag::JSON => dec_json_rest(s),
         tag => Err(bad(format!("unknown response tag {tag}"))),
     }
 }
@@ -884,8 +846,8 @@ fn dec_response(s: &mut &[u8]) -> ServerResult<Response> {
 mod tests {
     use super::*;
     use crate::fault::ShortReader;
-    use crate::wire::{BuildInfo, HealthReport, PROTO_VERSION};
-    use richnote_obs::{SloStatus, TraceEvent};
+    use crate::wire::{BuildInfo, HealthReport, Observed, StatsReply, View, PROTO_VERSION};
+    use richnote_obs::{HistoryQuery, SloStatus, TraceEvent};
 
     fn sample_item() -> ContentItem {
         ContentItem {
@@ -938,35 +900,35 @@ mod tests {
             },
             Request::Tick { rounds: 3 },
             Request::TickReport { rounds: u32::MAX },
-            Request::Metrics,
-            Request::Stats,
-            Request::Health,
-            Request::TraceDump,
-            Request::FlightDump,
-            Request::Checkpoint,
-            Request::Drain,
-            Request::Shutdown,
-            Request::Query(HistoryQuery {
+            Request::Observe(View::Stats),
+            Request::Observe(View::Health),
+            Request::Observe(View::Alerts),
+            Request::Observe(View::Query(HistoryQuery {
                 family: "richnote_utility_total".into(),
                 labels: vec![
                     ("policy".into(), "RichNote".into()),
                     ("connectivity".into(), "wifi".into()),
                 ],
                 window_secs: 60.0,
-            }),
-            Request::Alerts,
-            Request::Query(HistoryQuery {
+            })),
+            // richnote-top asks for "the whole run" this way.
+            Request::Observe(View::Query(HistoryQuery {
                 family: "richnote_pubs_total".into(),
                 labels: vec![],
-                window_secs: 0.0,
-            }),
+                window_secs: f64::MAX,
+            })),
+            Request::Observe(View::Trace),
+            Request::Observe(View::Flight),
+            Request::Checkpoint,
+            Request::Drain,
+            Request::Shutdown,
         ]
     }
 
     fn hot_responses() -> Vec<Response> {
         vec![
-            Response::Hello { proto: 2, shards: 4, resume_seq: 17, codec: Some("binary".into()) },
-            Response::Hello { proto: 2, shards: 1, resume_seq: 0, codec: None },
+            Response::Hello { proto: 3, shards: 4, resume_seq: 17, codec: Some("binary".into()) },
+            Response::Hello { proto: 3, shards: 1, resume_seq: 0, codec: None },
             Response::Subscribed,
             Response::PubAck { seq: 123_456_789 },
             Response::Ticked { rounds: 8, selected: 42 },
@@ -1029,13 +991,13 @@ mod tests {
         let mut reg = richnote_obs::Registry::new();
         let c = reg.counter("richnote_pubs_total", "pubs", &[("shard", "0")]);
         reg.inc(c, 5);
-        let resps = vec![
-            Response::StatsSnapshot {
+        let resps: Vec<Response> = vec![
+            Observed::Stats(StatsReply {
                 snapshot: reg.snapshot(),
                 uptime_secs: 12,
                 build: BuildInfo::current(),
-            },
-            Response::Health(HealthReport {
+            }),
+            Observed::Health(HealthReport {
                 status: SloStatus::Ok,
                 uptime_secs: 3,
                 shards_alive: 2,
@@ -1044,7 +1006,7 @@ mod tests {
                 alerts_firing: 0,
                 watchdog: vec![],
             }),
-            Response::Alerts(crate::wire::AlertsReply {
+            Observed::Alerts(crate::wire::AlertsReply {
                 alerts: vec![richnote_obs::AlertSnapshot {
                     rule: "shed_rate".into(),
                     state: richnote_obs::AlertState::Pending,
@@ -1065,7 +1027,7 @@ mod tests {
                 }],
                 last_incident: None,
             }),
-            Response::TraceDump {
+            Observed::Trace {
                 events: vec![TraceEvent::RoundEnd {
                     shard: 0,
                     round: 3,
@@ -1074,8 +1036,8 @@ mod tests {
                 }],
                 dropped: 1,
             },
-            Response::FlightDump { dumps: vec![] },
-            Response::QueryResult({
+            Observed::Flight { dumps: vec![] },
+            Observed::Query({
                 let mut hist = richnote_obs::MetricsHistory::new(4);
                 hist.record(0.0, reg.snapshot());
                 reg.inc(c, 7);
@@ -1086,7 +1048,10 @@ mod tests {
                     window_secs: 30.0,
                 })
             }),
-        ];
+        ]
+        .into_iter()
+        .map(Response::Observed)
+        .collect();
         let mut codec = BinaryCodec::new();
         let mut buf = Vec::new();
         for r in &resps {
@@ -1174,14 +1139,16 @@ mod tests {
         let frame = [3u8, req_tag::SUBSCRIBE, 7, 9];
         assert!(matches!(codec.read_request(&mut &frame[..]), Err(ServerError::Frame(_))));
         // Trailing garbage after a well-formed message.
-        let frame = [3u8, req_tag::METRICS, 0, 0];
+        let frame = [3u8, req_tag::CHECKPOINT, 0, 0];
         assert!(matches!(codec.read_request(&mut &frame[..]), Err(ServerError::Frame(_))));
         // Bad presence byte in Hello's codec option.
         let frame = [4u8, req_tag::HELLO, 2, 9, 7];
         assert!(matches!(codec.read_request(&mut &frame[..]), Err(ServerError::Frame(_))));
-        // Bad JSON behind the escape tag.
+        // Bad JSON behind the escape tag, in either direction.
         let frame = [4u8, resp_tag::JSON, b'{', b'x', b'}'];
         assert!(matches!(codec.read_response(&mut &frame[..]), Err(ServerError::Frame(_))));
+        let frame = [4u8, req_tag::OBSERVE, b'{', b'x', b'}'];
+        assert!(matches!(codec.read_request(&mut &frame[..]), Err(ServerError::Frame(_))));
     }
 
     #[test]
@@ -1239,7 +1206,7 @@ mod tests {
     #[test]
     fn json_codec_interoperates_with_the_free_functions() {
         // Bytes written by the codec object parse with wire::read_frame
-        // and vice versa: JsonCodec IS the v2 framing.
+        // and vice versa: JsonCodec IS the wire framing.
         let req = Request::Tick { rounds: 3 };
         let mut via_codec = Vec::new();
         JsonCodec::new().write_request(&mut via_codec, &req).unwrap();

@@ -49,12 +49,8 @@ pub struct ServerConfig {
     pub faults: FaultPlan,
     /// Address of the plain-text metrics exposition listener, e.g.
     /// `"127.0.0.1:9464"`. `None` disables the listener; the wire-level
-    /// `Stats` request works either way.
+    /// `Observe` request works either way.
     pub metrics_addr: Option<String>,
-    /// Whether metric registries record at all. Disabling turns every
-    /// counter bump and histogram observation into a no-op branch, for
-    /// overhead measurement; `Stats` then returns an empty snapshot.
-    pub metrics_enabled: bool,
     /// Per-shard trace-ring capacity in events; 0 (the default) disables
     /// structured tracing entirely.
     pub trace_capacity: usize,
@@ -69,13 +65,13 @@ pub struct ServerConfig {
     pub flight_capacity: usize,
     /// Directory for flight-recorder dump files, written when a shard
     /// panics or a coordinated checkpoint fails. `None` (the default)
-    /// keeps the recorder query-only (`FlightDump` requests still work).
+    /// keeps the recorder query-only (the `Flight` view still works).
     pub flight_dir: Option<String>,
     /// Resource accounting (per-thread CPU sampling, allocation counter
     /// export, contention counters). On by default; absent in older
     /// config JSON, which deserializes to the default.
     pub rsrc: RsrcConfig,
-    /// Service-level objectives evaluated by the `Health` request and the
+    /// Service-level objectives evaluated by the `Health` view and the
     /// `/healthz` path. Absent in older config JSON, which deserializes
     /// to the default.
     pub slo: SloConfig,
@@ -87,7 +83,7 @@ pub struct ServerConfig {
     /// Richest frame codec the server will negotiate (see
     /// [`crate::codec::negotiate`]): [`CodecKind::Binary`] (the default)
     /// lets binary-capable clients upgrade while JSON-only clients keep
-    /// working; [`CodecKind::Json`] pins every connection to the v2 JSON
+    /// working; [`CodecKind::Json`] pins every connection to the JSON
     /// framing. Absent in older config JSON, which deserializes to the
     /// default.
     pub codec: CodecKind,
@@ -97,7 +93,7 @@ pub struct ServerConfig {
     /// record the policy that wrote them; restoring under a different
     /// policy is rejected.
     pub policy: PolicyName,
-    /// Embedded metrics-history ring answering `Query` requests and the
+    /// Embedded metrics-history ring answering the `Query` view and the
     /// metrics listener's `/query` path. Absent in older config JSON,
     /// which deserializes to the default.
     pub history: HistoryConfig,
@@ -337,7 +333,6 @@ impl Default for ServerConfig {
             checkpoint_every_rounds: 0,
             faults: FaultPlan::none(),
             metrics_addr: None,
-            metrics_enabled: true,
             trace_capacity: 0,
             trace_sample: SampleRate::ALL,
             flight_capacity: 64,
@@ -481,13 +476,6 @@ impl ServerConfigBuilder {
     #[must_use]
     pub fn metrics_addr(mut self, addr: impl Into<String>) -> Self {
         self.cfg.metrics_addr = Some(addr.into());
-        self
-    }
-
-    /// Turns metric recording on or off (on by default).
-    #[must_use]
-    pub fn metrics_enabled(mut self, enabled: bool) -> Self {
-        self.cfg.metrics_enabled = enabled;
         self
     }
 
@@ -658,7 +646,6 @@ mod tests {
     fn observability_knobs_build() {
         let cfg = ServerConfig::builder()
             .metrics_addr("127.0.0.1:0")
-            .metrics_enabled(false)
             .trace_capacity(512)
             .trace_sample(SampleRate::one_in(8))
             .flight_capacity(16)
@@ -666,15 +653,13 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
-        assert!(!cfg.metrics_enabled);
         assert_eq!(cfg.trace_capacity, 512);
         assert_eq!(cfg.trace_sample, SampleRate::one_in(8));
         assert_eq!(cfg.flight_capacity, 16);
         assert_eq!(cfg.flight_dir.as_deref(), Some("/tmp/flight"));
-        // Defaults: metrics on, tracing off, no listener, sample-all,
-        // flight recorder armed but file dumps off.
+        // Defaults: tracing off, no listener, sample-all, flight
+        // recorder armed but file dumps off.
         let d = ServerConfig::default();
-        assert!(d.metrics_enabled);
         assert_eq!(d.trace_capacity, 0);
         assert!(d.metrics_addr.is_none());
         assert_eq!(d.trace_sample, SampleRate::ALL);

@@ -52,12 +52,15 @@
 //! Each shard owns a lock-free metric registry (counters, gauges, log2
 //! histograms labeled `shard="N"`) and a bounded ring of structured trace
 //! events; connection threads share a server-side registry for the
-//! broker/serialize/ack stages. [`wire::Request::Stats`] returns the
-//! merged [`richnote_obs::RegistrySnapshot`], [`wire::Request::TraceDump`]
-//! drains the rings, and [`config::ServerConfig::metrics_addr`] serves the
-//! Prometheus text exposition over plain HTTP for `curl`/scrapers. All of
-//! it is deterministic where it matters: trace events carry only logical
-//! fields (rounds, ids, levels, gradients), never wall-clock values.
+//! broker/serialize/ack stages. The registry is the daemon's only metrics
+//! model and [`wire::Request::Observe`] its only read path: the
+//! [`wire::View`] asked for selects the merged
+//! [`richnote_obs::RegistrySnapshot`], the health verdict, the alerting
+//! plane, a history query, or the trace and flight rings, and
+//! [`config::ServerConfig::metrics_addr`] serves four of those views over
+//! plain HTTP for `curl`/scrapers. All of it is deterministic where it
+//! matters: trace events carry only logical fields (rounds, ids, levels,
+//! gradients), never wall-clock values.
 
 pub mod checkpoint;
 pub mod client;
@@ -66,7 +69,6 @@ pub mod config;
 pub mod error;
 pub mod fault;
 pub mod incident;
-pub mod metrics;
 pub mod queue;
 pub mod record;
 pub mod router;
@@ -75,7 +77,7 @@ pub mod shard;
 pub mod wire;
 
 pub use checkpoint::{CheckpointStore, ServerCheckpoint, ShardCheckpoint};
-pub use client::{Client, ClientBuilder, RetryPolicy, StatsReply};
+pub use client::{Client, ClientBuilder, RetryPolicy};
 pub use codec::{codec_for, negotiate, BinaryCodec, CodecKind, FrameCodec, JsonCodec};
 pub use config::{
     AlertConfig, HistoryConfig, RsrcConfig, ServerConfig, ServerConfigBuilder, SloConfig,
@@ -86,7 +88,6 @@ pub use incident::{
     incident_file_name, read_incident_file, write_incident_file, IncidentBundle, IncidentMeta,
     INCIDENT_MAGIC,
 };
-pub use metrics::{LatencyHistogram, MetricsSnapshot, ShardSnapshot};
 pub use queue::BoundedQueue;
 pub use record::{
     chain_next, golden_config, record_golden, record_golden_with_policy, CaptureError,
@@ -98,7 +99,8 @@ pub use router::shard_of;
 pub use server::{RestoreSummary, Server};
 pub use shard::ShardState;
 pub use wire::{
-    AlertsReply, BuildInfo, ErrorCode, HealthReport, PROTO_VERSION, TRACE_DUMP_EVENT_BUDGET,
+    AlertsReply, BuildInfo, ErrorCode, HealthReport, Observed, StatsReply, View, PROTO_VERSION,
+    TRACE_DUMP_EVENT_BUDGET,
 };
 
 // Observability vocabulary, re-exported so server users need not depend

@@ -860,7 +860,7 @@ mod tests {
         let cfg = ServerConfig::default();
         let sink = RecordSink::create(&path, &cfg).unwrap();
         sink.offer(9, &Request::Tick { rounds: 2 });
-        sink.offer(9, &Request::Metrics);
+        sink.offer(9, &Request::Checkpoint);
         assert_eq!(sink.shed_count(), 0);
         drop(sink); // drains, flushes, joins
         let (_, records) = CaptureReader::read_all(&path).unwrap();

@@ -7,20 +7,22 @@ use crate::config::ServerConfig;
 use crate::error::{ServerError, ServerResult};
 use crate::fault::ShortReader;
 use crate::incident::{incident_file_name, write_incident_file, IncidentBundle, IncidentMeta};
-use crate::metrics::MetricsSnapshot;
 use crate::record::RecordSink;
 use crate::router::{PublishOutcome, Router};
 use crate::shard::{ShardMsg, ShardWorker};
-use crate::wire::AlertsReply;
-use crate::wire::{BuildInfo, ErrorCode, HealthReport, Request, Response, PROTO_VERSION};
+use crate::wire::{
+    AlertsReply, BuildInfo, ErrorCode, HealthReport, Observed, Request, Response, StatsReply, View,
+    PROTO_VERSION, TRACE_DUMP_EVENT_BUDGET,
+};
 use richnote_obs::{
     encode_text, split_above, write_flight_file, AlertEngine, CounterHandle, GaugeHandle,
-    HistogramHandle, HistoryQuery, Log2Histogram, MetricValue, MetricsHistory, QueryResult,
-    Registry, RegistrySnapshot, ShardProbe, SloEngine, SloReport, SloSpec, SloStatus, SpanRecord,
-    TraceEvent, TraceRing, Watchdog, WatchdogVerdict,
+    HistogramHandle, HistoryQuery, Log2Histogram, MetricsHistory, QueryResult, Registry,
+    RegistrySnapshot, ShardProbe, SloEngine, SloReport, SloSpec, SloStatus, SpanRecord, TraceEvent,
+    TraceRing, Watchdog, WatchdogVerdict,
 };
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
@@ -55,9 +57,8 @@ pub struct RestoreSummary {
 /// accumulates samples in its own [`ConnStages`] histograms and folds
 /// them in every [`STAGE_FLUSH_EVERY`] samples (taking the lock per
 /// publish measurably costs throughput at six-figure publish rates).
-/// Both locks are skipped entirely when the feature is off.
+/// The ring lock is skipped entirely when tracing is off.
 struct ServerObs {
-    metrics: bool,
     tracing: bool,
     registry: Mutex<Registry>,
     ring: Mutex<TraceRing>,
@@ -76,6 +77,9 @@ struct ServerObs {
     /// effective ack batching factor under pipelining.
     ack_batches_count: AtomicU64,
     ack_batches: CounterHandle,
+    /// Exported `richnote_dropped_on_drain_total`; fed from the router's
+    /// count of publications refused at the door while draining.
+    dropped_on_drain: CounterHandle,
     /// Exported `richnote_record_shed_total`; fed from the record sink's
     /// shed count in [`collect_stats`] (zero when recording is off).
     record_shed: CounterHandle,
@@ -84,8 +88,7 @@ struct ServerObs {
     /// Exported burn/budget series, indexed like the engine's objectives.
     slo_handles: Vec<SloHandles>,
     /// Fixed-memory ring of merged registry snapshots sampled at tick
-    /// boundaries; answers `Query` requests and the metrics listener's
-    /// `/query` path. `None` when `history.capacity` is 0.
+    /// boundaries; answers the `Query` view. `None` when `history.capacity` is 0.
     history: Option<Mutex<MetricsHistory>>,
     /// The alerting plane: rule engine, shard watchdog, and incident
     /// bookkeeping. Lock ordering: never hold this while taking the
@@ -106,7 +109,7 @@ struct AlertRuntime {
     /// bundle is written only when this set gains a member, so health
     /// polling does not rewrite bundles every second.
     flagged: Vec<usize>,
-    /// Most recent watchdog verdicts, re-served to `Alerts` requests.
+    /// Most recent watchdog verdicts, kept for incident bundles.
     last_watchdog: Vec<WatchdogVerdict>,
     /// Bundles written by this process (also the file-name sequence).
     incidents_written: u64,
@@ -139,7 +142,7 @@ struct SloTracker {
 
 impl ServerObs {
     fn new(cfg: &ServerConfig) -> Self {
-        let mut registry = if cfg.metrics_enabled { Registry::new() } else { Registry::disabled() };
+        let mut registry = Registry::new();
         let mut stage = |st: &str| {
             registry.histogram(
                 "richnote_stage_duration_us",
@@ -182,6 +185,11 @@ impl ServerObs {
             "richnote_ack_batches_total",
             "Cumulative PubAck frames flushed; each acknowledges every \
              publish pipelined since the previous one",
+            &[("shard", "server")],
+        );
+        let dropped_on_drain = registry.counter(
+            "richnote_dropped_on_drain_total",
+            "Publications refused at the door because the daemon was draining",
             &[("shard", "server")],
         );
         let mut engine = SloEngine::new(cfg.slo.window_secs, cfg.slo.buckets);
@@ -237,7 +245,6 @@ impl ServerObs {
             None
         };
         ServerObs {
-            metrics: cfg.metrics_enabled,
             tracing: cfg.trace_capacity > 0,
             registry: Mutex::new(registry),
             ring: Mutex::new(if cfg.trace_capacity > 0 {
@@ -254,6 +261,7 @@ impl ServerObs {
             registry_contended,
             ack_batches_count: AtomicU64::new(0),
             ack_batches,
+            dropped_on_drain,
             record_shed,
             slo: Mutex::new(SloTracker {
                 engine,
@@ -315,11 +323,12 @@ const STAGE_FLUSH_EVERY: u32 = 1024;
 /// Each connection thread records `match`/`serialize`/`ack` samples into
 /// these plain histograms — no lock, no contention — and [`flush`]es
 /// them into [`ServerObs`] every [`STAGE_FLUSH_EVERY`] samples, before
-/// serving its own `Stats` request, and when the connection closes.
+/// answering any request of its own other than a publish, and when the
+/// connection closes.
 ///
 /// [`flush`]: ConnStages::flush
+#[derive(Default)]
 struct ConnStages {
-    enabled: bool,
     match_stage: Log2Histogram,
     serialize: Log2Histogram,
     ack: Log2Histogram,
@@ -327,39 +336,23 @@ struct ConnStages {
 }
 
 impl ConnStages {
-    fn new(obs: &ServerObs) -> Self {
-        ConnStages {
-            enabled: obs.metrics,
-            match_stage: Log2Histogram::new(),
-            serialize: Log2Histogram::new(),
-            ack: Log2Histogram::new(),
-            pending: 0,
-        }
-    }
-
     fn record(hist: &mut Log2Histogram, t0: Instant) {
         hist.record_us(t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
     }
 
     fn observe_match(&mut self, t0: Instant, obs: &ServerObs) {
-        if self.enabled {
-            Self::record(&mut self.match_stage, t0);
-            self.bump(obs);
-        }
+        Self::record(&mut self.match_stage, t0);
+        self.bump(obs);
     }
 
     fn observe_serialize(&mut self, t0: Instant, obs: &ServerObs) {
-        if self.enabled {
-            Self::record(&mut self.serialize, t0);
-            self.bump(obs);
-        }
+        Self::record(&mut self.serialize, t0);
+        self.bump(obs);
     }
 
     fn observe_ack(&mut self, t0: Instant, obs: &ServerObs) {
-        if self.enabled {
-            Self::record(&mut self.ack, t0);
-            self.bump(obs);
-        }
+        Self::record(&mut self.ack, t0);
+        self.bump(obs);
     }
 
     fn bump(&mut self, obs: &ServerObs) {
@@ -371,7 +364,7 @@ impl ConnStages {
 
     /// Folds the buffered samples into the shared registry.
     fn flush(&mut self, obs: &ServerObs) {
-        if !self.enabled || self.pending == 0 {
+        if self.pending == 0 {
             return;
         }
         let mut registry = obs.lock_registry();
@@ -379,10 +372,7 @@ impl ConnStages {
         registry.merge_histogram(obs.stage_serialize, &self.serialize);
         registry.merge_histogram(obs.stage_ack, &self.ack);
         drop(registry);
-        self.match_stage = Log2Histogram::new();
-        self.serialize = Log2Histogram::new();
-        self.ack = Log2Histogram::new();
-        self.pending = 0;
+        *self = ConnStages::default();
     }
 }
 
@@ -394,6 +384,11 @@ struct ConnCtx {
     cfg: ServerConfig,
     addr: SocketAddr,
     conn_counter: AtomicU64,
+    /// A handle on every live connection's socket, by connection number:
+    /// entered by the accept loop, removed by the handler as it returns.
+    /// Shutdown closes the survivors so handlers blocked reading from an
+    /// idle client wake up and [`Server::run`] can join them.
+    live_conns: Mutex<HashMap<u64, TcpStream>>,
     /// Serializes coordinated checkpoint writes across connections.
     ckpt_lock: Mutex<()>,
     obs: ServerObs,
@@ -531,6 +526,7 @@ impl Server {
                 cfg,
                 addr: local_addr,
                 conn_counter: AtomicU64::new(0),
+                live_conns: Mutex::new(HashMap::new()),
                 ckpt_lock: Mutex::new(()),
                 obs,
                 record,
@@ -556,7 +552,8 @@ impl Server {
     }
 
     /// Serves connections until a client sends [`Request::Shutdown`] or
-    /// [`Request::Drain`], then joins every shard worker and returns.
+    /// [`Request::Drain`], then closes the connections still open, joins
+    /// every connection thread and shard worker, and returns.
     ///
     /// # Errors
     ///
@@ -577,19 +574,33 @@ impl Server {
                 }
             })
         });
-        let mut conn_threads = Vec::new();
+        let mut conn_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.ctx.stop.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
+            // Reap handlers whose clients have gone, so the list holds
+            // live connections rather than every connection ever made.
+            let (done, live) = conn_threads.into_iter().partition(|t| t.is_finished());
+            conn_threads = live;
+            for t in done {
+                let _ = t.join();
+            }
+            let Ok(stream) = stream else { continue };
+            let Ok(handle) = stream.try_clone() else { continue };
+            let conn = self.ctx.conn_counter.fetch_add(1, Ordering::Relaxed);
+            self.ctx.live_conns.lock().unwrap().insert(conn, handle);
             let ctx = Arc::clone(&self.ctx);
             conn_threads.push(std::thread::spawn(move || {
-                let _ = handle_connection(stream, &ctx);
+                let _ = handle_connection(stream, conn, &ctx);
+                ctx.live_conns.lock().unwrap().remove(&conn);
             }));
+        }
+        // Stopping: a handler whose client is idle sits in a blocking
+        // read and would never see the flag; closing its socket ends the
+        // read. Every handler was entered in the map before it started.
+        for stream in self.ctx.live_conns.lock().unwrap().values() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
         if let Some(t) = metrics_thread {
             // The stop flag is set; poke the blocked accept so the metrics
@@ -637,8 +648,8 @@ fn broadcast<T, F: Fn(mpsc::Sender<T>) -> ShardMsg>(router: &Router, make: F) ->
 
 /// Merges the server-side registry snapshot with one from every live
 /// shard, returning the merge plus how many shards replied. Permissive
-/// about dead shards, like `Metrics`: their series are simply absent from
-/// the merge (and the health verdict counts them missing).
+/// about dead shards: their series are simply absent from the merge (and
+/// the health verdict counts them missing).
 fn collect_stats(ctx: &ConnCtx) -> (RegistrySnapshot, usize) {
     {
         let mut reg = ctx.obs.lock_registry();
@@ -648,6 +659,7 @@ fn collect_stats(ctx: &ConnCtx) -> (RegistrySnapshot, usize) {
             ctx.obs.registry_contended_count.load(Ordering::Relaxed),
         );
         reg.set_counter(ctx.obs.ack_batches, ctx.obs.ack_batches_count.load(Ordering::Relaxed));
+        reg.set_counter(ctx.obs.dropped_on_drain, ctx.router.dropped_on_drain());
         reg.set_counter(ctx.obs.record_shed, ctx.record.as_ref().map_or(0, RecordSink::shed_count));
     }
     let shard_snaps = broadcast(&ctx.router, |reply| ShardMsg::Stats { reply });
@@ -716,15 +728,7 @@ fn run_query(ctx: &ConnCtx, q: &HistoryQuery) -> QueryResult {
 fn shard_probes(ctx: &ConnCtx, snap: &RegistrySnapshot) -> Vec<ShardProbe> {
     let shards = ctx.router.shards();
     let per_shard_counter = |family: &str, shard: usize| -> Option<u64> {
-        let fam = snap.family(family)?;
-        let key = shard.to_string();
-        fam.series.iter().find_map(|series| {
-            let of_shard = series.labels.iter().any(|(k, v)| k == "shard" && *v == key);
-            match (of_shard, &series.value) {
-                (true, MetricValue::Counter(v)) => Some(*v),
-                _ => None,
-            }
-        })
+        snap.value_where(family, "shard", &shard.to_string()).map(|v| v as u64)
     };
     let rounds: Vec<Option<u64>> =
         (0..shards).map(|i| per_shard_counter("richnote_rounds_total", i)).collect();
@@ -768,9 +772,9 @@ fn observe_watchdog(ctx: &ConnCtx, snap: &RegistrySnapshot) -> Vec<WatchdogVerdi
     verdicts
 }
 
-/// Assembles the alerting plane's current view for `Alerts` requests and
-/// the metrics listener's `/alerts` path, refreshing the watchdog on the
-/// way (so a wedged shard shows up even if nobody polls `/healthz`).
+/// Assembles the alerting plane's current view, refreshing the watchdog
+/// on the way (so a wedged shard shows up even if nobody asks for
+/// `Health`).
 fn alerts_reply(ctx: &ConnCtx) -> AlertsReply {
     let snap = merged_stats(ctx);
     let watchdog = observe_watchdog(ctx, &snap);
@@ -910,7 +914,7 @@ fn parse_query_path(path: &str) -> Result<HistoryQuery, String> {
 /// Feeds the SLO engine the deltas since the previous evaluation and
 /// returns the verdict. Burn rates, budgets, and lifetime good/bad
 /// totals are re-exported through the registry on every call, so the
-/// Prometheus endpoint shows the same numbers `/healthz` reports.
+/// `Stats` view shows the same numbers the `Health` view reports.
 fn evaluate_health(ctx: &ConnCtx) -> HealthReport {
     let (snap, alive) = collect_stats(ctx);
     let shards_total = ctx.router.shards();
@@ -985,6 +989,46 @@ fn evaluate_health(ctx: &ConnCtx) -> HealthReport {
     }
 }
 
+/// Drains the server ring, then shard 0..n in order. Each source gets an
+/// even slice of the frame budget; whatever does not fit stays ringed for
+/// the next read, so a ring bigger than `MAX_FRAME_BYTES` can never
+/// produce (and then lose) an unsendable reply.
+fn drain_traces(ctx: &ConnCtx) -> Observed {
+    let per_source = (TRACE_DUMP_EVENT_BUDGET / (ctx.router.shards() + 1)).max(1);
+    let (mut events, mut dropped) = ctx.obs.ring.lock().unwrap().drain_up_to(per_source);
+    for (shard_events, shard_dropped) in
+        broadcast(&ctx.router, |reply| ShardMsg::TraceDump { max: per_source, reply })
+    {
+        events.extend(shard_events);
+        dropped += shard_dropped;
+    }
+    Observed::Trace { events, dropped }
+}
+
+/// The daemon's one read path: answers `view` from the registries, the
+/// history, the SLO and alert engines, and the trace and flight rings.
+/// Connections reach it through `Request::Observe`, the metrics listener
+/// through its HTTP paths.
+fn observe(ctx: &ConnCtx, view: &View) -> Observed {
+    match view {
+        View::Stats => Observed::Stats(StatsReply {
+            snapshot: merged_stats(ctx),
+            uptime_secs: ctx.obs.uptime_secs(),
+            build: BuildInfo::current(),
+        }),
+        View::Health => Observed::Health(evaluate_health(ctx)),
+        View::Alerts => Observed::Alerts(alerts_reply(ctx)),
+        View::Query(q) => Observed::Query(run_query(ctx, q)),
+        View::Trace => drain_traces(ctx),
+        // Permissive about dead shards: a dead worker's queue is closed,
+        // so its dump is simply absent (its on-disk flight file from the
+        // panic path is the record for that shard).
+        View::Flight => Observed::Flight {
+            dumps: broadcast(&ctx.router, |reply| ShardMsg::FlightDump { reply }),
+        },
+    }
+}
+
 /// Extracts the path from an HTTP request line; `/` when unparseable.
 fn request_path(head: &[u8]) -> &str {
     let line = head.split(|&b| b == b'\r' || b == b'\n').next().unwrap_or(&[]);
@@ -994,10 +1038,12 @@ fn request_path(head: &[u8]) -> &str {
 /// Answers one metrics-listener connection. Speaks just enough HTTP/1.0
 /// for `curl` and a Prometheus scraper: only the request line's path is
 /// looked at, the response is a single status with `Content-Length`, and
-/// the connection closes after it. `/healthz` serves the SLO verdict as
-/// JSON (`503` when violating, `200` otherwise), `/alerts` the alerting
-/// plane's rule states, timeline and watchdog verdicts; every other path
-/// serves the text exposition of the merged registry.
+/// the connection closes after it. The listener only adapts: it maps the
+/// path to a [`View`] (`/healthz` → `Health`, `/alerts` → `Alerts`,
+/// `/query?…` → `Query`, everything else → `Stats`), asks [`observe`],
+/// and renders the answer — `Stats` as the text exposition, the rest as
+/// the JSON a wire client would get (`503` for a violating health
+/// verdict, `200` otherwise).
 fn serve_scrape(mut stream: TcpStream, ctx: &ConnCtx) -> std::io::Result<()> {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut buf = [0u8; 1024];
@@ -1028,30 +1074,30 @@ fn serve_scrape(mut stream: TcpStream, ctx: &ConnCtx) -> std::io::Result<()> {
             Err(_) => break,
         }
     }
-    let (status, content_type, body) = if request_path(&head).starts_with("/healthz") {
-        let report = evaluate_health(ctx);
-        let status = if report.status == SloStatus::Violating {
-            "503 Service Unavailable"
-        } else {
-            "200 OK"
-        };
-        let body = serde_json::to_string(&report).unwrap_or_else(|_| "{}".to_string());
-        (status, "application/json", body)
-    } else if request_path(&head).starts_with("/alerts") {
-        let reply = alerts_reply(ctx);
-        let body = serde_json::to_string(&reply).unwrap_or_else(|_| "{}".to_string());
-        ("200 OK", "application/json", body)
-    } else if request_path(&head).starts_with("/query") {
-        match parse_query_path(request_path(&head)) {
-            Ok(q) => {
-                let result = run_query(ctx, &q);
-                let body = serde_json::to_string(&result).unwrap_or_else(|_| "{}".to_string());
-                ("200 OK", "application/json", body)
-            }
-            Err(msg) => ("400 Bad Request", "text/plain; charset=utf-8", msg),
-        }
+    let path = request_path(&head);
+    let view = if path.starts_with("/healthz") {
+        Ok(View::Health)
+    } else if path.starts_with("/alerts") {
+        Ok(View::Alerts)
+    } else if path.starts_with("/query") {
+        parse_query_path(path).map(View::Query)
     } else {
-        ("200 OK", "text/plain; version=0.0.4; charset=utf-8", encode_text(&merged_stats(ctx)))
+        Ok(View::Stats)
+    };
+    let (status, content_type, body) = match view.map(|v| observe(ctx, &v)) {
+        Err(msg) => ("400 Bad Request", "text/plain; charset=utf-8", msg),
+        Ok(Observed::Stats(reply)) => {
+            ("200 OK", "text/plain; version=0.0.4; charset=utf-8", encode_text(&reply.snapshot))
+        }
+        Ok(observed) => {
+            let status = match &observed {
+                Observed::Health(r) if r.status == SloStatus::Violating => {
+                    "503 Service Unavailable"
+                }
+                _ => "200 OK",
+            };
+            (status, "application/json", observed.payload_json())
+        }
     };
     let head = format!(
         "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\n\
@@ -1181,18 +1227,140 @@ fn send_response(
     Ok(())
 }
 
-fn error_frame(
-    codec: &mut dyn FrameCodec,
-    writer: &mut dyn Write,
-    code: ErrorCode,
-    message: String,
-) -> ServerResult<()> {
-    send_response(codec, writer, &Response::Error { code, message })
+fn error(code: ErrorCode, message: impl Into<String>) -> Response {
+    Response::Error { code, message: message.into() }
 }
 
-fn handle_connection(stream: TcpStream, ctx: &ConnCtx) -> ServerResult<()> {
+/// Runs `rounds` rounds on every shard, then the periodic checkpoint when
+/// one is due and the per-tick history sample; with `collect` the reply
+/// carries the delivery log.
+fn tick(ctx: &ConnCtx, rounds: u32, collect: bool) -> Response {
+    let replies = broadcast(&ctx.router, |reply| ShardMsg::Tick { rounds, collect, reply });
+    if replies.len() != ctx.router.shards() {
+        return error(
+            ErrorCode::Internal,
+            format!(
+                "only {}/{} shards completed the tick (a worker died)",
+                replies.len(),
+                ctx.router.shards()
+            ),
+        );
+    }
+    let rounds_done = replies.iter().map(|r| r.rounds).max().unwrap_or(0);
+    let selected = replies.iter().map(|r| r.selected).sum();
+    // Periodic coordinated checkpoint at the tick boundary, before the
+    // response: once the client sees Ticked, the due checkpoint exists
+    // (or the failure is logged).
+    if let Some(store) = &ctx.store {
+        let every = ctx.cfg.checkpoint_every_rounds;
+        if every > 0 && rounds_done % every == 0 {
+            if let Err(e) = collect_and_save(ctx, store, |reply| ShardMsg::Checkpoint { reply }) {
+                dump_flights(ctx, "checkpoint_failure");
+                eprintln!("richnote-server: periodic checkpoint failed: {e}");
+            }
+        }
+    }
+    record_history(ctx, rounds_done);
+    if collect {
+        let mut deliveries: Vec<_> = replies.into_iter().flat_map(|r| r.deliveries).collect();
+        deliveries.sort_by_key(|d| (d.round, d.user.value()));
+        Response::TickReport { rounds: rounds_done, deliveries }
+    } else {
+        Response::Ticked { rounds: rounds_done, selected }
+    }
+}
+
+/// Writes a coordinated checkpoint on request.
+fn checkpoint(ctx: &ConnCtx) -> Response {
+    let Some(store) = &ctx.store else {
+        return error(ErrorCode::CheckpointFailed, "no checkpoint directory configured");
+    };
+    match collect_and_save(ctx, store, |reply| ShardMsg::Checkpoint { reply }) {
+        Ok(ck) => Response::Checkpointed { users: ck.users(), round: ck.round },
+        Err(e) => {
+            dump_flights(ctx, "checkpoint_failure");
+            error(ErrorCode::CheckpointFailed, e.to_string())
+        }
+    }
+}
+
+/// Stops ingest, flushes what each shard already queued through one final
+/// round and checkpoints the post-flush state. Any failure reopens ingest
+/// and leaves the daemon running; only `Drained` ends it.
+fn drain(ctx: &ConnCtx) -> Response {
+    ctx.router.set_draining(true);
+    let replies = broadcast(&ctx.router, |reply| ShardMsg::Drain { reply });
+    if replies.len() != ctx.router.shards() {
+        ctx.router.set_draining(false);
+        return error(
+            ErrorCode::Internal,
+            format!(
+                "only {}/{} shards completed the drain round (a worker died)",
+                replies.len(),
+                ctx.router.shards()
+            ),
+        );
+    }
+    let rounds = replies.iter().map(|s| s.round).max().unwrap_or(0);
+    let users: u64 = replies.iter().map(|s| s.users.len() as u64).sum();
+    let mut shards = replies;
+    shards.sort_unstable_by_key(|s| s.shard);
+    let Some(store) = &ctx.store else {
+        return Response::Drained { rounds, users, checkpointed: false };
+    };
+    let ck = ServerCheckpoint {
+        format: CKPT_FORMAT,
+        round: rounds,
+        round_secs: ctx.cfg.round_secs,
+        sessions: ctx.router.session_entries(),
+        subscriptions: ctx.router.subscription_entries(),
+        shards,
+    };
+    let saved = {
+        let _guard = ctx.ckpt_lock.lock().unwrap();
+        store.save(&ck)
+    };
+    ctx.obs.event(TraceEvent::CheckpointWrite {
+        round: ck.round,
+        users: ck.users(),
+        ok: saved.is_ok(),
+    });
+    match saved {
+        Ok(()) => Response::Drained { rounds, users, checkpointed: true },
+        // A drain that cannot persist must not pretend it did: report,
+        // reopen ingest, keep running.
+        Err(e) => {
+            dump_flights(ctx, "checkpoint_failure");
+            ctx.router.set_draining(false);
+            error(ErrorCode::CheckpointFailed, e.to_string())
+        }
+    }
+}
+
+/// Serves every request that is neither the handshake nor a publish
+/// (those two live in the connection loop, with the connection's state).
+fn answer(ctx: &ConnCtx, req: Request) -> Response {
+    match req {
+        Request::Subscribe { user, topic } => {
+            ctx.router.subscribe(user, topic);
+            Response::Subscribed
+        }
+        Request::Tick { rounds } => tick(ctx, rounds, false),
+        Request::TickReport { rounds } => tick(ctx, rounds, true),
+        Request::Observe(view) => Response::Observed(observe(ctx, &view)),
+        Request::Checkpoint => checkpoint(ctx),
+        Request::Drain => drain(ctx),
+        // Crash semantics on purpose: no checkpoint, no drain — the
+        // kill-and-restart tests use this as the "kill".
+        Request::Shutdown => Response::ShuttingDown,
+        Request::Hello { .. } | Request::Publish { .. } => {
+            error(ErrorCode::Internal, "connection-scoped request outside its connection loop")
+        }
+    }
+}
+
+fn handle_connection(stream: TcpStream, conn: u64, ctx: &ConnCtx) -> ServerResult<()> {
     stream.set_nodelay(true)?;
-    let conn = ctx.conn_counter.fetch_add(1, Ordering::Relaxed);
     let mut faults = ctx.cfg.faults.connection_faults(conn);
     let read_half: Box<dyn Read + Send> = if ctx.cfg.faults.short_read_limit > 0 {
         Box::new(ShortReader::new(stream.try_clone()?, ctx.cfg.faults.short_read_limit))
@@ -1202,7 +1370,7 @@ fn handle_connection(stream: TcpStream, ctx: &ConnCtx) -> ServerResult<()> {
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
 
-    // Every connection starts in the v2 JSON framing — the handshake's
+    // Every connection starts in the JSON framing — the handshake's
     // codec — and switches to whatever the Hello exchange negotiates.
     let mut codec: Box<dyn FrameCodec> = codec_for(CodecKind::Json);
     // `None` until a successful Hello; `Some(session)` afterwards.
@@ -1211,7 +1379,7 @@ fn handle_connection(stream: TcpStream, ctx: &ConnCtx) -> ServerResult<()> {
     let mut pending_ack: Option<u64> = None;
     // Traced publishes awaiting their cumulative ack, as (seq, trace).
     let mut traced_pending: Vec<(u64, u64)> = Vec::new();
-    let mut stages = ConnStages::new(&ctx.obs);
+    let mut stages = ConnStages::default();
 
     loop {
         // Cumulative ack point: the client has no more pipelined frames in
@@ -1234,16 +1402,19 @@ fn handle_connection(stream: TcpStream, ctx: &ConnCtx) -> ServerResult<()> {
             Err(ServerError::ProtoMismatch { ours, theirs }) => {
                 // Typed rejection instead of a silent drop; the stream is
                 // unsynchronized after a bad version byte, so close after.
-                let _ = error_frame(
+                let _ = send_response(
                     codec.as_mut(),
                     &mut writer,
-                    ErrorCode::ProtoMismatch,
-                    format!("server speaks protocol v{ours}, frame was v{theirs}"),
+                    &error(
+                        ErrorCode::ProtoMismatch,
+                        format!("server speaks protocol v{ours}, frame was v{theirs}"),
+                    ),
                 );
                 break;
             }
             Err(ServerError::Frame(detail)) => {
-                let _ = error_frame(codec.as_mut(), &mut writer, ErrorCode::BadFrame, detail);
+                let _ =
+                    send_response(codec.as_mut(), &mut writer, &error(ErrorCode::BadFrame, detail));
                 break;
             }
             Err(e) => return Err(e),
@@ -1256,8 +1427,7 @@ fn handle_connection(stream: TcpStream, ctx: &ConnCtx) -> ServerResult<()> {
                 detail: format!("connection {conn}"),
             });
             dump_flights(ctx, "fault_injected");
-            stages.flush(&ctx.obs);
-            return Ok(());
+            break;
         }
         // Wire capture: every post-handshake frame that will be processed
         // (a fault-reset frame above was dropped on the wire, so a replay
@@ -1267,15 +1437,18 @@ fn handle_connection(stream: TcpStream, ctx: &ConnCtx) -> ServerResult<()> {
         if let (Some(sink), Some(s)) = (&ctx.record, session) {
             sink.offer(s, &req);
         }
-        let collect_deliveries = matches!(&req, Request::TickReport { .. });
         match req {
             Request::Hello { proto, session: wanted, codec: offered } => {
                 if proto != PROTO_VERSION {
-                    error_frame(
+                    send_response(
                         codec.as_mut(),
                         &mut writer,
-                        ErrorCode::ProtoMismatch,
-                        format!("server speaks protocol v{PROTO_VERSION}, client sent v{proto}"),
+                        &error(
+                            ErrorCode::ProtoMismatch,
+                            format!(
+                                "server speaks protocol v{PROTO_VERSION}, client sent v{proto}"
+                            ),
+                        ),
                     )?;
                     continue;
                 }
@@ -1301,24 +1474,11 @@ fn handle_connection(stream: TcpStream, ctx: &ConnCtx) -> ServerResult<()> {
                 }
             }
             _ if session.is_none() => {
-                error_frame(
+                send_response(
                     codec.as_mut(),
                     &mut writer,
-                    ErrorCode::HandshakeRequired,
-                    "send Hello before any other request".to_string(),
+                    &error(ErrorCode::HandshakeRequired, "send Hello before any other request"),
                 )?;
-            }
-            Request::Subscribe { user, topic } => {
-                settle_ack(
-                    &ctx.obs,
-                    &mut stages,
-                    codec.as_mut(),
-                    &mut writer,
-                    &mut pending_ack,
-                    &mut traced_pending,
-                )?;
-                ctx.router.subscribe(user, topic);
-                send_response(codec.as_mut(), &mut writer, &Response::Subscribed)?;
             }
             Request::Publish { seq, topic, item, trace } => {
                 let t0 = Instant::now();
@@ -1372,16 +1532,20 @@ fn handle_connection(stream: TcpStream, ctx: &ConnCtx) -> ServerResult<()> {
                             &mut pending_ack,
                             &mut traced_pending,
                         )?;
-                        error_frame(
+                        send_response(
                             codec.as_mut(),
                             &mut writer,
-                            ErrorCode::Draining,
-                            "daemon is draining; publication refused".to_string(),
+                            &error(ErrorCode::Draining, "daemon is draining; publication refused"),
                         )?;
                     }
                 }
             }
-            Request::Tick { rounds } | Request::TickReport { rounds } => {
+            // Everything else is strict request/response: acks owed for
+            // earlier publishes go out first, this connection's stage
+            // samples are folded in so a `Stats` answer includes them,
+            // and the two replies that can be large are timed as the
+            // pipeline's `serialize` stage.
+            req => {
                 settle_ack(
                     &ctx.obs,
                     &mut stages,
@@ -1390,312 +1554,22 @@ fn handle_connection(stream: TcpStream, ctx: &ConnCtx) -> ServerResult<()> {
                     &mut pending_ack,
                     &mut traced_pending,
                 )?;
-                let collect = collect_deliveries;
-                let replies =
-                    broadcast(&ctx.router, |reply| ShardMsg::Tick { rounds, collect, reply });
-                if replies.len() != ctx.router.shards() {
-                    error_frame(
-                        codec.as_mut(),
-                        &mut writer,
-                        ErrorCode::Internal,
-                        format!(
-                            "only {}/{} shards completed the tick (a worker died)",
-                            replies.len(),
-                            ctx.router.shards()
-                        ),
-                    )?;
-                    continue;
+                stages.flush(&ctx.obs);
+                let resp = answer(ctx, req);
+                let t0 = Instant::now();
+                let sent = send_response(codec.as_mut(), &mut writer, &resp);
+                if matches!(resp, Response::Drained { .. } | Response::ShuttingDown) {
+                    // Stops whether or not the reply reached a client
+                    // that may already have hung up.
+                    ctx.stop.store(true, Ordering::SeqCst);
+                    // Wake the accept loop so it observes the stop flag.
+                    let _ = TcpStream::connect(ctx.addr);
+                    break;
                 }
-                let rounds_done = replies.iter().map(|r| r.rounds).max().unwrap_or(0);
-                let selected = replies.iter().map(|r| r.selected).sum();
-                // Periodic coordinated checkpoint at the tick boundary,
-                // before the response: once the client sees Ticked, the
-                // due checkpoint exists (or the failure is logged).
-                if let Some(store) = &ctx.store {
-                    let every = ctx.cfg.checkpoint_every_rounds;
-                    if every > 0 && rounds_done % every == 0 {
-                        if let Err(e) =
-                            collect_and_save(ctx, store, |reply| ShardMsg::Checkpoint { reply })
-                        {
-                            dump_flights(ctx, "checkpoint_failure");
-                            eprintln!("richnote-server: periodic checkpoint failed: {e}");
-                        }
-                    }
-                }
-                record_history(ctx, rounds_done);
-                if collect {
-                    let mut deliveries: Vec<_> =
-                        replies.into_iter().flat_map(|r| r.deliveries).collect();
-                    deliveries.sort_by_key(|d| (d.round, d.user.value()));
-                    let t0 = Instant::now();
-                    send_response(
-                        codec.as_mut(),
-                        &mut writer,
-                        &Response::TickReport { rounds: rounds_done, deliveries },
-                    )?;
+                sent?;
+                if matches!(resp, Response::TickReport { .. } | Response::Observed(_)) {
                     stages.observe_serialize(t0, &ctx.obs);
-                } else {
-                    send_response(
-                        codec.as_mut(),
-                        &mut writer,
-                        &Response::Ticked { rounds: rounds_done, selected },
-                    )?;
                 }
-            }
-            Request::Metrics => {
-                settle_ack(
-                    &ctx.obs,
-                    &mut stages,
-                    codec.as_mut(),
-                    &mut writer,
-                    &mut pending_ack,
-                    &mut traced_pending,
-                )?;
-                let shards = broadcast(&ctx.router, |reply| ShardMsg::Snapshot { reply });
-                let snapshot =
-                    MetricsSnapshot { shards, dropped_on_drain: ctx.router.dropped_on_drain() };
-                let t0 = Instant::now();
-                send_response(codec.as_mut(), &mut writer, &Response::Metrics(snapshot))?;
-                stages.observe_serialize(t0, &ctx.obs);
-            }
-            Request::Stats => {
-                settle_ack(
-                    &ctx.obs,
-                    &mut stages,
-                    codec.as_mut(),
-                    &mut writer,
-                    &mut pending_ack,
-                    &mut traced_pending,
-                )?;
-                stages.flush(&ctx.obs);
-                let snapshot = merged_stats(ctx);
-                let t0 = Instant::now();
-                send_response(
-                    codec.as_mut(),
-                    &mut writer,
-                    &Response::StatsSnapshot {
-                        snapshot,
-                        uptime_secs: ctx.obs.uptime_secs(),
-                        build: BuildInfo::current(),
-                    },
-                )?;
-                stages.observe_serialize(t0, &ctx.obs);
-            }
-            Request::Health => {
-                settle_ack(
-                    &ctx.obs,
-                    &mut stages,
-                    codec.as_mut(),
-                    &mut writer,
-                    &mut pending_ack,
-                    &mut traced_pending,
-                )?;
-                stages.flush(&ctx.obs);
-                let report = evaluate_health(ctx);
-                let t0 = Instant::now();
-                send_response(codec.as_mut(), &mut writer, &Response::Health(report))?;
-                stages.observe_serialize(t0, &ctx.obs);
-            }
-            Request::Query(q) => {
-                settle_ack(
-                    &ctx.obs,
-                    &mut stages,
-                    codec.as_mut(),
-                    &mut writer,
-                    &mut pending_ack,
-                    &mut traced_pending,
-                )?;
-                stages.flush(&ctx.obs);
-                let result = run_query(ctx, &q);
-                let t0 = Instant::now();
-                send_response(codec.as_mut(), &mut writer, &Response::QueryResult(result))?;
-                stages.observe_serialize(t0, &ctx.obs);
-            }
-            Request::Alerts => {
-                settle_ack(
-                    &ctx.obs,
-                    &mut stages,
-                    codec.as_mut(),
-                    &mut writer,
-                    &mut pending_ack,
-                    &mut traced_pending,
-                )?;
-                stages.flush(&ctx.obs);
-                let reply = alerts_reply(ctx);
-                let t0 = Instant::now();
-                send_response(codec.as_mut(), &mut writer, &Response::Alerts(reply))?;
-                stages.observe_serialize(t0, &ctx.obs);
-            }
-            Request::TraceDump => {
-                settle_ack(
-                    &ctx.obs,
-                    &mut stages,
-                    codec.as_mut(),
-                    &mut writer,
-                    &mut pending_ack,
-                    &mut traced_pending,
-                )?;
-                // Server-side events first, then shard 0..n in order. Each
-                // source gets an even slice of the frame budget; whatever
-                // does not fit stays ringed for the next dump, so a ring
-                // bigger than MAX_FRAME_BYTES can never produce (and then
-                // lose) an unsendable response.
-                let per_source =
-                    (crate::wire::TRACE_DUMP_EVENT_BUDGET / (ctx.router.shards() + 1)).max(1);
-                let (mut events, mut dropped) =
-                    ctx.obs.ring.lock().unwrap().drain_up_to(per_source);
-                for (shard_events, shard_dropped) in
-                    broadcast(&ctx.router, |reply| ShardMsg::TraceDump { max: per_source, reply })
-                {
-                    events.extend(shard_events);
-                    dropped += shard_dropped;
-                }
-                let t0 = Instant::now();
-                send_response(
-                    codec.as_mut(),
-                    &mut writer,
-                    &Response::TraceDump { events, dropped },
-                )?;
-                stages.observe_serialize(t0, &ctx.obs);
-            }
-            Request::FlightDump => {
-                settle_ack(
-                    &ctx.obs,
-                    &mut stages,
-                    codec.as_mut(),
-                    &mut writer,
-                    &mut pending_ack,
-                    &mut traced_pending,
-                )?;
-                // Non-destructive and permissive about dead shards: a dead
-                // worker's queue is closed, so its reply never arrives and
-                // its dump is simply absent (its on-disk flight file from
-                // the panic path is the record for that shard).
-                let dumps = broadcast(&ctx.router, |reply| ShardMsg::FlightDump { reply });
-                let t0 = Instant::now();
-                send_response(codec.as_mut(), &mut writer, &Response::FlightDump { dumps })?;
-                stages.observe_serialize(t0, &ctx.obs);
-            }
-            Request::Checkpoint => {
-                settle_ack(
-                    &ctx.obs,
-                    &mut stages,
-                    codec.as_mut(),
-                    &mut writer,
-                    &mut pending_ack,
-                    &mut traced_pending,
-                )?;
-                let Some(store) = &ctx.store else {
-                    error_frame(
-                        codec.as_mut(),
-                        &mut writer,
-                        ErrorCode::CheckpointFailed,
-                        "no checkpoint directory configured".to_string(),
-                    )?;
-                    continue;
-                };
-                match collect_and_save(ctx, store, |reply| ShardMsg::Checkpoint { reply }) {
-                    Ok(ck) => send_response(
-                        codec.as_mut(),
-                        &mut writer,
-                        &Response::Checkpointed { users: ck.users(), round: ck.round },
-                    )?,
-                    Err(e) => {
-                        dump_flights(ctx, "checkpoint_failure");
-                        error_frame(
-                            codec.as_mut(),
-                            &mut writer,
-                            ErrorCode::CheckpointFailed,
-                            e.to_string(),
-                        )?;
-                    }
-                }
-            }
-            Request::Drain => {
-                settle_ack(
-                    &ctx.obs,
-                    &mut stages,
-                    codec.as_mut(),
-                    &mut writer,
-                    &mut pending_ack,
-                    &mut traced_pending,
-                )?;
-                ctx.router.set_draining(true);
-                // One final round flushes whatever each shard already
-                // queued; the drain reply carries the post-flush state.
-                let replies = broadcast(&ctx.router, |reply| ShardMsg::Drain { reply });
-                if replies.len() != ctx.router.shards() {
-                    ctx.router.set_draining(false);
-                    error_frame(
-                        codec.as_mut(),
-                        &mut writer,
-                        ErrorCode::Internal,
-                        format!(
-                            "only {}/{} shards completed the drain round (a worker died)",
-                            replies.len(),
-                            ctx.router.shards()
-                        ),
-                    )?;
-                    continue;
-                }
-                let rounds = replies.iter().map(|s| s.round).max().unwrap_or(0);
-                let users: u64 = replies.iter().map(|s| s.users.len() as u64).sum();
-                let mut shards = replies;
-                shards.sort_unstable_by_key(|s| s.shard);
-                let mut checkpointed = false;
-                if let Some(store) = &ctx.store {
-                    let ck = ServerCheckpoint {
-                        format: CKPT_FORMAT,
-                        round: rounds,
-                        round_secs: ctx.cfg.round_secs,
-                        sessions: ctx.router.session_entries(),
-                        subscriptions: ctx.router.subscription_entries(),
-                        shards,
-                    };
-                    let _guard = ctx.ckpt_lock.lock().unwrap();
-                    if let Err(e) = store.save(&ck) {
-                        // A drain that cannot persist must not pretend it
-                        // did: report, reopen ingest, keep running.
-                        drop(_guard);
-                        ctx.obs.event(TraceEvent::CheckpointWrite {
-                            round: ck.round,
-                            users: ck.users(),
-                            ok: false,
-                        });
-                        dump_flights(ctx, "checkpoint_failure");
-                        ctx.router.set_draining(false);
-                        error_frame(
-                            codec.as_mut(),
-                            &mut writer,
-                            ErrorCode::CheckpointFailed,
-                            e.to_string(),
-                        )?;
-                        continue;
-                    }
-                    ctx.obs.event(TraceEvent::CheckpointWrite {
-                        round: ck.round,
-                        users: ck.users(),
-                        ok: true,
-                    });
-                    checkpointed = true;
-                }
-                send_response(
-                    codec.as_mut(),
-                    &mut writer,
-                    &Response::Drained { rounds, users, checkpointed },
-                )?;
-                ctx.stop.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(ctx.addr);
-                break;
-            }
-            Request::Shutdown => {
-                // Crash semantics on purpose: no checkpoint, no drain —
-                // the kill-and-restart tests use this as the "kill".
-                ctx.stop.store(true, Ordering::SeqCst);
-                send_response(codec.as_mut(), &mut writer, &Response::ShuttingDown)?;
-                // Wake the accept loop so it observes the stop flag.
-                let _ = TcpStream::connect(ctx.addr);
-                break;
             }
         }
     }

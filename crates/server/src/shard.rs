@@ -21,12 +21,11 @@
 //! Every shard owns a [`ShardObs`]: a metric [`Registry`] (counters,
 //! gauges, log2 histograms, all labeled with the shard index) plus a
 //! bounded [`TraceRing`] of structured [`TraceEvent`]s. Recording is a
-//! plain field increment behind an `enabled` branch — no locks, no
-//! hashing — because the registry is owned by the shard thread and only
-//! *snapshots* cross threads (via [`ShardMsg::Stats`]). Trace events carry
-//! only logical fields (rounds, ids, levels, gradients), so a seeded run
-//! produces an identical event stream across machines; wall-clock numbers
-//! go to histograms instead.
+//! plain field increment — no locks, no hashing — because the registry
+//! is owned by the shard thread and only *snapshots* cross threads (via
+//! [`ShardMsg::Stats`]). Trace events carry only logical fields (rounds,
+//! ids, levels, gradients), so a seeded run produces an identical event
+//! stream across machines; wall-clock numbers go to histograms instead.
 //!
 //! # Failure containment
 //!
@@ -39,7 +38,6 @@
 use crate::checkpoint::{ShardCheckpoint, UserCheckpoint};
 use crate::config::ServerConfig;
 use crate::error::{ServerError, ServerResult};
-use crate::metrics::{LatencyHistogram, ShardSnapshot};
 use crate::queue::BoundedQueue;
 use crate::wire::Delivery;
 use richnote_core::presentation::AudioPresentationSpec;
@@ -161,6 +159,8 @@ pub struct ShardObs {
     levels: Vec<CounterHandle>,
     backlog: GaugeHandle,
     users: GaugeHandle,
+    /// Users whose scheduler state came from a checkpoint at start-up.
+    restored_users: GaugeHandle,
     round_duration: HistogramHandle,
     selection_latency: HistogramHandle,
     stage_dequeue: HistogramHandle,
@@ -186,21 +186,19 @@ pub struct ShardObs {
 }
 
 impl ShardObs {
-    /// Registers the shard's metric vocabulary. `enabled = false` makes
-    /// every recording a no-op (for overhead measurement); `trace_capacity
-    /// = 0` disables the event ring, span staging, and the flight
-    /// recorder; `sample` gates which completed traces are kept; `rsrc`
-    /// turns cost accounting (CPU, allocations, contention) on; and
+    /// Registers the shard's metric vocabulary. `trace_capacity = 0`
+    /// disables the event ring, span staging, and the flight recorder;
+    /// `sample` gates which completed traces are kept; `rsrc` turns cost
+    /// accounting (CPU, allocations, contention) on; and
     /// `flight_capacity` bounds the ring of finished span trees.
     pub fn new(
         shard: usize,
-        enabled: bool,
         trace_capacity: usize,
         sample: SampleRate,
         flight_capacity: usize,
         rsrc: bool,
     ) -> Self {
-        let mut registry = if enabled { Registry::new() } else { Registry::disabled() };
+        let mut registry = Registry::new();
         let s = shard.to_string();
         let l = &[("shard", s.as_str())][..];
         let stage = |st: &'static str| {
@@ -226,6 +224,11 @@ impl ShardObs {
         let backlog =
             registry.gauge("richnote_backlog", "Notifications queued across schedulers", l);
         let users = registry.gauge("richnote_users", "Users with scheduler state", l);
+        let restored_users = registry.gauge(
+            "richnote_restored_users",
+            "Users whose scheduler state was restored from a checkpoint at start-up",
+            l,
+        );
         let round_duration = registry.histogram(
             "richnote_round_duration_us",
             "Wall-clock duration of one selection round",
@@ -336,6 +339,7 @@ impl ShardObs {
             levels,
             backlog,
             users,
+            restored_users,
             round_duration,
             selection_latency,
             stage_dequeue,
@@ -482,9 +486,6 @@ impl ShardObs {
     /// a fixed order (`connectivity`, `level`, `policy`, `shard`) so the
     /// daemon's vocabulary matches the simulator's byte for byte.
     fn record_quality(&mut self, sample: &QualitySample<'_>) {
-        if !self.registry.is_enabled() {
-            return;
-        }
         let gi = match self.quality.iter().position(|g| g.policy == sample.policy) {
             Some(i) => i,
             None => {
@@ -622,8 +623,6 @@ pub struct ShardState<P: Policy + Send = RichNoteScheduler> {
     selected: u64,
     bytes_budgeted: u64,
     bytes_spent: u64,
-    restored_users: u64,
-    latency: LatencyHistogram,
     obs: ShardObs,
 }
 
@@ -648,7 +647,6 @@ impl<P: Policy + Send> ShardState<P> {
     pub fn with_policy(shard: usize, cfg: ServerConfig, factory: fn() -> P) -> Self {
         let obs = ShardObs::new(
             shard,
-            cfg.metrics_enabled,
             cfg.trace_capacity,
             cfg.trace_sample,
             cfg.flight_capacity,
@@ -666,8 +664,6 @@ impl<P: Policy + Send> ShardState<P> {
             selected: 0,
             bytes_budgeted: 0,
             bytes_spent: 0,
-            restored_users: 0,
-            latency: LatencyHistogram::new(),
             obs,
         }
     }
@@ -676,11 +672,10 @@ impl<P: Policy + Send> ShardState<P> {
     ///
     /// Lifetime counters (ingested, selected, rounds, bytes) are restored
     /// into the metric registry so `Stats` survives a restart; wall-clock
-    /// histograms (round duration, stage durations, registry-side
-    /// selection latency) restart from zero because a new process has
-    /// fresh clocks — mixing pre- and post-restart wall-clock samples
-    /// would corrupt the percentiles. The checkpointed selection-latency
-    /// histogram still reaches the legacy `Metrics` snapshot unchanged.
+    /// histograms (round duration, stage durations, selection latency)
+    /// restart from zero because a new process has fresh clocks — mixing
+    /// pre- and post-restart wall-clock samples would corrupt the
+    /// percentiles.
     ///
     /// # Errors
     ///
@@ -705,8 +700,7 @@ impl<P: Policy + Send> ShardState<P> {
         state.selected = ck.selected;
         state.bytes_budgeted = ck.bytes_budgeted;
         state.bytes_spent = ck.bytes_spent;
-        state.latency = ck.latency;
-        state.restored_users = ck.users.len() as u64;
+        state.obs.registry.set_gauge(state.obs.restored_users, ck.users.len() as f64);
         // What this shard will build for new users; restored users must
         // have been written by the same policy. Concrete policy types
         // already reject foreign checkpoint variants in `restore`, but a
@@ -750,7 +744,6 @@ impl<P: Policy + Send> ShardState<P> {
             selected: self.selected,
             bytes_budgeted: self.bytes_budgeted,
             bytes_spent: self.bytes_spent,
-            latency: self.latency.clone(),
             users: self
                 .schedulers
                 .iter()
@@ -825,7 +818,6 @@ impl<P: Policy + Send> ShardState<P> {
             for d in delivered {
                 if let Some(received) = self.ingest_at.remove(&d.content) {
                     let us = received.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                    self.latency.record_us(us);
                     self.obs.registry.observe_us(self.obs.selection_latency, us);
                 }
                 self.bytes_spent += d.size;
@@ -901,24 +893,6 @@ impl<P: Policy + Send> ShardState<P> {
     pub fn obs_mut(&mut self) -> &mut ShardObs {
         &mut self.obs
     }
-
-    /// Snapshot for metrics reporting; `dropped` comes from the ingest
-    /// queue, which the shard state does not own.
-    pub fn snapshot(&self, dropped: u64) -> ShardSnapshot {
-        ShardSnapshot {
-            shard: self.shard,
-            users: self.schedulers.len(),
-            ingested: self.ingested,
-            dropped,
-            backlog: self.backlog(),
-            rounds: self.round,
-            selected: self.selected,
-            bytes_budgeted: self.bytes_budgeted,
-            bytes_spent: self.bytes_spent,
-            restored_users: self.restored_users,
-            selection_latency: self.latency.clone(),
-        }
-    }
 }
 
 /// What a shard reports back after a tick.
@@ -953,11 +927,6 @@ pub enum ShardMsg {
         collect: bool,
         /// Reply channel.
         reply: mpsc::Sender<TickDone>,
-    },
-    /// Report a metrics snapshot.
-    Snapshot {
-        /// Reply channel.
-        reply: mpsc::Sender<ShardSnapshot>,
     },
     /// Report a registry snapshot (gauges refreshed at reply time).
     Stats {
@@ -1041,9 +1010,6 @@ fn handle_msg<P: Policy + Send>(state: &mut ShardState<P>, msg: ShardMsg) -> Flo
             // The requester may have hung up; that's fine.
             let _ = reply.send(done);
         }
-        ShardMsg::Snapshot { reply } => {
-            let _ = reply.send(state.snapshot(0));
-        }
         ShardMsg::Stats { reply } => {
             let _ = reply.send(state.stats());
         }
@@ -1095,15 +1061,6 @@ impl ShardWorker {
                     // the dropped counter stay fresh.
                     state.sync_dropped(q.dropped());
                     state.sync_contended(q.contended());
-                    // Snapshot replies need the drop counter too, which
-                    // handle_msg cannot see; patch it in here.
-                    let msg = match msg {
-                        ShardMsg::Snapshot { reply } => {
-                            let _ = reply.send(state.snapshot(q.dropped()));
-                            continue;
-                        }
-                        other => other,
-                    };
                     match catch_unwind(AssertUnwindSafe(|| handle_msg(&mut state, msg))) {
                         Ok(Flow::Continue) => {}
                         Ok(Flow::Stop) => break,
@@ -1191,11 +1148,9 @@ mod tests {
         assert_eq!(out.round, 0);
         assert!(!out.selected.is_empty());
         assert!(out.bytes > 0);
-        let snap = shard.snapshot(0);
-        assert_eq!(snap.users, 2);
-        assert_eq!(snap.ingested, 2);
-        assert_eq!(snap.rounds, 1);
-        assert_eq!(snap.selection_latency.count(), out.selected.len() as u64);
+        assert_eq!(shard.rounds(), 1);
+        assert_eq!(shard.backlog(), 2 - out.selected.len());
+        assert_eq!(shard.stats().gauge_total("richnote_users"), 2.0);
     }
 
     #[test]
@@ -1232,15 +1187,10 @@ mod tests {
             s.labels.contains(&("connectivity".to_string(), "unknown".to_string()))
                 && s.labels.contains(&("policy".to_string(), "RichNote".to_string()))
         }));
-        let utility: f64 = fam
-            .series
-            .iter()
-            .map(|s| match s.value {
-                richnote_obs::MetricValue::Gauge(g) => g,
-                _ => 0.0,
-            })
-            .sum();
-        assert!(utility > 0.0, "delivered rounds must accumulate utility");
+        assert!(
+            stats.gauge_total("richnote_utility_total") > 0.0,
+            "delivered rounds must accumulate utility"
+        );
         assert_eq!(stats.counter_total("richnote_delivered_bytes_total"), out.bytes);
     }
 
@@ -1300,19 +1250,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_metrics_record_nothing() {
-        let cfg = ServerConfig { metrics_enabled: false, ..ServerConfig::default() };
-        let mut shard = ShardState::new(0, cfg);
-        shard.ingest(UserId::new(1), item(1, 1, 0.0), Instant::now(), None);
-        shard.run_round();
-        let stats = shard.stats();
-        assert_eq!(stats.counter_total("richnote_pubs_total"), 0);
-        assert_eq!(stats.histogram_merged("richnote_round_duration_us").count(), 0);
-        // Legacy metrics still work regardless.
-        assert_eq!(shard.snapshot(0).ingested, 1);
-    }
-
-    #[test]
     fn trace_ring_records_round_and_select_events() {
         let cfg = ServerConfig { trace_capacity: 64, ..ServerConfig::default() };
         let mut shard = ShardState::new(3, cfg);
@@ -1363,10 +1300,6 @@ mod tests {
         let done = tick(&worker, 1);
         assert_eq!(done.rounds, 1);
         assert!(done.selected > 0);
-        let (tx, rx) = mpsc::channel();
-        worker.queue.push(ShardMsg::Snapshot { reply: tx });
-        let snap = rx.recv().unwrap();
-        assert_eq!(snap.ingested, 1);
         let (tx, rx) = mpsc::channel();
         worker.queue.push(ShardMsg::Stats { reply: tx });
         let stats = rx.recv().unwrap();
@@ -1430,7 +1363,7 @@ mod tests {
         let back: ShardCheckpoint = serde_json::from_str(&json).unwrap();
         assert_eq!(ck, back, "shard checkpoint must JSON-roundtrip exactly");
         let mut restored = ShardState::restore(0, cfg, back).unwrap();
-        assert_eq!(restored.restored_users, 4);
+        assert_eq!(restored.stats().gauge_total("richnote_restored_users"), 4.0);
 
         for _ in 0..4 {
             assert_eq!(reference.run_round(), restored.run_round());
@@ -1464,11 +1397,7 @@ mod tests {
         // ...wall-clock histograms restart from zero (fresh process clock).
         assert_eq!(after.histogram_merged("richnote_round_duration_us").count(), 0);
         assert_eq!(after.histogram_merged("richnote_selection_latency_us").count(), 0);
-        // The legacy selection-latency histogram is carried over intact.
-        assert_eq!(
-            restored.snapshot(0).selection_latency.count(),
-            shard.snapshot(0).selection_latency.count()
-        );
+        assert_eq!(after.gauge_total("richnote_restored_users"), 3.0);
     }
 
     #[test]

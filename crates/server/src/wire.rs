@@ -1,6 +1,6 @@
 //! The wire protocol: versioned, length-prefixed JSON frames over TCP.
 //!
-//! # Frame layout (protocol v2)
+//! # Frame layout (protocol v3)
 //!
 //! ```text
 //! +-------------------+-----------+----------------------+
@@ -10,7 +10,7 @@
 //!
 //! `len` counts only the JSON payload (not the version byte). `proto` is
 //! the low byte of [`PROTO_VERSION`] and is checked on every frame, so a
-//! v1 peer (whose first payload byte would be `{` = 0x7B) fails fast with
+//! peer speaking another version fails fast with
 //! [`ServerError::ProtoMismatch`] instead of a confusing JSON parse error.
 //! Framing keeps the stream self-synchronising without scanning for
 //! delimiters, and JSON keeps the protocol debuggable with a five-line
@@ -39,29 +39,34 @@
 //!    next checkpoint).
 //! 3. **Other requests** are strict request/response: `Subscribe` →
 //!    `Subscribed`, `Tick` → `Ticked`, `TickReport` → `TickReport`,
-//!    `Metrics` → `Metrics`, `Stats` → `StatsSnapshot`, `Health` →
-//!    `Health`, `TraceDump` → `TraceDump`, `Checkpoint` → `Checkpointed`,
-//!    `Drain` → `Drained`, `Shutdown` → `ShuttingDown`. A client must therefore be prepared to
-//!    consume interleaved `PubAck` frames while waiting for any response.
-//! 4. **Errors.** Failures are typed: [`Response::Error`] carries an
+//!    `Observe(view)` → `Observed(..)`, `Checkpoint` → `Checkpointed`,
+//!    `Drain` → `Drained`, `Shutdown` → `ShuttingDown`. A client must
+//!    therefore be prepared to consume interleaved `PubAck` frames while
+//!    waiting for any response.
+//! 4. **Reads.** Every read-only question about the daemon's state is one
+//!    request, [`Request::Observe`], carrying the [`View`] wanted; the
+//!    answer is [`Response::Observed`] carrying the matching
+//!    [`Observed`]. The metrics listener's HTTP paths serve the same
+//!    views (see [`Observed::payload_json`]).
+//! 5. **Errors.** Failures are typed: [`Response::Error`] carries an
 //!    [`ErrorCode`] plus a human-readable message, and (except for
 //!    unrecoverable framing errors) the connection stays open.
 //!
 //! # Compatibility
 //!
-//! v1 (PR 1) had no version byte, no handshake payload, fire-and-forget
-//! publishes and stringly errors. v2 is intentionally *not* backward
-//! compatible on the wire — the version byte exists precisely so that v3
-//! can be, via version negotiation in `Hello`.
+//! Versions are not compatible on the wire: the version byte and the
+//! `proto` field of `Hello` exist so that a peer from another version
+//! draws a typed [`ErrorCode::ProtoMismatch`] at the handshake. v2 had
+//! one request per read-only view (seven of them); v3 folds them into
+//! `Observe`.
 //!
-//! Within v2, the `Hello` exchange additionally negotiates a *frame
-//! codec* (see [`crate::codec`]): the handshake itself always uses the
-//! JSON framing above, and every frame after the server's `Hello`
-//! response uses the negotiated codec. A peer that omits the `codec`
-//! field (any pre-codec build) keeps speaking JSON, unchanged.
+//! The `Hello` exchange also negotiates a *frame codec* (see
+//! [`crate::codec`]): the handshake itself always uses the JSON framing
+//! above, and every frame after the server's `Hello` response uses the
+//! negotiated codec. A peer that omits the `codec` field keeps speaking
+//! JSON.
 
 use crate::error::{ServerError, ServerResult};
-use crate::metrics::MetricsSnapshot;
 use richnote_core::{ContentId, ContentItem, UserId};
 use richnote_obs::{
     AlertEvent, AlertSnapshot, FlightDump, HistoryQuery, QueryResult, RegistrySnapshot, SloStatus,
@@ -73,12 +78,12 @@ use std::io::{self, Read, Write};
 
 /// The protocol version this build speaks. Sent in every frame header and
 /// in the [`Request::Hello`] handshake.
-pub const PROTO_VERSION: u32 = 2;
+pub const PROTO_VERSION: u32 = 3;
 
 /// Upper bound on a frame payload; anything larger is a protocol error.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
-/// Most trace events one `TraceDump` response may carry, split across
+/// Most trace events one [`Observed::Trace`] reply may carry, split across
 /// the server ring and the shards, so the reply always serializes under
 /// [`MAX_FRAME_BYTES`] (a span event is well under 1 KiB of JSON).
 /// Rings larger than the budget drain across several requests;
@@ -115,8 +120,8 @@ pub enum Request {
         session: u64,
         /// Richest frame codec the client is willing to speak for every
         /// post-handshake frame (`"json"` or `"binary"`; see
-        /// [`crate::codec`]). Absent — as sent by pre-codec clients — or
-        /// unrecognized means JSON, so negotiation always has a floor.
+        /// [`crate::codec`]). Absent or unrecognized means JSON, so
+        /// negotiation always has a floor.
         codec: Option<String>,
     },
     /// Registers `user` for `topic` in real-time mode. Acknowledged.
@@ -136,8 +141,7 @@ pub enum Request {
         /// Payload routed to every matching subscriber's shard.
         item: ContentItem,
         /// Causal trace id minted by the publisher; `None` (or an absent
-        /// field, as sent by pre-tracing clients) means untraced, so old
-        /// clients stay compatible.
+        /// field) means untraced.
         trace: Option<u64>,
     },
     /// Advances every shard by `rounds` rounds of the selection loop.
@@ -152,25 +156,10 @@ pub enum Request {
         /// Rounds to run.
         rounds: u32,
     },
-    /// Requests a metrics snapshot across all shards.
-    Metrics,
-    /// Requests a merged registry snapshot (counters, gauges, histograms
-    /// from every shard plus the server-side stage timers). Servers built
-    /// before the observability layer answer `Error { code: BadFrame }`,
-    /// which clients surface as "stats unsupported".
-    Stats,
-    /// Requests the SLO engine's verdict (the wire twin of the metrics
-    /// listener's `/healthz` path): overall status, per-objective burn
-    /// rates and budgets, and shard liveness.
-    Health,
-    /// Drains every trace ring (server + shards) and returns the buffered
-    /// structured events. Rings reset on dump; an empty response means
-    /// tracing is disabled (`trace_capacity = 0`) or nothing happened.
-    TraceDump,
-    /// Reads every shard's flight recorder (bounded ring of retained span
-    /// trees). Unlike `TraceDump` this is non-destructive, so a live
-    /// poller does not race the panic-path post-mortem dump.
-    FlightDump,
+    /// Reads one [`View`] of the daemon's state; answered by
+    /// [`Response::Observed`]. Never changes scheduling state (the
+    /// [`View::Trace`] rings are consumed by reading them).
+    Observe(View),
     /// Forces a coordinated checkpoint now (requires a configured
     /// checkpoint directory).
     Checkpoint,
@@ -180,25 +169,41 @@ pub enum Request {
     /// Immediate shutdown *without* checkpointing — crash semantics, used
     /// by the kill-and-restart tests.
     Shutdown,
-    /// Windowed analytics query against the server's embedded metrics
-    /// history (see [`richnote_obs::MetricsHistory`]): deltas, rates, and
-    /// histogram quantiles for one counter family over the trailing
-    /// window. Servers built before the analytics layer answer
-    /// `Error { code: BadFrame }`, which clients surface as
-    /// "query unsupported".
-    Query(HistoryQuery),
-    /// Requests the alerting plane's current view: every rule's state,
-    /// the recent transition timeline, watchdog verdicts, and the most
-    /// recent incident bundle path. Servers built before the alerting
-    /// layer answer `Error { code: BadFrame }`, which clients surface as
-    /// "alerts unsupported".
-    Alerts,
 }
 
-/// Build identity of a running daemon, reported in
-/// [`Response::StatsSnapshot`] and exported as the
-/// `richnote_build_info` gauge, so dashboards and `richnote-top` can say
-/// *which* build produced the numbers they show.
+/// What an [`Request::Observe`] asks to see. The daemon has one read
+/// path: every view is answered by the same server function, over the
+/// wire and (for `Stats`, `Health`, `Alerts` and `Query`) on the metrics
+/// listener's `/metrics`, `/healthz`, `/alerts` and `/query` paths.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum View {
+    /// The merged registry snapshot (counters, gauges, histograms from
+    /// every shard plus the server-side stage timers) with the daemon's
+    /// uptime and build identity.
+    Stats,
+    /// The SLO engine's verdict: overall status, per-objective burn rates
+    /// and budgets, shard liveness.
+    Health,
+    /// The alerting plane: every rule's state, the recent transition
+    /// timeline, watchdog verdicts, the most recent incident bundle path.
+    Alerts,
+    /// Windowed analytics over the embedded metrics history (see
+    /// [`richnote_obs::MetricsHistory`]): deltas, rates, and histogram
+    /// quantiles for one family over the trailing window.
+    Query(HistoryQuery),
+    /// Drains every trace ring (server + shards). Rings reset on read; an
+    /// empty reply means tracing is disabled (`trace_capacity = 0`) or
+    /// nothing happened.
+    Trace,
+    /// Every shard's flight recorder (bounded ring of retained span
+    /// trees). Non-destructive, so a live poller does not race the
+    /// panic-path post-mortem dump.
+    Flight,
+}
+
+/// Build identity of a running daemon, reported in [`StatsReply`] and
+/// exported as the `richnote_build_info` gauge, so dashboards and
+/// `richnote-top` can say *which* build produced the numbers they show.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BuildInfo {
     /// Crate version (`CARGO_PKG_VERSION`).
@@ -221,10 +226,23 @@ impl BuildInfo {
     }
 }
 
-/// The SLO engine's verdict, answering [`Request::Health`]. The same
-/// JSON body is served on the metrics listener's `/healthz` path (HTTP
-/// 200 unless violating, then 503).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// The answer to [`View::Stats`]: the merged registry snapshot plus the
+/// daemon's uptime and build identity.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StatsReply {
+    /// Counters, gauges, and histograms merged across every shard plus
+    /// the server-side stage timers.
+    pub snapshot: RegistrySnapshot,
+    /// Seconds since the daemon started serving.
+    pub uptime_secs: u64,
+    /// Which build produced these numbers.
+    pub build: BuildInfo,
+}
+
+/// The SLO engine's verdict, answering [`View::Health`]. The same JSON
+/// body is served on the metrics listener's `/healthz` path (HTTP 200
+/// unless violating, then 503).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthReport {
     /// Worst status across objectives, shard liveness, watchdog verdicts
     /// and firing alerts.
@@ -244,29 +262,7 @@ pub struct HealthReport {
     pub watchdog: Vec<WatchdogVerdict>,
 }
 
-// Manual impl so a report from a pre-alerting daemon (no
-// `alerts_firing` / `watchdog` fields) still parses as quiet.
-impl Deserialize for HealthReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(HealthReport {
-            status: serde::field(v, "status")?,
-            uptime_secs: serde::field(v, "uptime_secs")?,
-            shards_alive: serde::field(v, "shards_alive")?,
-            shards_total: serde::field(v, "shards_total")?,
-            slos: serde::field(v, "slos")?,
-            alerts_firing: match v.get("alerts_firing") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => 0,
-            },
-            watchdog: match v.get("watchdog") {
-                Some(x) => Deserialize::from_value(x)?,
-                None => Vec::new(),
-            },
-        })
-    }
-}
-
-/// The alerting plane's current view, answering [`Request::Alerts`]. The
+/// The alerting plane's current view, answering [`View::Alerts`]. The
 /// same JSON body is served on the metrics listener's `/alerts` path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AlertsReply {
@@ -313,7 +309,7 @@ pub enum Response {
         resume_seq: u64,
         /// The negotiated frame codec: the floor of the client's offer and
         /// what the server allows. Both sides switch to it for every frame
-        /// after this response. Absent (a pre-codec server) means JSON.
+        /// after this response. Absent means JSON.
         codec: Option<String>,
     },
     /// Subscription acknowledged.
@@ -339,40 +335,8 @@ pub enum Response {
         /// user id (deterministic).
         deliveries: Vec<Delivery>,
     },
-    /// Metrics snapshot.
-    Metrics(MetricsSnapshot),
-    /// Merged registry snapshot answering [`Request::Stats`], plus the
-    /// serving daemon's identity.
-    StatsSnapshot {
-        /// Counters, gauges, and histograms merged across every shard
-        /// plus the server-side stage timers.
-        snapshot: RegistrySnapshot,
-        /// Seconds since the daemon started serving.
-        uptime_secs: u64,
-        /// Which build produced these numbers.
-        build: BuildInfo,
-    },
-    /// SLO verdict answering [`Request::Health`].
-    Health(HealthReport),
-    /// Structured trace events answering [`Request::TraceDump`].
-    TraceDump {
-        /// Buffered events, server-side first, then shard 0..n in order.
-        events: Vec<TraceEvent>,
-        /// Events evicted from full rings since the previous dump.
-        dropped: u64,
-    },
-    /// Per-shard flight-recorder cuts answering [`Request::FlightDump`],
-    /// ordered by shard index.
-    FlightDump {
-        /// One dump per live shard (a dead shard contributes nothing).
-        dumps: Vec<FlightDump>,
-    },
-    /// Windowed analytics series answering [`Request::Query`]. The same
-    /// JSON body is served on the metrics listener's `/query` path.
-    QueryResult(QueryResult),
-    /// Alerting-plane view answering [`Request::Alerts`]. The same JSON
-    /// body is served on the metrics listener's `/alerts` path.
-    Alerts(AlertsReply),
+    /// The view an [`Request::Observe`] asked for.
+    Observed(Observed),
     /// Coordinated checkpoint written.
     Checkpointed {
         /// Users captured in the checkpoint.
@@ -400,6 +364,44 @@ pub enum Response {
         /// Human-readable cause.
         message: String,
     },
+}
+
+/// One answered [`View`], variant for variant.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Observed {
+    /// Answers [`View::Stats`].
+    Stats(StatsReply),
+    /// Answers [`View::Health`].
+    Health(HealthReport),
+    /// Answers [`View::Alerts`].
+    Alerts(AlertsReply),
+    /// Answers [`View::Query`].
+    Query(QueryResult),
+    /// Answers [`View::Trace`].
+    Trace {
+        /// Buffered events, server-side first, then shard 0..n in order.
+        events: Vec<TraceEvent>,
+        /// Events evicted from full rings since the previous read.
+        dropped: u64,
+    },
+    /// Answers [`View::Flight`], ordered by shard index.
+    Flight {
+        /// One dump per live shard (a dead shard contributes nothing).
+        dumps: Vec<FlightDump>,
+    },
+}
+
+impl Observed {
+    /// The answer without its variant tag, as JSON: the body the metrics
+    /// listener serves for the view (`/healthz` is exactly the
+    /// [`HealthReport`], `/query` exactly the [`QueryResult`], …).
+    pub fn payload_json(&self) -> String {
+        let payload = match self.to_value() {
+            serde::Value::Object(mut tagged) if tagged.len() == 1 => tagged.remove(0).1,
+            untagged => untagged,
+        };
+        serde_json::to_string(&payload).unwrap_or_else(|_| "{}".to_string())
+    }
 }
 
 /// Writes one frame.
@@ -515,21 +517,20 @@ mod tests {
             Request::Hello { proto: PROTO_VERSION, session: 99, codec: Some("binary".into()) },
             Request::Subscribe { user: UserId::new(7), topic: Topic::FriendFeed(UserId::new(7)) },
             Request::Tick { rounds: 3 },
-            Request::FlightDump,
             Request::TickReport { rounds: 1 },
-            Request::Metrics,
-            Request::Stats,
-            Request::Health,
-            Request::TraceDump,
-            Request::Checkpoint,
-            Request::Drain,
-            Request::Shutdown,
-            Request::Query(HistoryQuery {
+            Request::Observe(View::Stats),
+            Request::Observe(View::Health),
+            Request::Observe(View::Alerts),
+            Request::Observe(View::Query(HistoryQuery {
                 family: "richnote_utility_total".into(),
                 labels: vec![("policy".into(), "RichNote".into())],
                 window_secs: 60.0,
-            }),
-            Request::Alerts,
+            })),
+            Request::Observe(View::Trace),
+            Request::Observe(View::Flight),
+            Request::Checkpoint,
+            Request::Drain,
+            Request::Shutdown,
         ];
         let mut buf = Vec::new();
         for r in &reqs {
@@ -556,7 +557,7 @@ mod tests {
     #[test]
     fn truncated_frame_is_an_error() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::Metrics).unwrap();
+        write_frame(&mut buf, &Request::Checkpoint).unwrap();
         buf.pop();
         let mut cursor = &buf[..];
         assert!(matches!(read_frame::<_, Request>(&mut cursor), Err(ServerError::Frame(_))));
@@ -572,8 +573,8 @@ mod tests {
     #[test]
     fn version_byte_mismatch_is_typed() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::Metrics).unwrap();
-        buf[4] = 1; // forge a v1 version byte
+        write_frame(&mut buf, &Request::Checkpoint).unwrap();
+        buf[4] = 1; // forge another version's byte
         let mut cursor = &buf[..];
         match read_frame::<_, Request>(&mut cursor) {
             Err(ServerError::ProtoMismatch { ours, theirs }) => {
@@ -630,8 +631,8 @@ mod tests {
         let got: Request = read_frame(&mut &buf[..]).unwrap().unwrap();
         assert_eq!(got, req);
 
-        // A pre-tracing client's Publish has no `trace` field at all; it
-        // must deserialize as untraced rather than fail.
+        // A Publish with no `trace` field at all must deserialize as
+        // untraced rather than fail.
         let legacy = serde_json::to_string(&Request::Publish {
             seq: 5,
             topic: Topic::FriendFeed(UserId::new(3)),
@@ -650,15 +651,15 @@ mod tests {
     }
 
     #[test]
-    fn pre_codec_hello_reads_with_no_codec() {
-        // Handshakes from builds that predate codec negotiation carry no
-        // `codec` field; both directions must parse as "JSON only".
-        let legacy = r#"{"Hello":{"proto":2,"session":9}}"#;
-        let parsed: Request = serde_json::from_str(legacy).unwrap();
-        assert_eq!(parsed, Request::Hello { proto: 2, session: 9, codec: None });
-        let legacy = r#"{"Hello":{"proto":2,"shards":4,"resume_seq":0}}"#;
-        let parsed: Response = serde_json::from_str(legacy).unwrap();
-        assert_eq!(parsed, Response::Hello { proto: 2, shards: 4, resume_seq: 0, codec: None });
+    fn hello_without_a_codec_field_reads_as_no_offer() {
+        // A five-line probe client may leave `codec` out; both directions
+        // must parse as "JSON only".
+        let bare = r#"{"Hello":{"proto":3,"session":9}}"#;
+        let parsed: Request = serde_json::from_str(bare).unwrap();
+        assert_eq!(parsed, Request::Hello { proto: 3, session: 9, codec: None });
+        let bare = r#"{"Hello":{"proto":3,"shards":4,"resume_seq":0}}"#;
+        let parsed: Response = serde_json::from_str(bare).unwrap();
+        assert_eq!(parsed, Response::Hello { proto: 3, shards: 4, resume_seq: 0, codec: None });
     }
 
     #[test]
@@ -669,14 +670,14 @@ mod tests {
         ])
         .pop()
         .unwrap();
-        let resp = Response::FlightDump {
+        let resp = Response::Observed(Observed::Flight {
             dumps: vec![FlightDump {
                 shard: 0,
                 reason: "request".into(),
                 trees: vec![tree],
                 dropped: 2,
             }],
-        };
+        });
         let mut buf = Vec::new();
         write_frame(&mut buf, &resp).unwrap();
         let got: Response = read_frame(&mut &buf[..]).unwrap().unwrap();
@@ -689,12 +690,12 @@ mod tests {
         let c = reg.counter("richnote_pubs_total", "pubs", &[("shard", "0")]);
         reg.inc(c, 5);
         let resps = vec![
-            Response::StatsSnapshot {
+            Response::Observed(Observed::Stats(StatsReply {
                 snapshot: reg.snapshot(),
                 uptime_secs: 12,
                 build: BuildInfo::current(),
-            },
-            Response::Health(HealthReport {
+            })),
+            Response::Observed(Observed::Health(HealthReport {
                 status: SloStatus::Degraded,
                 uptime_secs: 12,
                 shards_alive: 3,
@@ -717,8 +718,8 @@ mod tests {
                     rounds_done: 4,
                     rounds_expected: 9,
                 }],
-            }),
-            Response::TraceDump {
+            })),
+            Response::Observed(Observed::Trace {
                 events: vec![TraceEvent::RoundEnd {
                     shard: 0,
                     round: 3,
@@ -726,7 +727,7 @@ mod tests {
                     bytes_spent: 90_000,
                 }],
                 dropped: 1,
-            },
+            }),
         ];
         let mut buf = Vec::new();
         for r in &resps {
@@ -753,7 +754,7 @@ mod tests {
             labels: vec![],
             window_secs: 60.0,
         });
-        let resp = Response::QueryResult(result);
+        let resp = Response::Observed(Observed::Query(result));
         let mut buf = Vec::new();
         write_frame(&mut buf, &resp).unwrap();
         let got: Response = read_frame(&mut &buf[..]).unwrap().unwrap();
@@ -763,7 +764,7 @@ mod tests {
     #[test]
     fn alerts_response_roundtrips() {
         use richnote_obs::{AlertEvent, AlertSnapshot, AlertState};
-        let resp = Response::Alerts(AlertsReply {
+        let resp = Response::Observed(Observed::Alerts(AlertsReply {
             alerts: vec![AlertSnapshot {
                 rule: "shed_rate".into(),
                 state: AlertState::Firing,
@@ -783,7 +784,7 @@ mod tests {
             events_dropped: 0,
             watchdog: vec![],
             last_incident: Some("/tmp/incident-00001-alert-shed_rate.rnincident".into()),
-        });
+        }));
         let mut buf = Vec::new();
         write_frame(&mut buf, &resp).unwrap();
         let got: Response = read_frame(&mut &buf[..]).unwrap().unwrap();
@@ -791,30 +792,14 @@ mod tests {
     }
 
     #[test]
-    fn pre_alerting_health_json_still_parses_as_quiet() {
-        // A health body from a daemon built before the alerting layer has
-        // no `alerts_firing` / `watchdog` fields; it must read as quiet,
-        // not fail.
-        let old = r#"{"status":"ok","uptime_secs":5,"shards_alive":2,"shards_total":2,"slos":[]}"#;
-        let report: HealthReport = serde_json::from_str(old).unwrap();
-        assert_eq!(report.alerts_firing, 0);
-        assert!(report.watchdog.is_empty());
-        assert_eq!(report.status, SloStatus::Ok);
-    }
-
-    #[test]
-    fn unknown_request_variant_fails_as_bad_frame_material() {
-        // What a pre-observability server sees when a new client sends
-        // `Stats`: the JSON parse fails, which its connection loop answers
-        // with `Error { code: BadFrame }`. Simulate the parse side here.
-        #[derive(Debug, Serialize, Deserialize, PartialEq)]
-        enum OldRequest {
-            Metrics,
-        }
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::Stats).unwrap();
-        let res = read_frame::<_, OldRequest>(&mut &buf[..]);
-        assert!(matches!(res, Err(ServerError::Frame(_))), "{res:?}");
+    fn payload_json_is_the_answer_without_its_tag() {
+        let result = richnote_obs::MetricsHistory::new(2).query(&HistoryQuery {
+            family: "richnote_pubs_total".into(),
+            labels: vec![],
+            window_secs: 60.0,
+        });
+        let observed = Observed::Query(result.clone());
+        assert_eq!(observed.payload_json(), serde_json::to_string(&result).unwrap());
     }
 
     #[test]

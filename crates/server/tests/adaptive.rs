@@ -144,8 +144,10 @@ fn adaptive_daemon_selects_and_exports_adaptive_metrics() {
     for _ in 0..200 {
         let (_, selected) = client.tick(1).unwrap();
         selected_total += selected;
-        let snap = client.metrics().unwrap();
-        if snap.ingested() == items.len() as u64 && snap.backlog() == 0 {
+        let snap = client.stats().unwrap().snapshot;
+        if snap.counter_total("richnote_pubs_total") == items.len() as u64
+            && snap.gauge_total("richnote_backlog") == 0.0
+        {
             break;
         }
     }

@@ -140,25 +140,35 @@ fn end_to_end_over_tcp() {
     for _ in 0..200 {
         let (_, selected) = client.tick(1).unwrap();
         selected_total += selected;
-        let snap = client.metrics().unwrap();
-        if snap.ingested() == items.len() as u64 && snap.backlog() == 0 {
+        let snap = client.stats().unwrap().snapshot;
+        if snap.counter_total("richnote_pubs_total") == items.len() as u64
+            && snap.gauge_total("richnote_backlog") == 0.0
+        {
             break;
         }
     }
 
-    let snap = client.metrics().unwrap();
-    assert_eq!(snap.ingested(), items.len() as u64, "every publication must match");
-    assert_eq!(snap.dropped(), 0);
-    assert_eq!(snap.backlog(), 0, "budgets should drain the small trace");
-    assert_eq!(snap.selected(), selected_total);
+    let snap = client.stats().unwrap().snapshot;
+    let selected = snap.counter_total("richnote_selected_total");
+    assert_eq!(
+        snap.counter_total("richnote_pubs_total"),
+        items.len() as u64,
+        "every publication must match"
+    );
+    assert_eq!(snap.counter_total("richnote_queue_dropped_total"), 0);
+    assert_eq!(snap.gauge_total("richnote_backlog"), 0.0, "budgets should drain the small trace");
+    assert_eq!(selected, selected_total);
     // Default config disables age expiry, so drained backlog means every
     // ingested item was selected.
-    assert_eq!(snap.selected(), items.len() as u64);
-    let lat = snap.selection_latency();
-    assert_eq!(lat.count(), snap.selected());
+    assert_eq!(selected, items.len() as u64);
+    let lat = snap.histogram_merged("richnote_selection_latency_us");
+    assert_eq!(lat.count(), selected);
     assert!(lat.quantile_us(0.99) > 0);
     // Both shards should own users from the trace.
-    assert!(snap.shards.iter().all(|s| s.users > 0), "lopsided shard map: {snap:?}");
+    for shard in ["0", "1"] {
+        let users = snap.value_where("richnote_users", "shard", shard);
+        assert!(users > Some(0.0), "lopsided shard map: shard {shard} has {users:?} users");
+    }
 
     client.shutdown().unwrap();
     handle.join().unwrap();
@@ -166,7 +176,7 @@ fn end_to_end_over_tcp() {
 
 #[test]
 fn wire_protocol_survives_a_full_conversation() {
-    use richnote_server::wire::{read_frame, write_frame, ErrorCode, Request, Response};
+    use richnote_server::wire::{read_frame, write_frame, ErrorCode, Request, Response, View};
     use richnote_server::PROTO_VERSION;
 
     let item = trace_items().remove(0);
@@ -175,7 +185,7 @@ fn wire_protocol_survives_a_full_conversation() {
         Request::Subscribe { user: item.recipient, topic: Topic::FriendFeed(item.recipient) },
         Request::Publish { seq: 1, topic: Topic::FriendFeed(item.recipient), item, trace: None },
         Request::Tick { rounds: 2 },
-        Request::Metrics,
+        Request::Observe(View::Stats),
         Request::Drain,
         Request::Shutdown,
     ];

@@ -153,8 +153,8 @@ fn kill_and_restart_restores_byte_identical_selections() {
     for batch in &batches[KILL_AT..] {
         drive_round(&mut client, batch, &mut log);
     }
-    let snap = client.metrics().expect("metrics");
-    assert!(snap.restored_users() > 0, "shards must report restored users");
+    let snap = client.stats().expect("stats").snapshot;
+    assert!(snap.gauge_total("richnote_restored_users") > 0.0, "shards must report restored users");
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 
@@ -194,17 +194,17 @@ fn zero_acked_loss_under_connection_drops() {
     // Tick until the backlog drains, then check the books.
     for _ in 0..400 {
         client.tick(1).expect("tick");
-        if client.metrics().expect("metrics").backlog() == 0 {
+        if client.stats().expect("stats").snapshot.gauge_total("richnote_backlog") == 0.0 {
             break;
         }
     }
-    let snap = client.metrics().expect("metrics");
+    let snap = client.stats().expect("stats").snapshot;
     assert_eq!(
-        snap.ingested(),
+        snap.counter_total("richnote_pubs_total"),
         items.len() as u64,
         "acked publications lost or duplicated across {injected} injected drops"
     );
-    assert_eq!(snap.dropped(), 0);
+    assert_eq!(snap.counter_total("richnote_queue_dropped_total"), 0);
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
@@ -524,6 +524,26 @@ fn stats_counters_survive_checkpoint_restore() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Shutdown must not wait on clients that are merely connected: the
+/// daemon closes the connections still open, so handlers blocked reading
+/// from an idle peer end and `Server::run` returns.
+#[test]
+fn shutdown_returns_while_an_idle_client_stays_connected() {
+    let cfg = ServerConfig::builder().addr("127.0.0.1:0").shards(2).build().expect("config");
+    let (addr, handle) = Server::spawn(cfg).expect("spawn");
+    let mut idle = Client::builder(addr).no_retry().connect().expect("idle client");
+    let mut first = Client::builder(addr).connect().expect("first client");
+    first.shutdown().expect("shutdown");
+
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(handle.join()));
+    joined
+        .recv_timeout(std::time::Duration::from_secs(2))
+        .expect("Server::run must return within 2 s of Shutdown")
+        .expect("server thread");
+    assert!(idle.tick(1).is_err(), "the idle client's connection was closed under it");
+}
+
 /// A client speaking an older protocol version gets a typed rejection at
 /// the handshake, not a hang or a silent close.
 #[test]
@@ -545,17 +565,32 @@ fn proto_mismatch_is_rejected_with_a_typed_error() {
     drop(writer);
     drop(reader);
 
+    // A real protocol-v2 peer also stamps `2` into the frame header; it
+    // is turned away on that byte, before its payload is even parsed.
+    let mut stream = TcpStream::connect(addr).expect("raw connect");
+    let hello = br#"{"Hello":{"proto":2,"session":0}}"#;
+    stream.write_all(&(hello.len() as u32).to_le_bytes()).expect("length");
+    stream.write_all(&[2]).expect("version byte");
+    stream.write_all(hello).expect("payload");
+    match read_frame::<_, Response>(&mut BufReader::new(stream)).expect("response").expect("frame")
+    {
+        Response::Error { code: ErrorCode::ProtoMismatch, message } => {
+            assert!(message.contains("v2"), "message names the peer's version: {message}");
+        }
+        other => panic!("expected a ProtoMismatch rejection, got {other:?}"),
+    }
+
     let mut client = Client::builder(addr).connect().expect("current-version client still welcome");
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
 
-/// A v2 client that predates codec negotiation — its `Hello` carries no
-/// `codec` field at all — must keep working against a binary-preferring
-/// server: the handshake falls back to JSON framing and the whole
-/// conversation (publish, ack, drain, shutdown) stays plain v2 JSON.
+/// A client that makes no codec offer — its `Hello` carries no `codec`
+/// field at all, like a five-line probe script's — must work against a
+/// binary-preferring server: the handshake falls back to JSON framing and
+/// the whole conversation (publish, ack, drain) stays plain JSON.
 #[test]
-fn legacy_json_v2_client_negotiates_down_and_publishes() {
+fn client_without_a_codec_offer_negotiates_down_and_publishes() {
     let cfg = ServerConfig::builder().addr("127.0.0.1:0").shards(1).build().expect("config");
     assert_eq!(ServerConfig::default().codec, CodecKind::Binary, "server prefers binary");
     let (addr, handle) = Server::spawn(cfg).expect("spawn");
@@ -564,7 +599,7 @@ fn legacy_json_v2_client_negotiates_down_and_publishes() {
     let mut writer = stream.try_clone().expect("clone");
     let mut reader = BufReader::new(stream);
 
-    // Byte-for-byte what a pre-codec v2 client sends: no codec offer.
+    // No codec offer.
     write_frame(&mut writer, &Request::Hello { proto: PROTO_VERSION, session: 41, codec: None })
         .expect("hello");
     match read_frame::<_, Response>(&mut reader).expect("response").expect("frame") {
@@ -575,7 +610,7 @@ fn legacy_json_v2_client_negotiates_down_and_publishes() {
         other => panic!("expected a Hello reply, got {other:?}"),
     }
 
-    // Every later frame still speaks the legacy JSON framing.
+    // Every later frame still speaks the JSON framing.
     let item = trace_items().into_iter().next().expect("an item");
     let user = item.recipient;
     write_frame(&mut writer, &Request::Subscribe { user, topic: Topic::FriendFeed(user) })

@@ -1,5 +1,5 @@
-//! End-to-end tests for the observability surface: the versioned
-//! `Stats`/`TraceDump` wire requests and the `--metrics-addr` scrape
+//! End-to-end tests for the observability surface: the wire's `Observe`
+//! views and the `--metrics-addr` scrape
 //! listener, exercised against a live daemon exactly the way the CI
 //! scrape step and a Prometheus agent would.
 
@@ -145,7 +145,7 @@ fn traced_publication_yields_a_complete_span_tree() {
     assert_eq!(dropped, 0, "the ring was sized for the workload");
     let trees = SpanTree::assemble(&events);
     assert!(!trees.is_empty(), "traced publications must yield span trees");
-    let backlog = client.metrics().expect("metrics").backlog();
+    let backlog = client.stats().expect("stats").snapshot.gauge_total("richnote_backlog") as usize;
     let complete = trees.iter().filter(|t| t.is_complete()).count();
     assert!(
         complete + backlog >= minted.len(),
@@ -493,6 +493,70 @@ fn query_serves_utility_per_mb_on_first_attach() {
     assert!(bad.contains("400 Bad Request"), "missing family must be rejected: {bad}");
     let bad = scrape(metrics, "/query?family=richnote_pubs_total&windw=60");
     assert!(bad.contains("400 Bad Request"), "unknown parameters must be rejected: {bad}");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}
+
+/// The metrics listener adapts the wire's read path rather than
+/// reimplementing it: with no tick in between, each HTTP path serves the
+/// body a wire client gets for the same view.
+#[test]
+fn http_paths_serve_what_observe_answers() {
+    // Cost accounting off: a shard's CPU counter is re-read at every
+    // `Stats` cut, which would be the one honest difference between two.
+    let cfg = ServerConfig::builder()
+        .addr("127.0.0.1:0")
+        .shards(2)
+        .metrics_addr("127.0.0.1:0")
+        .rsrc_enabled(false)
+        .build()
+        .expect("config");
+    let server = Server::bind(cfg).expect("bind");
+    let (addr, metrics) = (server.local_addr(), server.metrics_local_addr().expect("listener"));
+    let handle = std::thread::spawn(move || {
+        let _ = server.run();
+    });
+    let mut client = Client::builder(addr).connect().expect("connect");
+    warm_up(&mut client);
+    let body_of = |path: &str| {
+        let response = scrape(metrics, path);
+        let (head, body) = response.split_once("\r\n\r\n").expect("http response");
+        assert!(head.contains("200 OK"), "{path}: {head}");
+        body.to_string()
+    };
+
+    let wire = client.health().expect("health");
+    let body = body_of("/healthz");
+    let mut http: richnote_server::HealthReport = serde_json::from_str(&body).expect("health JSON");
+    assert_eq!(body, serde_json::to_string(&http).unwrap(), "the body is the report's own JSON");
+    http.uptime_secs = wire.uptime_secs; // whole seconds; may roll over between the two
+    assert_eq!(http, wire);
+
+    let wire = client.alerts().expect("alerts");
+    assert_eq!(body_of("/alerts"), serde_json::to_string(&wire).unwrap());
+
+    let wire = client
+        .query(HistoryQuery {
+            family: "richnote_selected_total".to_string(),
+            labels: vec![("shard".to_string(), "1".to_string())],
+            window_secs: 7_200.0,
+        })
+        .expect("query");
+    assert!(!wire.series.is_empty(), "the window must hold shard 1's series");
+    assert_eq!(
+        body_of("/query?family=richnote_selected_total&labels=shard=1&window=7200"),
+        serde_json::to_string(&wire).unwrap()
+    );
+
+    let wire = richnote_obs::encode_text(&client.stats().expect("stats").snapshot);
+    let sans_uptime = |text: &str| {
+        text.lines()
+            .filter(|l| !l.starts_with("richnote_uptime_secs"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(sans_uptime(&body_of("/metrics")), sans_uptime(&wire));
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");

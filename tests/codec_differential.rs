@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use richnote_core::content::{ContentFeatures, ContentItem, ContentKind, Interaction, SocialTie};
 use richnote_core::ids::{AlbumId, ArtistId, ContentId, PlaylistId, TrackId, UserId};
 use richnote_pubsub::Topic;
-use richnote_server::wire::{Delivery, ErrorCode, Request, Response};
-use richnote_server::{codec_for, CodecKind, ServerError};
+use richnote_server::wire::{Delivery, ErrorCode, Request, Response, View};
+use richnote_server::{codec_for, CodecKind, HistoryQuery, ServerError};
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -106,32 +106,90 @@ fn arb_codec_name() -> impl Strategy<Value = Option<String>> {
     })
 }
 
+/// Index of a request's variant. Exhaustive on purpose (no `_` arm): a
+/// new `Request` variant fails to compile here until it has an index, and
+/// `arb_request` then panics until it has a generator for that index.
+fn request_kind(req: &Request) -> usize {
+    match req {
+        Request::Hello { .. } => 0,
+        Request::Subscribe { .. } => 1,
+        Request::Publish { .. } => 2,
+        Request::Tick { .. } => 3,
+        Request::TickReport { .. } => 4,
+        Request::Observe(_) => 5,
+        Request::Checkpoint => 6,
+        Request::Drain => 7,
+        Request::Shutdown => 8,
+    }
+}
+const REQUEST_KINDS: usize = 9;
+
+/// [`request_kind`] for `View`.
+fn view_kind(view: &View) -> usize {
+    match view {
+        View::Stats => 0,
+        View::Health => 1,
+        View::Alerts => 2,
+        View::Query(_) => 3,
+        View::Trace => 4,
+        View::Flight => 5,
+    }
+}
+const VIEW_KINDS: usize = 6;
+
+fn arb_view() -> impl Strategy<Value = View> {
+    (0..VIEW_KINDS).prop_flat_map(|kind| {
+        let view = match kind {
+            0 => Just(View::Stats).boxed(),
+            1 => Just(View::Health).boxed(),
+            2 => Just(View::Alerts).boxed(),
+            3 => (
+                arb_string(),
+                prop::collection::vec((arb_string(), arb_string()), 0..4),
+                any::<f64>(),
+            )
+                .prop_map(|(family, labels, window_secs)| {
+                    View::Query(HistoryQuery { family, labels, window_secs })
+                })
+                .boxed(),
+            4 => Just(View::Trace).boxed(),
+            _ => Just(View::Flight).boxed(),
+        };
+        view.prop_map(move |view| {
+            assert_eq!(view_kind(&view), kind, "arb_view generates no view of kind {kind}");
+            view
+        })
+    })
+}
+
 fn arb_request() -> impl Strategy<Value = Request> {
-    (0usize..13).prop_flat_map(|variant| match variant {
-        0 => (any::<u32>(), any::<u64>(), arb_codec_name())
-            .prop_map(|(proto, session, codec)| Request::Hello { proto, session, codec })
-            .boxed(),
-        1 => (any::<u64>(), arb_topic())
-            .prop_map(|(user, topic)| Request::Subscribe { user: UserId::new(user), topic })
-            .boxed(),
-        2 => (any::<u64>(), arb_topic(), arb_item(), (any::<bool>(), any::<u64>()))
-            .prop_map(|(seq, topic, item, (traced, id))| Request::Publish {
-                seq,
-                topic,
-                item,
-                trace: traced.then_some(id),
-            })
-            .boxed(),
-        3 => (0u32..u32::MAX).prop_map(|rounds| Request::Tick { rounds }).boxed(),
-        4 => (0u32..u32::MAX).prop_map(|rounds| Request::TickReport { rounds }).boxed(),
-        5 => Just(Request::Metrics).boxed(),
-        6 => Just(Request::Stats).boxed(),
-        7 => Just(Request::Health).boxed(),
-        8 => Just(Request::TraceDump).boxed(),
-        9 => Just(Request::FlightDump).boxed(),
-        10 => Just(Request::Checkpoint).boxed(),
-        11 => Just(Request::Drain).boxed(),
-        _ => Just(Request::Shutdown).boxed(),
+    (0..REQUEST_KINDS).prop_flat_map(|kind| {
+        let req = match kind {
+            0 => (any::<u32>(), any::<u64>(), arb_codec_name())
+                .prop_map(|(proto, session, codec)| Request::Hello { proto, session, codec })
+                .boxed(),
+            1 => (any::<u64>(), arb_topic())
+                .prop_map(|(user, topic)| Request::Subscribe { user: UserId::new(user), topic })
+                .boxed(),
+            2 => (any::<u64>(), arb_topic(), arb_item(), (any::<bool>(), any::<u64>()))
+                .prop_map(|(seq, topic, item, (traced, id))| Request::Publish {
+                    seq,
+                    topic,
+                    item,
+                    trace: traced.then_some(id),
+                })
+                .boxed(),
+            3 => (0u32..u32::MAX).prop_map(|rounds| Request::Tick { rounds }).boxed(),
+            4 => (0u32..u32::MAX).prop_map(|rounds| Request::TickReport { rounds }).boxed(),
+            5 => arb_view().prop_map(Request::Observe).boxed(),
+            6 => Just(Request::Checkpoint).boxed(),
+            7 => Just(Request::Drain).boxed(),
+            _ => Just(Request::Shutdown).boxed(),
+        };
+        req.prop_map(move |req| {
+            assert_eq!(request_kind(&req), kind, "arb_request generates no request of kind {kind}");
+            req
+        })
     })
 }
 
@@ -147,9 +205,8 @@ fn arb_delivery() -> impl Strategy<Value = Delivery> {
 }
 
 /// Every "hot" response — the kinds the binary codec encodes natively.
-/// The cold diagnostic payloads (Metrics, StatsSnapshot, Health,
-/// TraceDump, FlightDump) ride a JSON escape hatch that is covered by
-/// the codec's unit tests.
+/// The cold `Observed` answers ride a JSON escape hatch that is covered
+/// by the codec's unit tests.
 fn arb_hot_response() -> impl Strategy<Value = Response> {
     const CODES: [ErrorCode; 6] = [
         ErrorCode::ProtoMismatch,
@@ -318,7 +375,9 @@ fn malformed_binary_corpus_yields_typed_frame_errors() {
         ("length past MAX_FRAME_BYTES", vec![0xFF, 0xFF, 0xFF, 0xFF, 0x7F]),
         ("tick without its rounds field", vec![0x01, 0x03]),
         ("publish tag with empty body", vec![0x01, 0x02]),
-        ("trailing garbage after shutdown", vec![0x03, 0x0C, 0x00, 0x00]),
+        ("trailing garbage after shutdown", vec![0x03, 0x08, 0x00, 0x00]),
+        ("observe tag with no view", vec![0x01, 0x05]),
+        ("observe tag with an unknown view", [&[0x07, 0x05][..], b"\"Nope\""].concat()),
     ];
     for (label, bytes) in corpus {
         let mut codec = codec_for(CodecKind::Binary);
