@@ -45,7 +45,6 @@
 
 pub mod adaptive;
 pub mod content;
-pub mod crowdsurvey;
 pub mod error;
 pub mod generators;
 pub mod ids;

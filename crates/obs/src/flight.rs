@@ -1,13 +1,13 @@
-//! The flight recorder: a bounded ring of complete span trees kept for
+//! The flight recorder: a bounded [`Ring`] of complete span trees kept for
 //! post-mortem dumps.
 //!
-//! Each shard worker retains the last N span trees it flushed (plus every
-//! anomalous tree that bypassed sampling). On a shard panic, a checkpoint
-//! failure, or an injected fault, the ring is dumped to a CRC-framed file
-//! so the traces leading up to the incident survive the process; at any
-//! time it can also be read over the wire via the `FlightDump` request —
-//! reads are non-destructive, so a poller like `richnote-top` does not
-//! race the post-mortem path.
+//! Each shard worker retains the last [`FLIGHT_CAPACITY`] span trees it
+//! flushed (plus every anomalous tree that bypassed sampling). On a shard
+//! panic, a checkpoint failure, or an injected fault, the ring is dumped
+//! to a CRC-framed file so the traces leading up to the incident survive
+//! the process; at any time it can also be read over the wire via the
+//! `Flight` view — reads are non-destructive, so a poller like
+//! `richnote-top` does not race the post-mortem path.
 //!
 //! # Dump file format
 //!
@@ -21,15 +21,20 @@
 //! beyond the file, or a CRC mismatch.
 
 use crate::frame::{self, BlobError};
+use crate::ring::Ring;
 use crate::span::SpanTree;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::path::Path;
 
 pub use crate::frame::crc32;
 
 /// Magic prefix of a flight-recorder dump file.
 pub const FLIGHT_MAGIC: &[u8; 8] = b"RNFLT01\n";
+
+/// Span trees a shard's flight recorder retains (the recorder is on
+/// exactly when tracing is): enough recent history for a post-mortem,
+/// small enough to write out on the panic path.
+pub const FLIGHT_CAPACITY: usize = 64;
 
 /// A serialized cut of one shard's flight recorder.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,71 +50,14 @@ pub struct FlightDump {
     pub dropped: u64,
 }
 
-/// A bounded ring of span trees with drop accounting.
-#[derive(Debug, Clone, Default)]
-pub struct FlightRecorder {
-    trees: VecDeque<SpanTree>,
-    cap: usize,
-    dropped: u64,
-}
-
-impl FlightRecorder {
-    /// A recorder retaining at most `cap` trees.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cap == 0` — use [`FlightRecorder::disabled`] to turn
-    /// the recorder off explicitly.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "FlightRecorder capacity must be >= 1; use FlightRecorder::disabled()");
-        FlightRecorder { trees: VecDeque::with_capacity(cap.min(4096)), cap, dropped: 0 }
-    }
-
-    /// A recorder that retains nothing.
-    pub fn disabled() -> Self {
-        FlightRecorder { trees: VecDeque::new(), cap: 0, dropped: 0 }
-    }
-
-    /// Whether trees are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.cap > 0
-    }
-
-    /// Number of retained trees.
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Whether no trees are retained.
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
-    /// Trees evicted since creation.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Retains a tree, evicting the oldest when full.
-    pub fn record(&mut self, tree: SpanTree) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.trees.len() == self.cap {
-            self.trees.pop_front();
-            self.dropped += 1;
-        }
-        self.trees.push_back(tree);
-    }
-
-    /// A non-destructive cut of the recorder for `shard` with the given
-    /// `reason`.
-    pub fn dump(&self, shard: usize, reason: &str) -> FlightDump {
+impl FlightDump {
+    /// A non-destructive cut of `ring` for `shard` with the given `reason`.
+    pub fn cut(ring: &Ring<SpanTree>, shard: usize, reason: &str) -> FlightDump {
         FlightDump {
             shard,
             reason: reason.to_string(),
-            trees: self.trees.iter().cloned().collect(),
-            dropped: self.dropped,
+            trees: ring.iter().cloned().collect(),
+            dropped: ring.dropped(),
         }
     }
 }
@@ -145,60 +93,32 @@ pub fn read_flight_file(path: &Path) -> Result<FlightDump, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceEvent;
     use crate::span::SpanRecord;
 
     fn tree(trace: u64) -> SpanTree {
         SpanTree::assemble(&[
-            TraceEvent::Span(SpanRecord::publish(trace, 1, 42)),
-            TraceEvent::Span(SpanRecord::queued(trace, 0, 0, 5, 42)),
+            SpanRecord::publish(trace, 1, 42),
+            SpanRecord::queued(trace, 0, 0, 5, 42),
         ])
         .pop()
         .expect("one tree")
     }
 
     #[test]
-    fn ring_evicts_oldest_and_counts_drops() {
-        let mut r = FlightRecorder::new(2);
-        for t in 1..=4 {
-            r.record(tree(t));
-        }
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 2);
-        let d = r.dump(3, "request");
-        assert_eq!(d.shard, 3);
-        assert_eq!(d.trees.iter().map(|t| t.trace).collect::<Vec<_>>(), vec![3, 4]);
-        // Reads are non-destructive.
-        assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be >= 1")]
-    fn zero_capacity_is_rejected() {
-        let _ = FlightRecorder::new(0);
-    }
-
-    #[test]
-    fn disabled_recorder_retains_nothing() {
-        let mut r = FlightRecorder::disabled();
-        r.record(tree(1));
-        assert!(r.is_empty());
-        assert!(!r.is_enabled());
-        assert_eq!(r.dropped(), 0);
-    }
-
-    #[test]
-    fn dump_file_roundtrips_with_valid_crc() {
+    fn cut_is_non_destructive_and_roundtrips_with_valid_crc() {
         let dir = std::env::temp_dir().join(format!("rnflt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("flight-shard-0.rnfl");
-        let mut r = FlightRecorder::new(4);
-        r.record(tree(7));
-        r.record(tree(9));
-        let dump = r.dump(0, "shard_panic");
+        let path = dir.join("flight-shard-3.rnfl");
+        let mut r = Ring::new(2);
+        for t in 1..=4 {
+            r.push(tree(t));
+        }
+        let dump = FlightDump::cut(&r, 3, "shard_panic");
+        assert_eq!((dump.shard, dump.reason.as_str(), dump.dropped), (3, "shard_panic", 2));
+        assert_eq!(dump.trees.iter().map(|t| t.trace).collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(r.iter().count(), 2, "reads are non-destructive");
         write_flight_file(&path, &dump).unwrap();
-        let back = read_flight_file(&path).unwrap();
-        assert_eq!(back, dump);
+        assert_eq!(read_flight_file(&path).unwrap(), dump);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -207,9 +127,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rnflt-corrupt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("flight-shard-1.rnfl");
-        let mut r = FlightRecorder::new(2);
-        r.record(tree(5));
-        write_flight_file(&path, &r.dump(1, "request")).unwrap();
+        let mut r = Ring::new(2);
+        r.push(tree(5));
+        write_flight_file(&path, &FlightDump::cut(&r, 1, "request")).unwrap();
 
         let orig = std::fs::read(&path).unwrap();
 

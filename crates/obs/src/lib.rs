@@ -2,7 +2,7 @@
 //!
 //! One vocabulary for the whole workspace: the delivery daemon, the
 //! population simulator and the load generator all record into the same
-//! three metric kinds and drain the same structured trace events, so a
+//! three metric kinds and keep the same per-publication spans, so a
 //! number measured client-side can be compared bucket-for-bucket with the
 //! same number measured server-side.
 //!
@@ -19,19 +19,21 @@
 //!   per-shard snapshots merge associatively into the daemon-wide view
 //!   served over the wire and scraped as text.
 //! * [`encode_text`] — Prometheus-style text exposition of a snapshot.
-//! * [`TraceEvent`] / [`TraceRing`] — bounded per-shard ring buffer of
-//!   structured events (round start/end, broker match, queue drop, MCKP
-//!   selection with chosen level and gradient, checkpoint write, fault
-//!   injection), drainable as JSON lines. Events carry only virtual-time
-//!   and logical fields, so a seeded run produces an identical trace.
-//! * [`SpanRecord`] / [`SpanTree`] — per-publication causal spans
-//!   (publish → match → queue → select → serialize → ack) carrying the
-//!   selection decision; ids are minted with [`derive_trace_id`] from
-//!   seed + virtual time, head-sampled via [`SampleRate`] with anomalies
-//!   (drops, level 0–1) always kept.
-//! * [`FlightRecorder`] — a bounded ring of complete span trees dumped to
-//!   a CRC-framed file ([`write_flight_file`]) on shard panic, checkpoint
-//!   failure or injected fault, and readable over the wire.
+//! * [`SpanRecord`] / [`SpanTree`] — the only trace model: per-publication
+//!   causal spans (publish → match → queue → select → serialize → ack)
+//!   carrying the selection decision, with virtual-time and logical fields
+//!   only, so a seeded run produces an identical trace; ids are minted
+//!   with [`derive_trace_id`] from seed + virtual time.
+//! * [`SpanStager`] — buffers a trace's early spans until selection and
+//!   then rules on the whole tree: head-sampled via [`SampleRate`] with
+//!   anomalies (level 0–1) always kept. The shard and the simulator both
+//!   drive it.
+//! * [`Ring`] — the one bounded evict-oldest ring with drop accounting:
+//!   `Ring<SpanRecord>` is a trace ring (drained by reading),
+//!   `Ring<SpanTree>` the flight recorder, cut non-destructively into a
+//!   [`FlightDump`] and written as a CRC-framed file
+//!   ([`write_flight_file`]) on shard panic, checkpoint failure or
+//!   injected fault.
 //! * [`rsrc`] — resource accounting: per-thread CPU time behind the
 //!   [`CpuClock`] trait (raw `clock_gettime` syscall; deterministic
 //!   substitutes for sim and tests) and the opt-in [`CountingAlloc`]
@@ -60,26 +62,26 @@
 //!   ([`chain_seed`], [`chain_next`]).
 
 pub mod alert;
-pub mod event;
 pub mod expo;
 pub mod flight;
 pub mod frame;
 pub mod hist;
 pub mod history;
 pub mod registry;
+pub mod ring;
 pub mod rsrc;
 pub mod sampler;
 pub mod slo;
 pub mod span;
+pub mod stager;
 
 pub use alert::{
     default_rules, AlertEngine, AlertEvent, AlertRule, AlertRuleKind, AlertSnapshot, AlertState,
     ShardProbe, Watchdog, WatchdogConfig, WatchdogVerdict,
 };
-pub use event::{TraceEvent, TraceRing};
 pub use expo::encode_text;
 pub use flight::{
-    crc32, read_flight_file, write_flight_file, FlightDump, FlightRecorder, FLIGHT_MAGIC,
+    crc32, read_flight_file, write_flight_file, FlightDump, FLIGHT_CAPACITY, FLIGHT_MAGIC,
 };
 pub use frame::{chain_next, chain_seed, BlobError, RecordError};
 pub use hist::{Log2Histogram, BUCKETS};
@@ -91,6 +93,7 @@ pub use registry::{
     CounterHandle, FamilySnapshot, GaugeHandle, HistogramHandle, MetricKind, MetricValue, Registry,
     RegistrySnapshot, SeriesSnapshot,
 };
+pub use ring::Ring;
 pub use rsrc::{
     alloc_counts, thread_cpu_time_us, AllocCounts, CountingAlloc, CpuClock, ManualCpuClock,
     NullCpuClock, ThreadCpuClock,
@@ -98,3 +101,4 @@ pub use rsrc::{
 pub use sampler::SampleRate;
 pub use slo::{burn_rate, split_above, SloEngine, SloReport, SloSpec, SloStatus, SloVerdict};
 pub use span::{derive_trace_id, SpanDecision, SpanRecord, SpanStage, SpanTree};
+pub use stager::SpanStager;

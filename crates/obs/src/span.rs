@@ -11,12 +11,12 @@
 //! carry only *logical* fields — rounds, ids, byte counts — never
 //! wall-clock timestamps, so a seeded run dumps byte-identical spans.
 //!
-//! Spans ride the existing [`TraceRing`](crate::TraceRing) as
-//! [`TraceEvent::Span`] events and are grouped
+//! Spans are the daemon's only trace model: the shard and server trace
+//! rings are [`Ring<SpanRecord>`](crate::Ring), and a drain is grouped
 //! back into [`SpanTree`]s by trace id for rendering and for the flight
-//! recorder.
+//! recorder. Which finished traces are kept is [`crate::SpanStager`]'s
+//! decision.
 
-use crate::event::TraceEvent;
 use serde::{Deserialize, Serialize};
 
 /// Pipeline stage a span record describes.
@@ -179,21 +179,20 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Groups [`TraceEvent::Span`] events by trace id, preserving first-
-    /// appearance order of traces and sorting each tree's spans into
-    /// pipeline order. Non-span events are ignored.
-    pub fn assemble(events: &[TraceEvent]) -> Vec<SpanTree> {
+    /// Groups spans by trace id, preserving first-appearance order of
+    /// traces and sorting each tree's spans into pipeline order.
+    pub fn assemble(spans: &[SpanRecord]) -> Vec<SpanTree> {
         let mut order: Vec<u64> = Vec::new();
         let mut by_trace: std::collections::HashMap<u64, Vec<SpanRecord>> =
             std::collections::HashMap::new();
-        for ev in events {
-            if let TraceEvent::Span(rec) = ev {
-                by_trace.entry(rec.trace).or_insert_with(|| {
+        for rec in spans {
+            by_trace
+                .entry(rec.trace)
+                .or_insert_with(|| {
                     order.push(rec.trace);
                     Vec::new()
-                });
-                by_trace.get_mut(&rec.trace).expect("just inserted").push(rec.clone());
-            }
+                })
+                .push(rec.clone());
         }
         order
             .into_iter()
@@ -290,14 +289,13 @@ mod tests {
 
     #[test]
     fn assemble_groups_by_trace_and_sorts_stages() {
-        let events = vec![
-            TraceEvent::Span(SpanRecord::selected(9, 0, 2, 5, 42, decision(3))),
-            TraceEvent::RoundStart { shard: 0, round: 2, now_secs: 7200.0, backlog: 1 },
-            TraceEvent::Span(SpanRecord::publish(9, 1, 42)),
-            TraceEvent::Span(SpanRecord::publish(4, 2, 43)),
-            TraceEvent::Span(SpanRecord::queued(9, 0, 1, 5, 42)),
+        let spans = vec![
+            SpanRecord::selected(9, 0, 2, 5, 42, decision(3)),
+            SpanRecord::publish(9, 1, 42),
+            SpanRecord::publish(4, 2, 43),
+            SpanRecord::queued(9, 0, 1, 5, 42),
         ];
-        let trees = SpanTree::assemble(&events);
+        let trees = SpanTree::assemble(&spans);
         assert_eq!(trees.len(), 2);
         assert_eq!(trees[0].trace, 9, "first-appearance order");
         assert_eq!(
@@ -311,17 +309,14 @@ mod tests {
 
     #[test]
     fn complete_tree_requires_all_five_stages() {
-        let events: Vec<TraceEvent> = vec![
+        let spans = vec![
             SpanRecord::publish(1, 1, 42),
             SpanRecord::queued(1, 0, 0, 5, 42),
             SpanRecord::selected(1, 0, 1, 5, 42, decision(4)),
             SpanRecord::serialized(1, 0, 1, 42, 9000),
             SpanRecord::acked(1, 1),
-        ]
-        .into_iter()
-        .map(TraceEvent::Span)
-        .collect();
-        let trees = SpanTree::assemble(&events);
+        ];
+        let trees = SpanTree::assemble(&spans);
         assert_eq!(trees.len(), 1);
         assert!(trees[0].is_complete());
         assert!(!trees[0].is_anomalous());
@@ -331,25 +326,11 @@ mod tests {
 
     #[test]
     fn anomaly_flags_drops_and_low_levels() {
-        let dropped = SpanTree::assemble(&[TraceEvent::Span(SpanRecord::dropped(2, Some(1)))]);
+        let dropped = SpanTree::assemble(&[SpanRecord::dropped(2, Some(1))]);
         assert!(dropped[0].is_anomalous());
-        let low = SpanTree::assemble(&[TraceEvent::Span(SpanRecord::selected(
-            3,
-            0,
-            1,
-            5,
-            42,
-            decision(1),
-        ))]);
+        let low = SpanTree::assemble(&[SpanRecord::selected(3, 0, 1, 5, 42, decision(1))]);
         assert!(low[0].is_anomalous());
-        let fine = SpanTree::assemble(&[TraceEvent::Span(SpanRecord::selected(
-            4,
-            0,
-            1,
-            5,
-            42,
-            decision(2),
-        ))]);
+        let fine = SpanTree::assemble(&[SpanRecord::selected(4, 0, 1, 5, 42, decision(2))]);
         assert!(!fine[0].is_anomalous());
     }
 

@@ -24,7 +24,7 @@
 //! order, sorted series), which is what golden fixtures commit and what
 //! [`crate::diff`] compares.
 
-use richnote_obs::{MetricValue, RegistrySnapshot, SpanTree, TraceEvent};
+use richnote_obs::{MetricValue, RegistrySnapshot, SpanRecord, SpanTree};
 use serde::{Deserialize, Serialize};
 
 /// Counter families whose values depend only on the fed workload, never
@@ -81,10 +81,10 @@ pub struct CanonicalSnapshot {
 }
 
 impl CanonicalSnapshot {
-    /// Builds the canonical form from a raw trace-event drain and a
-    /// merged registry snapshot.
-    pub fn build(events: &[TraceEvent], snapshot: &RegistrySnapshot) -> CanonicalSnapshot {
-        let mut trees = SpanTree::assemble(events);
+    /// Builds the canonical form from a raw span drain and a merged
+    /// registry snapshot.
+    pub fn build(spans: &[SpanRecord], snapshot: &RegistrySnapshot) -> CanonicalSnapshot {
+        let mut trees = SpanTree::assemble(spans);
         for tree in &mut trees {
             // `assemble` sorts by stage (stable on arrival order, which a
             // multi-shard dump does not fix); break ties on the span's
@@ -143,14 +143,13 @@ impl CanonicalSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use richnote_obs::{Registry, SpanRecord};
+    use richnote_obs::Registry;
 
-    fn sample_events() -> Vec<TraceEvent> {
+    fn sample_spans() -> Vec<SpanRecord> {
         vec![
-            TraceEvent::Span(SpanRecord::publish(9, 1, 42)),
-            TraceEvent::Span(SpanRecord::publish(3, 2, 43)),
-            TraceEvent::Span(SpanRecord::queued(3, 0, 0, 5, 43)),
-            TraceEvent::RoundEnd { shard: 0, round: 1, selected: 1, bytes_spent: 10 },
+            SpanRecord::publish(9, 1, 42),
+            SpanRecord::publish(3, 2, 43),
+            SpanRecord::queued(3, 0, 0, 5, 43),
         ]
     }
 
@@ -167,7 +166,7 @@ mod tests {
 
     #[test]
     fn canonical_form_sorts_trees_and_strips_nondeterminism() {
-        let canon = CanonicalSnapshot::build(&sample_events(), &sample_registry().snapshot());
+        let canon = CanonicalSnapshot::build(&sample_spans(), &sample_registry().snapshot());
         // Trees sorted by trace id (arrival order was 9 then 3).
         let ids: Vec<u64> = canon.trees.iter().map(|t| t.trace).collect();
         assert_eq!(ids, vec![3, 9]);
@@ -181,7 +180,7 @@ mod tests {
 
     #[test]
     fn canonical_json_roundtrips_and_is_stable() {
-        let canon = CanonicalSnapshot::build(&sample_events(), &sample_registry().snapshot());
+        let canon = CanonicalSnapshot::build(&sample_spans(), &sample_registry().snapshot());
         let json = canon.to_json();
         let back = CanonicalSnapshot::from_json(&json).unwrap();
         assert_eq!(back, canon);
@@ -189,12 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn event_order_does_not_change_the_canonical_form() {
-        let mut events = sample_events();
+    fn span_order_does_not_change_the_canonical_form() {
+        let mut spans = sample_spans();
         let snapshot = sample_registry().snapshot();
-        let a = CanonicalSnapshot::build(&events, &snapshot);
-        events.reverse();
-        let b = CanonicalSnapshot::build(&events, &snapshot);
+        let a = CanonicalSnapshot::build(&spans, &snapshot);
+        spans.reverse();
+        let b = CanonicalSnapshot::build(&spans, &snapshot);
         assert_eq!(a, b, "canonicalization must erase dump interleaving");
     }
 }

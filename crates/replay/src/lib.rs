@@ -24,7 +24,7 @@
 //! Only state-bearing frames are replayed (`Subscribe`, `Publish`,
 //! `Tick`, `TickReport`); observer and control frames in the capture are
 //! skipped and counted — replaying a destructive `Trace` read would eat
-//! the very events the canonical snapshot needs.
+//! the very spans the canonical snapshot needs.
 
 pub mod canon;
 pub mod diff;
@@ -193,19 +193,19 @@ pub fn replay_into(
     let elapsed_secs = started.elapsed().as_secs_f64();
 
     let mut control = Client::builder(addr).no_retry().session(0).codec(opts.codec).connect()?;
-    let (events, dropped) = control.trace_dump()?;
+    let (spans, dropped) = control.trace_dump()?;
     if dropped > 0 {
         return Err(ServerError::from(CaptureError::Record {
             path: capture.to_string(),
             index: u64::MAX,
             detail: format!(
-                "trace ring dropped {dropped} event(s) during replay; raise trace_capacity — \
+                "trace ring dropped {dropped} span(s) during replay; raise trace_capacity — \
                  a partial span set cannot be diffed against a golden"
             ),
         }));
     }
     let stats = control.stats()?;
-    let snapshot = CanonicalSnapshot::build(&events, &stats.snapshot);
+    let snapshot = CanonicalSnapshot::build(&spans, &stats.snapshot);
 
     Ok(ReplayOutcome { fed, skipped, sessions: clients.len(), elapsed_secs, snapshot })
 }

@@ -166,6 +166,9 @@ fn committed_capture_replays_to_the_committed_snapshot() {
     let golden = goldens_dir().join("golden-snapshot.json");
     let capture = capture.to_string_lossy().into_owned();
 
+    // The committed capture's config header predates two retired
+    // `ServerConfig` fields (the metrics switch and the flight recorder's
+    // size), so loading it also pins that unknown fields are ignored.
     let outcome = replay_spawned(&capture, fast(), |_| {}).expect("replaying the committed golden");
     let committed = CanonicalSnapshot::from_json(
         &std::fs::read_to_string(&golden).expect("reading the committed snapshot"),

@@ -269,8 +269,8 @@ fn side_by_side(server: &Log2Histogram, client: &Log2Histogram) -> String {
 /// came back. At lower rates (or after ring eviction under load) only
 /// structural integrity is enforced.
 fn verify_span_trees(control: &mut Client, a: &Args, minted: u64) -> ServerResult<()> {
-    let (events, ring_dropped) = control.trace_dump()?;
-    let trees = SpanTree::assemble(&events);
+    let (spans, ring_dropped) = control.trace_dump()?;
+    let trees = SpanTree::assemble(&spans);
     let flights = control.flight_dump()?;
     let flight_trees: usize = flights.iter().map(|f| f.trees.len()).sum();
     let complete = trees.iter().filter(|t| t.is_complete()).count();
@@ -281,7 +281,7 @@ fn verify_span_trees(control: &mut Client, a: &Args, minted: u64) -> ServerResul
         .count();
     println!(
         "spans: {} publications traced at {}, {} trees assembled \
-         ({} complete, {} with decisions, {} ring-evicted events), \
+         ({} complete, {} with decisions, {} ring-evicted spans), \
          flight recorder holds {} trees across {} shards",
         minted,
         a.trace_sample,
@@ -292,22 +292,8 @@ fn verify_span_trees(control: &mut Client, a: &Args, minted: u64) -> ServerResul
         flight_trees,
         flights.len()
     );
-    // Structural integrity: every tree carries its own trace id on every
-    // span, and no tree is empty.
-    for t in &trees {
-        if t.spans.is_empty() {
-            return Err(ServerError::Frame(format!(
-                "malformed span tree {:#x}: no spans",
-                t.trace
-            )));
-        }
-        if let Some(s) = t.spans.iter().find(|s| s.trace != t.trace) {
-            return Err(ServerError::Frame(format!(
-                "malformed span tree {:#x}: span from trace {:#x} misfiled",
-                t.trace, s.trace
-            )));
-        }
-    }
+    // Structural integrity of what the daemon assembled itself (`trees`
+    // was grouped here, by trace id, so it is well formed by construction).
     for f in &flights {
         if let Some(t) = f.trees.iter().find(|t| t.spans.is_empty()) {
             return Err(ServerError::Frame(format!(

@@ -6,8 +6,8 @@
 //!                 [--checkpoint-dir DIR] [--checkpoint-every ROUNDS]
 //!                 [--metrics-addr HOST:PORT]
 //!                 [--history-capacity SNAPSHOTS]
-//!                 [--trace-capacity EVENTS] [--trace-sample 1/N]
-//!                 [--flight-capacity TREES] [--flight-dir DIR]
+//!                 [--trace-capacity SPANS] [--trace-sample 1/N]
+//!                 [--flight-dir DIR]
 //!                 [--record PATH] [--codec json|binary]
 //!                 [--policy richnote|fifo|util|adaptive]
 //!                 [--no-rsrc] [--slo-window SECS]
@@ -26,13 +26,12 @@
 //! `/query` endpoint next to it; `--history-capacity` bounds the
 //! metrics-history ring those windows are answered from (snapshots, one
 //! per tick batch; `0` disables history and `/query` answers empty).
-//! `--trace-capacity` enables the per-shard structured trace rings
-//! drained by the wire-level `Trace` view. `--trace-sample 1/N`
-//! head-samples per-publication span traces (anomalies are always kept;
-//! `0` disables spans),
-//! `--flight-capacity` bounds the per-shard flight recorder of finished
-//! span trees, and `--flight-dir` makes shard panics and checkpoint
-//! failures dump those trees to CRC-framed `flight-shard-N.rnfl` files.
+//! `--trace-capacity` enables the per-shard span rings drained by the
+//! wire-level `Trace` view, and with them the per-shard flight recorder
+//! of finished span trees. `--trace-sample 1/N` head-samples
+//! per-publication span traces (anomalies are always kept; `0` disables
+//! spans), and `--flight-dir` makes shard panics and checkpoint failures
+//! dump the flight recorder to CRC-framed `flight-shard-N.rnfl` files.
 //! `--record PATH` captures every inbound post-handshake request frame to
 //! a CRC-framed, hash-chained capture file for `richnote-replay` (see
 //! `richnote_server::record`); capture writes happen off the hot path and
@@ -79,8 +78,8 @@ fn usage() -> ! {
          [--queue-capacity N] [--round-secs S] [--data-grant BYTES] \
          [--checkpoint-dir DIR] [--checkpoint-every ROUNDS] \
          [--metrics-addr HOST:PORT] \
-         [--history-capacity SNAPSHOTS] [--trace-capacity EVENTS] \
-         [--trace-sample 1/N] [--flight-capacity TREES] [--flight-dir DIR] \
+         [--history-capacity SNAPSHOTS] [--trace-capacity SPANS] \
+         [--trace-sample 1/N] [--flight-dir DIR] \
          [--record PATH] [--codec json|binary] \
          [--policy richnote|fifo|util|adaptive] \
          [--no-rsrc] [--slo-window SECS] [--slo-round-latency US] \
@@ -130,9 +129,6 @@ fn parse_args() -> ServerConfigBuilder {
                         usage()
                     }
                 }
-            }
-            "--flight-capacity" => {
-                builder.flight_capacity(parse(&value("--flight-capacity"), "--flight-capacity"))
             }
             "--flight-dir" => builder.flight_dir(value("--flight-dir")),
             "--record" => builder.record(value("--record")),

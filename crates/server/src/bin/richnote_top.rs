@@ -499,7 +499,7 @@ fn run(a: &Args) -> ServerResult<()> {
         // Flight-recorder reads are non-destructive; the trace ring is a
         // drain, which is fine for a live watcher (it is the consumer).
         let flights = client.flight_dump()?;
-        let (events, _) = client.trace_dump()?;
+        let (spans, _) = client.trace_dump()?;
 
         let mut anomalies: Vec<SpanTree> = flights
             .iter()
@@ -507,7 +507,7 @@ fn run(a: &Args) -> ServerResult<()> {
             .filter(|t| t.is_anomalous())
             .cloned()
             .collect();
-        anomalies.extend(SpanTree::assemble(&events).into_iter().filter(|t| t.is_anomalous()));
+        anomalies.extend(SpanTree::assemble(&spans).into_iter().filter(|t| t.is_anomalous()));
 
         if !a.once {
             // Clear screen and home the cursor, like top(1).

@@ -27,7 +27,7 @@ use crate::wire::{
     StatsReply, View, PROTO_VERSION,
 };
 use richnote_core::{ContentItem, UserId};
-use richnote_obs::{FlightDump, HistoryQuery, QueryResult, TraceEvent};
+use richnote_obs::{FlightDump, HistoryQuery, QueryResult, SpanRecord};
 use richnote_pubsub::Topic;
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
@@ -584,34 +584,34 @@ impl Client {
         }
     }
 
-    /// Drains the server's trace rings, returning the buffered structured
-    /// events plus how many were evicted since the previous dump. Empty
-    /// when the server runs with `trace_capacity = 0`.
+    /// Drains the server's trace rings, returning the buffered spans plus
+    /// how many were evicted since the previous dump. Empty when the
+    /// server runs with `trace_capacity = 0`.
     ///
     /// # Errors
     ///
     /// As for [`Client::observe`].
-    pub fn trace_dump(&mut self) -> ServerResult<(Vec<TraceEvent>, u64)> {
+    pub fn trace_dump(&mut self) -> ServerResult<(Vec<SpanRecord>, u64)> {
         // The server budgets every reply to fit one wire frame
         // (`TRACE_DUMP_EVENT_BUDGET`), so rings larger than a frame
         // arrive as several partial dumps; keep draining until a batch
         // comes back empty. The iteration cap bounds the loop when a
         // busy server refills its rings as fast as we drain them.
-        let mut events = Vec::new();
+        let mut spans = Vec::new();
         let mut dropped = 0;
         for _ in 0..1024 {
             match self.observe(View::Trace)? {
-                Observed::Trace { events: batch, dropped: d } => {
+                Observed::Trace { spans: batch, dropped: d } => {
                     dropped += d;
                     if batch.is_empty() {
                         break;
                     }
-                    events.extend(batch);
+                    spans.extend(batch);
                 }
                 other => return Err(unexpected("Trace", &other)),
             }
         }
-        Ok((events, dropped))
+        Ok((spans, dropped))
     }
 
     /// Runs a windowed analytics query against the server's embedded
@@ -647,7 +647,7 @@ impl Client {
     /// Fetches every live shard's flight-recorder contents (bounded rings
     /// of finished span trees), ordered by shard index. Non-destructive:
     /// the recorders keep their trees. Empty when the server runs with
-    /// `trace_capacity = 0` or `flight_capacity = 0`.
+    /// `trace_capacity = 0`.
     ///
     /// # Errors
     ///

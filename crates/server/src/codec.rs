@@ -847,7 +847,7 @@ mod tests {
     use super::*;
     use crate::fault::ShortReader;
     use crate::wire::{BuildInfo, HealthReport, Observed, StatsReply, View, PROTO_VERSION};
-    use richnote_obs::{HistoryQuery, SloStatus, TraceEvent};
+    use richnote_obs::{HistoryQuery, SloStatus, SpanRecord};
 
     fn sample_item() -> ContentItem {
         ContentItem {
@@ -927,8 +927,8 @@ mod tests {
 
     fn hot_responses() -> Vec<Response> {
         vec![
-            Response::Hello { proto: 3, shards: 4, resume_seq: 17, codec: Some("binary".into()) },
-            Response::Hello { proto: 3, shards: 1, resume_seq: 0, codec: None },
+            Response::Hello { proto: 4, shards: 4, resume_seq: 17, codec: Some("binary".into()) },
+            Response::Hello { proto: 4, shards: 1, resume_seq: 0, codec: None },
             Response::Subscribed,
             Response::PubAck { seq: 123_456_789 },
             Response::Ticked { rounds: 8, selected: 42 },
@@ -1028,12 +1028,7 @@ mod tests {
                 last_incident: None,
             }),
             Observed::Trace {
-                events: vec![TraceEvent::RoundEnd {
-                    shard: 0,
-                    round: 3,
-                    selected: 2,
-                    bytes_spent: 90_000,
-                }],
+                spans: vec![SpanRecord::serialized(7, 0, 3, 42, 90_000)],
                 dropped: 1,
             },
             Observed::Flight { dumps: vec![] },

@@ -51,18 +51,14 @@ pub struct ServerConfig {
     /// `"127.0.0.1:9464"`. `None` disables the listener; the wire-level
     /// `Observe` request works either way.
     pub metrics_addr: Option<String>,
-    /// Per-shard trace-ring capacity in events; 0 (the default) disables
-    /// structured tracing entirely.
+    /// Per-shard (and server-side) trace-ring capacity in spans; 0 (the
+    /// default) disables tracing and the flight recorder entirely.
     pub trace_capacity: usize,
     /// Head-sampling rate for per-publication span traces: keep 1 in N
     /// completed traces (anomalous traces — shed ingests, level 0–1
     /// selections — are always kept). `SampleRate::OFF` records no spans
     /// even when the trace ring is on.
     pub trace_sample: SampleRate,
-    /// Per-shard flight-recorder capacity in complete span trees; the
-    /// recorder is active only while the trace ring is (`trace_capacity >
-    /// 0`). 0 disables the flight recorder.
-    pub flight_capacity: usize,
     /// Directory for flight-recorder dump files, written when a shard
     /// panics or a coordinated checkpoint fails. `None` (the default)
     /// keeps the recorder query-only (the `Flight` view still works).
@@ -335,7 +331,6 @@ impl Default for ServerConfig {
             metrics_addr: None,
             trace_capacity: 0,
             trace_sample: SampleRate::ALL,
-            flight_capacity: 64,
             flight_dir: None,
             rsrc: RsrcConfig::default(),
             slo: SloConfig::default(),
@@ -479,10 +474,10 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Per-shard trace-ring capacity in events (0 disables tracing).
+    /// Per-shard trace-ring capacity in spans (0 disables tracing).
     #[must_use]
-    pub fn trace_capacity(mut self, events: usize) -> Self {
-        self.cfg.trace_capacity = events;
+    pub fn trace_capacity(mut self, spans: usize) -> Self {
+        self.cfg.trace_capacity = spans;
         self
     }
 
@@ -491,13 +486,6 @@ impl ServerConfigBuilder {
     #[must_use]
     pub fn trace_sample(mut self, rate: SampleRate) -> Self {
         self.cfg.trace_sample = rate;
-        self
-    }
-
-    /// Per-shard flight-recorder capacity in span trees (0 disables it).
-    #[must_use]
-    pub fn flight_capacity(mut self, trees: usize) -> Self {
-        self.cfg.flight_capacity = trees;
         self
     }
 
@@ -648,22 +636,19 @@ mod tests {
             .metrics_addr("127.0.0.1:0")
             .trace_capacity(512)
             .trace_sample(SampleRate::one_in(8))
-            .flight_capacity(16)
             .flight_dir("/tmp/flight")
             .build()
             .unwrap();
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(cfg.trace_capacity, 512);
         assert_eq!(cfg.trace_sample, SampleRate::one_in(8));
-        assert_eq!(cfg.flight_capacity, 16);
         assert_eq!(cfg.flight_dir.as_deref(), Some("/tmp/flight"));
-        // Defaults: tracing off, no listener, sample-all, flight
-        // recorder armed but file dumps off.
+        // Defaults: tracing off, no listener, sample-all, flight file
+        // dumps off.
         let d = ServerConfig::default();
         assert_eq!(d.trace_capacity, 0);
         assert!(d.metrics_addr.is_none());
         assert_eq!(d.trace_sample, SampleRate::ALL);
-        assert_eq!(d.flight_capacity, 64);
         assert!(d.flight_dir.is_none());
     }
 

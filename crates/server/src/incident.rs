@@ -20,7 +20,7 @@
 //! `{"section":"meta","data":{…}}`, each section record is
 //! `{"section":NAME,"data":…}`, and the final seal record is
 //! `{"section":"seal","chain":N}` where `N` folds
-//! [`chain_next`](richnote_obs::chain_next) over the raw bytes of every
+//! [`richnote_obs::chain_next`] over the raw bytes of every
 //! preceding record body, seeded from the magic. The per-record CRC
 //! catches torn writes and bit rot; the seal catches editing, dropping,
 //! or reordering whole sections even after a CRC fix-up.

@@ -50,8 +50,8 @@
 //! # Observability
 //!
 //! Each shard owns a lock-free metric registry (counters, gauges, log2
-//! histograms labeled `shard="N"`) and a bounded ring of structured trace
-//! events; connection threads share a server-side registry for the
+//! histograms labeled `shard="N"`) and a bounded ring of per-publication
+//! spans; connection threads share a server-side registry for the
 //! broker/serialize/ack stages. The registry is the daemon's only metrics
 //! model and [`wire::Request::Observe`] its only read path: the
 //! [`wire::View`] asked for selects the merged
@@ -59,7 +59,7 @@
 //! plane, a history query, or the trace and flight rings, and
 //! [`config::ServerConfig::metrics_addr`] serves four of those views over
 //! plain HTTP for `curl`/scrapers. All of it is deterministic where it
-//! matters: trace events carry only logical fields (rounds, ids, levels,
+//! matters: spans carry only logical fields (rounds, ids, levels,
 //! gradients), never wall-clock values.
 
 pub mod checkpoint;
@@ -109,6 +109,6 @@ pub use richnote_obs::{
     default_rules, derive_trace_id, read_flight_file, AlertEvent, AlertRule, AlertRuleKind,
     AlertSnapshot, AlertState, FlightDump, HistoryQuery, Log2Histogram, MetricsHistory,
     QueryResult, Registry, RegistrySnapshot, SampleRate, SeriesWindow, SloStatus, SloVerdict,
-    SpanRecord, SpanStage, SpanTree, TraceEvent, TraceRing, WatchdogConfig, WatchdogVerdict,
-    WindowQuantiles, DEFAULT_HISTORY_CAPACITY,
+    SpanRecord, SpanStage, SpanTree, WatchdogConfig, WatchdogVerdict, WindowQuantiles,
+    DEFAULT_HISTORY_CAPACITY,
 };

@@ -1,7 +1,7 @@
 //! The TCP daemon: accept loop, connection threads, shard lifecycle,
 //! coordinated checkpoints, drain, and the metrics exposition listener.
 
-use crate::checkpoint::{CheckpointStore, ServerCheckpoint, CKPT_FORMAT};
+use crate::checkpoint::{CheckpointStore, ServerCheckpoint, ShardCheckpoint, CKPT_FORMAT};
 use crate::codec::{codec_for, negotiate, CodecKind, FrameCodec};
 use crate::config::ServerConfig;
 use crate::error::{ServerError, ServerResult};
@@ -17,8 +17,8 @@ use crate::wire::{
 use richnote_obs::{
     encode_text, split_above, write_flight_file, AlertEngine, CounterHandle, GaugeHandle,
     HistogramHandle, HistoryQuery, Log2Histogram, MetricsHistory, QueryResult, Registry,
-    RegistrySnapshot, ShardProbe, SloEngine, SloReport, SloSpec, SloStatus, SpanRecord, TraceEvent,
-    TraceRing, Watchdog, WatchdogVerdict,
+    RegistrySnapshot, Ring, ShardProbe, SloEngine, SloReport, SloSpec, SloStatus, SpanRecord,
+    Watchdog, WatchdogVerdict,
 };
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -47,9 +47,10 @@ pub struct RestoreSummary {
     pub users: u64,
 }
 
-/// Server-side observability: the registry and trace ring for everything
-/// that happens *outside* the shard workers (broker matching, response
-/// serialization, ack flushing, checkpoint writes, injected faults).
+/// Server-side observability: the registry for everything that happens
+/// *outside* the shard workers (broker matching, response serialization,
+/// ack flushing, checkpoint writes, injected faults) and the span ring
+/// for the connection-side stages of a trace (publish, match, ack, drop).
 ///
 /// Shard registries are lock-free because each is owned by its worker
 /// thread; connection threads share this one behind a mutex. Stage
@@ -57,11 +58,10 @@ pub struct RestoreSummary {
 /// accumulates samples in its own [`ConnStages`] histograms and folds
 /// them in every [`STAGE_FLUSH_EVERY`] samples (taking the lock per
 /// publish measurably costs throughput at six-figure publish rates).
-/// The ring lock is skipped entirely when tracing is off.
 struct ServerObs {
-    tracing: bool,
     registry: Mutex<Registry>,
-    ring: Mutex<TraceRing>,
+    /// `None` when tracing is off, so there is no ring lock to take.
+    ring: Option<Mutex<Ring<SpanRecord>>>,
     stage_match: HistogramHandle,
     stage_serialize: HistogramHandle,
     stage_ack: HistogramHandle,
@@ -83,6 +83,12 @@ struct ServerObs {
     /// Exported `richnote_record_shed_total`; fed from the record sink's
     /// shed count in [`collect_stats`] (zero when recording is off).
     record_shed: CounterHandle,
+    /// `richnote_checkpoint_writes_total{result}`: coordinated checkpoint
+    /// writes that reached the store, by outcome.
+    checkpoint_ok: CounterHandle,
+    checkpoint_failed: CounterHandle,
+    /// `richnote_faults_injected_total{kind="conn_reset"}`.
+    fault_conn_reset: CounterHandle,
     /// Feeds the SLO engine from stats deltas; one tracker per daemon.
     slo: Mutex<SloTracker>,
     /// Exported burn/budget series, indexed like the engine's objectives.
@@ -192,6 +198,20 @@ impl ServerObs {
             "Publications refused at the door because the daemon was draining",
             &[("shard", "server")],
         );
+        let mut checkpoint_writes = |result: &str| {
+            registry.counter(
+                "richnote_checkpoint_writes_total",
+                "Coordinated checkpoint writes, by outcome",
+                &[("shard", "server"), ("result", result)],
+            )
+        };
+        let checkpoint_ok = checkpoint_writes("ok");
+        let checkpoint_failed = checkpoint_writes("failed");
+        let fault_conn_reset = registry.counter(
+            "richnote_faults_injected_total",
+            "Injected faults that fired, by kind",
+            &[("shard", "server"), ("kind", "conn_reset")],
+        );
         let mut engine = SloEngine::new(cfg.slo.window_secs, cfg.slo.buckets);
         let mut slo_handles = Vec::new();
         let mut add = |registry: &mut Registry, engine: &mut SloEngine, name: &str, target| {
@@ -245,13 +265,8 @@ impl ServerObs {
             None
         };
         ServerObs {
-            tracing: cfg.trace_capacity > 0,
             registry: Mutex::new(registry),
-            ring: Mutex::new(if cfg.trace_capacity > 0 {
-                TraceRing::new(cfg.trace_capacity)
-            } else {
-                TraceRing::disabled()
-            }),
+            ring: (cfg.trace_capacity > 0).then(|| Mutex::new(Ring::new(cfg.trace_capacity))),
             stage_match,
             stage_serialize,
             stage_ack,
@@ -263,6 +278,9 @@ impl ServerObs {
             ack_batches,
             dropped_on_drain,
             record_shed,
+            checkpoint_ok,
+            checkpoint_failed,
+            fault_conn_reset,
             slo: Mutex::new(SloTracker {
                 engine,
                 round_idx,
@@ -286,10 +304,10 @@ impl ServerObs {
         }
     }
 
-    /// Pushes a trace event (no-op when tracing is disabled).
-    fn event(&self, ev: TraceEvent) {
-        if self.tracing {
-            self.ring.lock().unwrap().push(ev);
+    /// Pushes a connection-side span (no-op when tracing is disabled).
+    fn span(&self, span: SpanRecord) {
+        if let Some(ring) = &self.ring {
+            ring.lock().unwrap().push(span);
         }
     }
 
@@ -995,14 +1013,17 @@ fn evaluate_health(ctx: &ConnCtx) -> HealthReport {
 /// produce (and then lose) an unsendable reply.
 fn drain_traces(ctx: &ConnCtx) -> Observed {
     let per_source = (TRACE_DUMP_EVENT_BUDGET / (ctx.router.shards() + 1)).max(1);
-    let (mut events, mut dropped) = ctx.obs.ring.lock().unwrap().drain_up_to(per_source);
-    for (shard_events, shard_dropped) in
+    let (mut spans, mut dropped) = match &ctx.obs.ring {
+        Some(ring) => ring.lock().unwrap().drain_up_to(per_source),
+        None => (Vec::new(), 0),
+    };
+    for (shard_spans, shard_dropped) in
         broadcast(&ctx.router, |reply| ShardMsg::TraceDump { max: per_source, reply })
     {
-        events.extend(shard_events);
+        spans.extend(shard_spans);
         dropped += shard_dropped;
     }
-    Observed::Trace { events, dropped }
+    Observed::Trace { spans, dropped }
 }
 
 /// The daemon's one read path: answers `view` from the registries, the
@@ -1110,16 +1131,9 @@ fn serve_scrape(mut stream: TcpStream, ctx: &ConnCtx) -> std::io::Result<()> {
 }
 
 /// Collects a coordinated checkpoint from every shard and writes it.
-///
-/// `collector` lets drain reuse this with `ShardMsg::Drain` (final round +
-/// checkpoint) while ticks use plain `ShardMsg::Checkpoint`.
-fn collect_and_save(
-    ctx: &ConnCtx,
-    store: &CheckpointStore,
-    collector: fn(mpsc::Sender<crate::checkpoint::ShardCheckpoint>) -> ShardMsg,
-) -> ServerResult<ServerCheckpoint> {
+fn collect_and_save(ctx: &ConnCtx, store: &CheckpointStore) -> ServerResult<ServerCheckpoint> {
     let _guard = ctx.ckpt_lock.lock().unwrap();
-    let mut shards = broadcast(&ctx.router, collector);
+    let shards = broadcast(&ctx.router, |reply| ShardMsg::Checkpoint { reply });
     if shards.len() != ctx.router.shards() {
         return Err(ServerError::Checkpoint {
             path: store.dir().display().to_string(),
@@ -1131,34 +1145,30 @@ fn collect_and_save(
             ),
         });
     }
+    save_checkpoint(ctx, store, shards)
+}
+
+/// Assembles one cut per shard into a coordinated checkpoint, writes it and
+/// counts the outcome in `richnote_checkpoint_writes_total`. The caller
+/// holds `ckpt_lock`.
+fn save_checkpoint(
+    ctx: &ConnCtx,
+    store: &CheckpointStore,
+    mut shards: Vec<ShardCheckpoint>,
+) -> ServerResult<ServerCheckpoint> {
     shards.sort_unstable_by_key(|s| s.shard);
-    let round = shards.iter().map(|s| s.round).max().unwrap_or(0);
     let ck = ServerCheckpoint {
         format: CKPT_FORMAT,
-        round,
+        round: shards.iter().map(|s| s.round).max().unwrap_or(0),
         round_secs: ctx.cfg.round_secs,
         sessions: ctx.router.session_entries(),
         subscriptions: ctx.router.subscription_entries(),
         shards,
     };
-    match store.save(&ck) {
-        Ok(()) => {
-            ctx.obs.event(TraceEvent::CheckpointWrite {
-                round: ck.round,
-                users: ck.users(),
-                ok: true,
-            });
-            Ok(ck)
-        }
-        Err(e) => {
-            ctx.obs.event(TraceEvent::CheckpointWrite {
-                round: ck.round,
-                users: ck.users(),
-                ok: false,
-            });
-            Err(e)
-        }
-    }
+    let saved = store.save(&ck);
+    let outcome = if saved.is_ok() { ctx.obs.checkpoint_ok } else { ctx.obs.checkpoint_failed };
+    ctx.obs.lock_registry().inc(outcome, 1);
+    saved.map(|()| ck)
 }
 
 /// Writes every live shard's flight-recorder contents to the configured
@@ -1198,17 +1208,12 @@ fn settle_ack(
         writer.flush()?;
         obs.ack_batches_count.fetch_add(1, Ordering::Relaxed);
         stages.observe_ack(t0, obs);
-        if !traced.is_empty() {
-            let mut rest = Vec::with_capacity(traced.len());
-            for &(s, t) in traced.iter() {
-                if s <= seq {
-                    obs.event(TraceEvent::Span(SpanRecord::acked(t, s)));
-                } else {
-                    rest.push((s, t));
-                }
+        traced.retain(|&(s, t)| {
+            if s <= seq {
+                obs.span(SpanRecord::acked(t, s));
             }
-            *traced = rest;
-        }
+            s > seq
+        });
     }
     Ok(())
 }
@@ -1254,7 +1259,7 @@ fn tick(ctx: &ConnCtx, rounds: u32, collect: bool) -> Response {
     if let Some(store) = &ctx.store {
         let every = ctx.cfg.checkpoint_every_rounds;
         if every > 0 && rounds_done % every == 0 {
-            if let Err(e) = collect_and_save(ctx, store, |reply| ShardMsg::Checkpoint { reply }) {
+            if let Err(e) = collect_and_save(ctx, store) {
                 dump_flights(ctx, "checkpoint_failure");
                 eprintln!("richnote-server: periodic checkpoint failed: {e}");
             }
@@ -1275,7 +1280,7 @@ fn checkpoint(ctx: &ConnCtx) -> Response {
     let Some(store) = &ctx.store else {
         return error(ErrorCode::CheckpointFailed, "no checkpoint directory configured");
     };
-    match collect_and_save(ctx, store, |reply| ShardMsg::Checkpoint { reply }) {
+    match collect_and_save(ctx, store) {
         Ok(ck) => Response::Checkpointed { users: ck.users(), round: ck.round },
         Err(e) => {
             dump_flights(ctx, "checkpoint_failure");
@@ -1303,30 +1308,15 @@ fn drain(ctx: &ConnCtx) -> Response {
     }
     let rounds = replies.iter().map(|s| s.round).max().unwrap_or(0);
     let users: u64 = replies.iter().map(|s| s.users.len() as u64).sum();
-    let mut shards = replies;
-    shards.sort_unstable_by_key(|s| s.shard);
     let Some(store) = &ctx.store else {
         return Response::Drained { rounds, users, checkpointed: false };
     };
-    let ck = ServerCheckpoint {
-        format: CKPT_FORMAT,
-        round: rounds,
-        round_secs: ctx.cfg.round_secs,
-        sessions: ctx.router.session_entries(),
-        subscriptions: ctx.router.subscription_entries(),
-        shards,
-    };
     let saved = {
         let _guard = ctx.ckpt_lock.lock().unwrap();
-        store.save(&ck)
+        save_checkpoint(ctx, store, replies)
     };
-    ctx.obs.event(TraceEvent::CheckpointWrite {
-        round: ck.round,
-        users: ck.users(),
-        ok: saved.is_ok(),
-    });
     match saved {
-        Ok(()) => Response::Drained { rounds, users, checkpointed: true },
+        Ok(_) => Response::Drained { rounds, users, checkpointed: true },
         // A drain that cannot persist must not pretend it did: report,
         // reopen ingest, keep running.
         Err(e) => {
@@ -1422,10 +1412,7 @@ fn handle_connection(stream: TcpStream, conn: u64, ctx: &ConnCtx) -> ServerResul
         // Injected connection reset: drop the socket on the floor without
         // processing the frame, like a mobile link dying mid-request.
         if faults.reset_now() {
-            ctx.obs.event(TraceEvent::FaultInjected {
-                kind: "conn_reset".to_string(),
-                detail: format!("connection {conn}"),
-            });
+            ctx.obs.lock_registry().inc(ctx.obs.fault_conn_reset, 1);
             dump_flights(ctx, "fault_injected");
             break;
         }
@@ -1487,9 +1474,10 @@ fn handle_connection(stream: TcpStream, conn: u64, ctx: &ConnCtx) -> ServerResul
                 // recorded at every stage or at none. Anomalies (Drop
                 // spans below, level ≤ 1 selections in the shards) are
                 // force-kept regardless.
-                let sampled = trace.filter(|&t| ctx.obs.tracing && ctx.cfg.trace_sample.keeps(t));
+                let sampled =
+                    trace.filter(|&t| ctx.obs.ring.is_some() && ctx.cfg.trace_sample.keeps(t));
                 if let Some(t) = sampled {
-                    ctx.obs.event(TraceEvent::Span(SpanRecord::publish(t, seq, item.id.value())));
+                    ctx.obs.span(SpanRecord::publish(t, seq, item.id.value()));
                 }
                 let (outcome, shed) = ctx.router.apply_publish_traced(
                     session.unwrap_or(0),
@@ -1503,17 +1491,12 @@ fn handle_connection(stream: TcpStream, conn: u64, ctx: &ConnCtx) -> ServerResul
                 for t in shed {
                     // A queue-shed ingest is an anomaly: its Drop span is
                     // recorded no matter what the sampler says.
-                    ctx.obs.event(TraceEvent::Span(SpanRecord::dropped(t, None)));
+                    ctx.obs.span(SpanRecord::dropped(t, None));
                 }
                 match outcome {
                     PublishOutcome::Routed { matched } => {
-                        ctx.obs.event(TraceEvent::BrokerMatch {
-                            session: session.unwrap_or(0),
-                            seq,
-                            matched,
-                        });
                         if let Some(t) = sampled {
-                            ctx.obs.event(TraceEvent::Span(SpanRecord::matched(t, seq, matched)));
+                            ctx.obs.span(SpanRecord::matched(t, seq, matched));
                             if traced_pending.len() < TRACED_PENDING_CAP {
                                 traced_pending.push((seq, t));
                             }

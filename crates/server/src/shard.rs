@@ -20,12 +20,12 @@
 //!
 //! Every shard owns a [`ShardObs`]: a metric [`Registry`] (counters,
 //! gauges, log2 histograms, all labeled with the shard index) plus a
-//! bounded [`TraceRing`] of structured [`TraceEvent`]s. Recording is a
-//! plain field increment — no locks, no hashing — because the registry
-//! is owned by the shard thread and only *snapshots* cross threads (via
-//! [`ShardMsg::Stats`]). Trace events carry only logical fields (rounds,
-//! ids, levels, gradients), so a seeded run produces an identical event
-//! stream across machines; wall-clock numbers go to histograms instead.
+//! bounded [`Ring`] of [`SpanRecord`]s. Recording is a plain field
+//! increment — no locks, no hashing — because the registry is owned by
+//! the shard thread and only *snapshots* cross threads (via
+//! [`ShardMsg::Stats`]). Spans carry only logical fields (rounds, ids,
+//! levels, gradients), so a seeded run produces an identical trace
+//! across machines; wall-clock numbers go to histograms instead.
 //!
 //! # Failure containment
 //!
@@ -52,9 +52,9 @@ use richnote_core::{
 };
 use richnote_obs::rsrc::alloc_counting_active;
 use richnote_obs::{
-    alloc_counts, write_flight_file, AllocCounts, CounterHandle, CpuClock, FlightDump,
-    FlightRecorder, GaugeHandle, HistogramHandle, NullCpuClock, Registry, RegistrySnapshot,
-    SampleRate, SpanDecision, SpanRecord, SpanTree, ThreadCpuClock, TraceEvent, TraceRing,
+    alloc_counts, write_flight_file, AllocCounts, CounterHandle, CpuClock, FlightDump, GaugeHandle,
+    HistogramHandle, NullCpuClock, Registry, RegistrySnapshot, Ring, SampleRate, SpanDecision,
+    SpanRecord, SpanStager, SpanTree, ThreadCpuClock, FLIGHT_CAPACITY,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -114,29 +114,23 @@ impl QualityGrid {
     }
 }
 
-/// Per-shard observability: a metric registry plus a trace-event ring,
-/// both owned by the shard thread (lock-free recording).
+/// Per-shard observability: a metric registry plus a span ring, both
+/// owned by the shard thread (lock-free recording).
 ///
 /// # Causal spans
 ///
 /// Traced ingests (those carrying a publish-minted trace id) stage their
-/// pipeline spans here, keyed by content id, until the selection round
-/// that delivers them. At that point the trace *finishes*: the head
-/// sampler decides whether to keep it (anomalous traces — level ≤ 1
-/// selections — are always kept), and a kept trace emits its spans into
-/// the trace ring and its assembled [`SpanTree`] into the flight
-/// recorder. The staging map is bounded; overflow sheds the new trace and
-/// counts it in `richnote_trace_shed_total`.
+/// Queue span in the [`SpanStager`] until the selection round that
+/// delivers them. At that point the trace *finishes*: the stager rules
+/// on it (head sampling, anomalies always kept), and a kept trace emits
+/// its spans into the trace ring and its [`SpanTree`] into the flight
+/// recorder. Staging overflow is counted in `richnote_trace_shed_total`.
 pub struct ShardObs {
     shard: usize,
     registry: Registry,
-    ring: TraceRing,
-    sample: SampleRate,
-    flight: FlightRecorder,
-    /// In-flight span staging: content id → spans recorded so far.
-    staged: HashMap<u64, Vec<SpanRecord>>,
-    /// Bound on `staged`; traces arriving past it are shed.
-    staged_cap: usize,
+    ring: Ring<SpanRecord>,
+    flight: Ring<SpanTree>,
+    stager: SpanStager,
     pubs: CounterHandle,
     queue_dropped: CounterHandle,
     selected: CounterHandle,
@@ -165,8 +159,6 @@ pub struct ShardObs {
     selection_latency: HistogramHandle,
     stage_dequeue: HistogramHandle,
     stage_select: HistogramHandle,
-    /// Last queue-drop total seen, for delta reporting.
-    last_dropped: u64,
     /// Whether resource accounting (CPU, allocations, contention) runs.
     rsrc: bool,
     /// Per-thread CPU clock; [`NullCpuClock`] when accounting is off.
@@ -187,17 +179,10 @@ pub struct ShardObs {
 
 impl ShardObs {
     /// Registers the shard's metric vocabulary. `trace_capacity = 0`
-    /// disables the event ring, span staging, and the flight recorder;
-    /// `sample` gates which completed traces are kept; `rsrc` turns cost
-    /// accounting (CPU, allocations, contention) on; and
-    /// `flight_capacity` bounds the ring of finished span trees.
-    pub fn new(
-        shard: usize,
-        trace_capacity: usize,
-        sample: SampleRate,
-        flight_capacity: usize,
-        rsrc: bool,
-    ) -> Self {
+    /// disables the span ring, span staging, and the flight recorder;
+    /// `sample` gates which completed traces are kept; and `rsrc` turns
+    /// cost accounting (CPU, allocations, contention) on.
+    pub fn new(shard: usize, trace_capacity: usize, sample: SampleRate, rsrc: bool) -> Self {
         let mut registry = Registry::new();
         let s = shard.to_string();
         let l = &[("shard", s.as_str())][..];
@@ -315,15 +300,13 @@ impl ShardObs {
         ShardObs {
             shard,
             registry,
-            ring: if tracing { TraceRing::new(trace_capacity) } else { TraceRing::disabled() },
-            sample,
-            flight: if tracing && flight_capacity > 0 {
-                FlightRecorder::new(flight_capacity)
-            } else {
-                FlightRecorder::disabled()
-            },
-            staged: HashMap::new(),
-            staged_cap: 4 * trace_capacity.max(256),
+            ring: if tracing { Ring::new(trace_capacity) } else { Ring::disabled() },
+            flight: if tracing { Ring::new(FLIGHT_CAPACITY) } else { Ring::disabled() },
+            stager: SpanStager::new(
+                shard,
+                if tracing { sample } else { SampleRate::OFF },
+                4 * trace_capacity.max(256),
+            ),
             pubs,
             queue_dropped,
             selected,
@@ -344,7 +327,6 @@ impl ShardObs {
             selection_latency,
             stage_dequeue,
             stage_select,
-            last_dropped: 0,
             rsrc,
             clock: if rsrc { Box::new(ThreadCpuClock) } else { Box::new(NullCpuClock) },
             alloc_base: None,
@@ -408,69 +390,35 @@ impl ShardObs {
         }
     }
 
-    /// Pushes a trace event (no-op when tracing is disabled).
-    pub fn event(&mut self, ev: TraceEvent) {
-        self.ring.push(ev);
-    }
-
-    /// Drains up to `max` events from the trace ring (oldest first) plus
+    /// Drains up to `max` spans from the trace ring (oldest first) plus
     /// the evicted count; the remainder stays buffered for the next dump
     /// so no single reply outgrows a wire frame.
-    pub fn drain_events(&mut self, max: usize) -> (Vec<TraceEvent>, u64) {
+    pub fn drain_spans(&mut self, max: usize) -> (Vec<SpanRecord>, u64) {
         self.ring.drain_up_to(max)
     }
 
-    /// Stages the Queue span of a traced ingest. The span is buffered —
-    /// not yet in the ring — until the trace finishes at selection time
-    /// and the sampler rules on it.
-    pub fn begin_trace(&mut self, trace: u64, round: u64, user: u64, content: u64) {
-        if !self.ring.is_enabled() || self.sample.is_off() {
-            return;
-        }
-        if self.staged.len() >= self.staged_cap && !self.staged.contains_key(&content) {
-            self.registry.inc(self.trace_shed, 1);
-            return;
-        }
-        self.staged
-            .entry(content)
-            .or_default()
-            .push(SpanRecord::queued(trace, self.shard, round, user, content));
-    }
-
-    /// Finishes the trace staged under `content`, if any: appends the
-    /// Select and Serialize spans, then either emits the whole tree (into
-    /// the ring and the flight recorder) or discards it, per the head
-    /// sampler. Level ≤ 1 selections are anomalous and always kept.
+    /// Finishes the trace staged for `user`'s notification of `content`,
+    /// if any, and pushes a kept tree into the ring and the flight
+    /// recorder.
     fn finish_trace(&mut self, round: u64, user: u64, content: u64, d: &SelectDecision) {
-        let Some(mut spans) = self.staged.remove(&content) else { return };
-        let trace = spans[0].trace;
-        spans.push(SpanRecord::selected(
-            trace,
-            self.shard,
-            round,
-            user,
-            content,
-            SpanDecision {
-                level: d.level,
-                utility: d.utility,
-                gradient: d.gradient,
-                budget_remaining: d.budget_remaining,
-            },
-        ));
-        spans.push(SpanRecord::serialized(trace, self.shard, round, content, d.size));
-        let anomalous = d.level <= 1;
-        if !anomalous && !self.sample.keeps(trace) {
+        let decision = SpanDecision {
+            level: d.level,
+            utility: d.utility,
+            gradient: d.gradient,
+            budget_remaining: d.budget_remaining,
+        };
+        let Some(tree) = self.stager.finish(round, user, content, decision, d.size) else {
             return;
+        };
+        for s in &tree.spans {
+            self.ring.push(s.clone());
         }
-        for s in &spans {
-            self.ring.push(TraceEvent::Span(s.clone()));
-        }
-        self.flight.record(SpanTree { trace, spans });
+        self.flight.push(tree);
     }
 
     /// The flight recorder's current contents, non-destructively.
     pub fn flight_dump(&self, reason: &str) -> FlightDump {
-        self.flight.dump(self.shard, reason)
+        FlightDump::cut(&self.flight, self.shard, reason)
     }
 
     /// Bumps the per-level delivery counter.
@@ -559,7 +507,7 @@ impl ShardObs {
     }
 }
 
-/// Reports one user's selections into the shard's trace ring.
+/// Reports one user's selections into the shard's registry and span stager.
 struct SelectObserver<'a> {
     obs: &'a mut ShardObs,
     user: u64,
@@ -567,16 +515,6 @@ struct SelectObserver<'a> {
 
 impl SelectionObserver for SelectObserver<'_> {
     fn on_select(&mut self, round: u64, content: ContentId, decision: &SelectDecision) {
-        let shard = self.obs.shard;
-        self.obs.event(TraceEvent::Select {
-            shard,
-            round,
-            user: self.user,
-            content: content.value(),
-            level: decision.level,
-            utility: decision.utility,
-            gradient: decision.gradient,
-        });
         self.obs.record_level(decision.level);
         self.obs.finish_trace(round, self.user, content.value(), decision);
     }
@@ -645,13 +583,7 @@ impl ShardState<RichNoteScheduler> {
 impl<P: Policy + Send> ShardState<P> {
     /// An empty shard whose schedulers are built by `factory`.
     pub fn with_policy(shard: usize, cfg: ServerConfig, factory: fn() -> P) -> Self {
-        let obs = ShardObs::new(
-            shard,
-            cfg.trace_capacity,
-            cfg.trace_sample,
-            cfg.flight_capacity,
-            cfg.rsrc.enabled,
-        );
+        let obs = ShardObs::new(shard, cfg.trace_capacity, cfg.trace_sample, cfg.rsrc.enabled);
         ShardState {
             shard,
             cfg,
@@ -768,7 +700,10 @@ impl<P: Policy + Send> ShardState<P> {
     ) {
         let t0 = Instant::now();
         if let Some(t) = trace {
-            self.obs.begin_trace(t, self.round, user.value(), item.id.value());
+            // Buffered, not yet in the ring: the stager rules on the trace
+            // when a round selects the item.
+            let (u, c) = (user.value(), item.id.value());
+            self.obs.stager.stage(u, c, [SpanRecord::queued(t, self.shard, self.round, u, c)]);
         }
         let factory = self.factory;
         let scheduler = self.schedulers.entry(user).or_insert_with(factory);
@@ -792,13 +727,6 @@ impl<P: Policy + Send> ShardState<P> {
         let t0 = Instant::now();
         let cpu0 = self.obs.cpu_begin();
         let now = self.round as f64 * self.cfg.round_secs;
-        let backlog_before = self.backlog();
-        self.obs.event(TraceEvent::RoundStart {
-            shard: self.shard,
-            round: self.round,
-            now_secs: now,
-            backlog: backlog_before,
-        });
         let ctx = RoundContext::builder(&self.cfg.cost)
             .round(self.round)
             .now(now)
@@ -836,12 +764,6 @@ impl<P: Policy + Send> ShardState<P> {
         self.obs.registry.observe_us(self.obs.round_duration, round_us);
         self.obs.cpu_end(cpu0);
         self.obs.sample_allocs();
-        self.obs.event(TraceEvent::RoundEnd {
-            shard: self.shard,
-            round: outcome.round,
-            selected: outcome.selected.len() as u64,
-            bytes_spent: outcome.bytes,
-        });
         outcome
     }
 
@@ -855,19 +777,10 @@ impl<P: Policy + Send> ShardState<P> {
         self.schedulers.values().map(|s| s.backlog()).sum()
     }
 
-    /// Folds the ingest queue's drop total into the registry and, when it
-    /// grew, emits a [`TraceEvent::QueueDrop`] with the delta.
+    /// Folds the ingest queue's drop total into the registry (the queue
+    /// owns the atomic; the shard owns the metric).
     pub fn sync_dropped(&mut self, total: u64) {
-        if total > self.obs.last_dropped {
-            let delta = total - self.obs.last_dropped;
-            self.obs.last_dropped = total;
-            self.obs.registry.set_counter(self.obs.queue_dropped, total);
-            self.obs.event(TraceEvent::QueueDrop {
-                shard: self.shard,
-                round: self.round,
-                dropped: delta,
-            });
-        }
+        self.obs.registry.set_counter(self.obs.queue_dropped, total);
     }
 
     /// Folds the ingest queue's contention total into the registry (the
@@ -884,6 +797,7 @@ impl<P: Policy + Send> ShardState<P> {
         let backlog = self.backlog() as f64;
         self.obs.registry.set_gauge(self.obs.backlog, backlog);
         self.obs.registry.set_gauge(self.obs.users, self.schedulers.len() as f64);
+        self.obs.registry.set_counter(self.obs.trace_shed, self.obs.stager.shed());
         self.obs.sample_cpu();
         self.obs.sample_allocs();
         self.obs.registry.snapshot()
@@ -933,13 +847,13 @@ pub enum ShardMsg {
         /// Reply channel.
         reply: mpsc::Sender<RegistrySnapshot>,
     },
-    /// Drain up to `max` events from the shard's trace ring; the rest
+    /// Drain up to `max` spans from the shard's trace ring; the rest
     /// stays buffered for the next dump.
     TraceDump {
-        /// Most events to return in this reply (frame-size budget).
+        /// Most spans to return in this reply (frame-size budget).
         max: usize,
-        /// Reply channel carrying `(events, evicted-count)`.
-        reply: mpsc::Sender<(Vec<TraceEvent>, u64)>,
+        /// Reply channel carrying `(spans, evicted-count)`.
+        reply: mpsc::Sender<(Vec<SpanRecord>, u64)>,
     },
     /// Report the flight recorder's span trees, non-destructively.
     FlightDump {
@@ -1014,7 +928,7 @@ fn handle_msg<P: Policy + Send>(state: &mut ShardState<P>, msg: ShardMsg) -> Flo
             let _ = reply.send(state.stats());
         }
         ShardMsg::TraceDump { max, reply } => {
-            let _ = reply.send(state.obs_mut().drain_events(max));
+            let _ = reply.send(state.obs_mut().drain_spans(max));
         }
         ShardMsg::FlightDump { reply } => {
             let _ = reply.send(state.obs_mut().flight_dump("request"));
@@ -1057,8 +971,8 @@ impl ShardWorker {
                 };
                 while let Some(msg) = q.pop() {
                     // The queue's drop counter lives outside the state;
-                    // fold it in before handling so QueueDrop events and
-                    // the dropped counter stay fresh.
+                    // fold it in before handling so the dropped counter
+                    // stays fresh.
                     state.sync_dropped(q.dropped());
                     state.sync_contended(q.contended());
                     match catch_unwind(AssertUnwindSafe(|| handle_msg(&mut state, msg))) {
@@ -1109,6 +1023,7 @@ mod tests {
     use crate::fault::{FaultPlan, ShardPanicFault};
     use richnote_core::content::{ContentFeatures, ContentKind, Interaction, SocialTie};
     use richnote_core::scheduler::{FifoScheduler, UtilScheduler};
+    use richnote_obs::SpanStage;
 
     fn item(id: u64, recipient: u64, arrival: f64) -> ContentItem {
         ContentItem {
@@ -1247,32 +1162,6 @@ mod tests {
         assert_eq!(stats.counter_total("richnote_allocs_total"), 0);
         // The ordinary round metrics are unaffected by the rsrc switch.
         assert_eq!(stats.counter_total("richnote_rounds_total"), 1);
-    }
-
-    #[test]
-    fn trace_ring_records_round_and_select_events() {
-        let cfg = ServerConfig { trace_capacity: 64, ..ServerConfig::default() };
-        let mut shard = ShardState::new(3, cfg);
-        shard.ingest(UserId::new(9), item(1, 9, 0.0), Instant::now(), None);
-        let out = shard.run_round();
-        let (events, dropped) = shard.obs_mut().drain_events(usize::MAX);
-        assert_eq!(dropped, 0);
-        assert!(matches!(
-            events.first(),
-            Some(TraceEvent::RoundStart { shard: 3, round: 0, backlog: 1, .. })
-        ));
-        assert!(matches!(events.last(), Some(TraceEvent::RoundEnd { shard: 3, round: 0, .. })));
-        let selects: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Select { user, level, .. } => Some((*user, *level)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(selects.len(), out.selected.len());
-        assert!(selects.iter().all(|&(u, l)| u == 9 && l >= 1));
-        // Ring is reset after a drain.
-        assert!(shard.obs_mut().drain_events(usize::MAX).0.is_empty());
     }
 
     #[test]
@@ -1425,77 +1314,94 @@ mod tests {
         worker.join();
     }
 
+    /// Rounds, selections and chosen levels are registry families; the ring
+    /// holds the traced selection's spans and nothing else, and the
+    /// finished tree also lands in the flight recorder.
     #[test]
-    fn traced_ingest_emits_span_tree_and_flight_records() {
+    fn traced_round_counts_in_stats_and_leaves_one_span_tree() {
         let cfg = ServerConfig { trace_capacity: 64, ..ServerConfig::default() };
         let mut shard = ShardState::new(2, cfg);
         shard.ingest(UserId::new(9), item(1, 9, 0.0), Instant::now(), Some(0xABCD));
-        shard.run_round();
-        let (events, _) = shard.obs_mut().drain_events(usize::MAX);
-        let spans: Vec<&SpanRecord> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Span(s) => Some(s),
-                _ => None,
-            })
-            .collect();
+        let out = shard.run_round();
+        assert_eq!(out.selected.len(), 1);
+        let stats = shard.stats();
+        assert_eq!(stats.counter_total("richnote_rounds_total"), 1);
+        assert_eq!(stats.counter_total("richnote_selected_total"), 1);
+        let level = out.selected[0].2.to_string();
+        assert_eq!(stats.value_where("richnote_level_total", "level", &level), Some(1.0));
+        assert_eq!(stats.counter_total("richnote_level_total"), 1);
+
+        let (spans, dropped) = shard.obs_mut().drain_spans(usize::MAX);
+        assert_eq!(dropped, 0);
         let stages: Vec<_> = spans.iter().map(|s| s.stage).collect();
-        assert_eq!(
-            stages,
-            vec![
-                richnote_obs::SpanStage::Queue,
-                richnote_obs::SpanStage::Select,
-                richnote_obs::SpanStage::Serialize
-            ]
-        );
+        assert_eq!(stages, vec![SpanStage::Queue, SpanStage::Select, SpanStage::Serialize]);
         assert!(spans.iter().all(|s| s.trace == 0xABCD));
-        let sel = spans[1];
+        let sel = &spans[1];
         let d = sel.decision.as_ref().expect("select span carries the decision");
         assert!(d.level >= 1);
         assert!(d.utility > 0.0);
-        assert_eq!(sel.shard, Some(2));
-        // The finished tree also landed in the flight recorder.
+        assert_eq!((sel.shard, sel.user), (Some(2), Some(9)));
+        // Ring is reset after a drain; the flight recorder is not.
+        assert!(shard.obs_mut().drain_spans(usize::MAX).0.is_empty());
         let dump = shard.obs_mut().flight_dump("request");
-        assert_eq!(dump.shard, 2);
-        assert_eq!(dump.reason, "request");
+        assert_eq!((dump.shard, dump.reason.as_str()), (2, "request"));
         assert_eq!(dump.trees.len(), 1);
         assert_eq!(dump.trees[0].trace, 0xABCD);
-        // Level counters follow the chosen level.
-        let stats = shard.stats();
-        assert_eq!(stats.counter_total("richnote_level_total"), 1);
+    }
+
+    /// One publication matched to two subscribers on the same shard arrives
+    /// as two ingests sharing a content and trace id; each subscriber's
+    /// selection must finish its own trace.
+    #[test]
+    fn fan_out_on_one_shard_keeps_every_subscribers_select_span() {
+        let cfg = ServerConfig { trace_capacity: 64, ..ServerConfig::default() };
+        let mut shard = ShardState::new(0, cfg);
+        for user in [9, 10] {
+            shard.ingest(UserId::new(user), item(1, user, 0.0), Instant::now(), Some(0xFA));
+        }
+        let out = shard.run_round();
+        assert_eq!(out.selected.len(), 2, "both subscribers are delivered");
+        let select_users = |spans: &[SpanRecord]| -> Vec<Option<u64>> {
+            spans.iter().filter(|s| s.stage == SpanStage::Select).map(|s| s.user).collect()
+        };
+        let (spans, _) = shard.obs_mut().drain_spans(usize::MAX);
+        assert_eq!(select_users(&spans), vec![Some(9), Some(10)]);
+        assert_eq!(spans.iter().filter(|s| s.stage == SpanStage::Serialize).count(), 2);
+        let dump = shard.obs_mut().flight_dump("request");
+        let flight: Vec<SpanRecord> = dump.trees.into_iter().flat_map(|t| t.spans).collect();
+        assert_eq!(select_users(&flight), vec![Some(9), Some(10)]);
     }
 
     #[test]
     fn sampler_discards_unlucky_traces_but_keeps_anomalies() {
         let rate = richnote_obs::SampleRate::one_in(1_000_000);
         let unlucky = (1u64..).find(|&t| !rate.keeps(t)).unwrap();
-        // Roomy budget → a high level → a normal trace → sampled away.
-        let cfg =
-            ServerConfig { trace_capacity: 64, trace_sample: rate, ..ServerConfig::default() };
-        let mut shard = ShardState::new(0, cfg);
-        shard.ingest(UserId::new(1), item(1, 1, 0.0), Instant::now(), Some(unlucky));
-        shard.run_round();
-        let (events, _) = shard.obs_mut().drain_events(usize::MAX);
-        assert!(
-            !events.iter().any(|e| matches!(e, TraceEvent::Span(_))),
-            "a sampled-out normal trace must leave no spans"
-        );
-        assert!(shard.obs_mut().flight_dump("request").trees.is_empty());
-
-        // Starvation budget → level 1 → anomalous → kept despite the rate.
-        let cfg = ServerConfig {
-            trace_capacity: 64,
-            trace_sample: rate,
-            data_grant: 300, // fits metadata (200 B) but no preview
-            ..ServerConfig::default()
+        // One traced publication on a real shard at 1/1M under `data_grant`.
+        let run = |data_grant: u64| {
+            let cfg = ServerConfig {
+                trace_capacity: 64,
+                trace_sample: rate,
+                data_grant,
+                ..ServerConfig::default()
+            };
+            let mut shard = ShardState::new(0, cfg);
+            shard.ingest(UserId::new(1), item(1, 1, 0.0), Instant::now(), Some(unlucky));
+            let level = shard.run_round().selected[0].2;
+            let (spans, dropped) = shard.obs_mut().drain_spans(usize::MAX);
+            (level, spans, dropped, shard.obs_mut().flight_dump("request"))
         };
-        let mut shard = ShardState::new(0, cfg);
-        shard.ingest(UserId::new(1), item(1, 1, 0.0), Instant::now(), Some(unlucky));
-        shard.run_round();
-        let (events, _) = shard.obs_mut().drain_events(usize::MAX);
-        let kept: Vec<_> = events.iter().filter(|e| matches!(e, TraceEvent::Span(_))).collect();
-        assert!(!kept.is_empty(), "a level-1 anomaly must be force-kept");
-        let dump = shard.obs_mut().flight_dump("request");
+        // Roomy budget → a high level → a normal trace → sampled away.
+        let (level, spans, dropped, dump) = run(400_000);
+        assert!(level > 1);
+        assert!(spans.is_empty(), "a sampled-out normal trace must leave no spans");
+        assert_eq!((dropped, dump.trees.len()), (0, 0));
+        // Starvation budget (metadata fits, no preview) → level 1 →
+        // anomalous → kept in ring and flight despite the rate.
+        let (level, spans, _, dump) = run(300);
+        let stages: Vec<_> = spans.iter().map(|s| s.stage).collect();
+        assert_eq!(stages, vec![SpanStage::Queue, SpanStage::Select, SpanStage::Serialize]);
+        assert!(spans.iter().all(|s| s.trace == unlucky));
+        assert_eq!((level, spans[1].decision.as_ref().map(|d| d.level)), (1, Some(1)));
         assert_eq!(dump.trees.len(), 1);
         assert!(dump.trees[0].is_anomalous());
     }

@@ -1,6 +1,6 @@
 //! The wire protocol: versioned, length-prefixed JSON frames over TCP.
 //!
-//! # Frame layout (protocol v3)
+//! # Frame layout (protocol v4)
 //!
 //! ```text
 //! +-------------------+-----------+----------------------+
@@ -58,7 +58,8 @@
 //! `proto` field of `Hello` exist so that a peer from another version
 //! draws a typed [`ErrorCode::ProtoMismatch`] at the handshake. v2 had
 //! one request per read-only view (seven of them); v3 folds them into
-//! `Observe`.
+//! `Observe`; v4 answers the `Trace` view with spans only
+//! (`Observed::Trace { spans, dropped }`).
 //!
 //! The `Hello` exchange also negotiates a *frame codec* (see
 //! [`crate::codec`]): the handshake itself always uses the JSON framing
@@ -70,7 +71,7 @@ use crate::error::{ServerError, ServerResult};
 use richnote_core::{ContentId, ContentItem, UserId};
 use richnote_obs::{
     AlertEvent, AlertSnapshot, FlightDump, HistoryQuery, QueryResult, RegistrySnapshot, SloStatus,
-    SloVerdict, TraceEvent, WatchdogVerdict,
+    SloVerdict, SpanRecord, WatchdogVerdict,
 };
 use richnote_pubsub::Topic;
 use serde::{Deserialize, Serialize};
@@ -78,14 +79,14 @@ use std::io::{self, Read, Write};
 
 /// The protocol version this build speaks. Sent in every frame header and
 /// in the [`Request::Hello`] handshake.
-pub const PROTO_VERSION: u32 = 3;
+pub const PROTO_VERSION: u32 = 4;
 
 /// Upper bound on a frame payload; anything larger is a protocol error.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
-/// Most trace events one [`Observed::Trace`] reply may carry, split across
+/// Most spans one [`Observed::Trace`] reply may carry, split across
 /// the server ring and the shards, so the reply always serializes under
-/// [`MAX_FRAME_BYTES`] (a span event is well under 1 KiB of JSON).
+/// [`MAX_FRAME_BYTES`] (a span is well under 1 KiB of JSON).
 /// Rings larger than the budget drain across several requests;
 /// [`crate::Client::trace_dump`] keeps dumping until a batch comes back
 /// empty, so callers still see one logical drain.
@@ -379,9 +380,9 @@ pub enum Observed {
     Query(QueryResult),
     /// Answers [`View::Trace`].
     Trace {
-        /// Buffered events, server-side first, then shard 0..n in order.
-        events: Vec<TraceEvent>,
-        /// Events evicted from full rings since the previous read.
+        /// Buffered spans, server-side first, then shard 0..n in order.
+        spans: Vec<SpanRecord>,
+        /// Spans evicted from full rings since the previous read.
         dropped: u64,
     },
     /// Answers [`View::Flight`], ordered by shard index.
@@ -654,19 +655,19 @@ mod tests {
     fn hello_without_a_codec_field_reads_as_no_offer() {
         // A five-line probe client may leave `codec` out; both directions
         // must parse as "JSON only".
-        let bare = r#"{"Hello":{"proto":3,"session":9}}"#;
+        let bare = r#"{"Hello":{"proto":4,"session":9}}"#;
         let parsed: Request = serde_json::from_str(bare).unwrap();
-        assert_eq!(parsed, Request::Hello { proto: 3, session: 9, codec: None });
-        let bare = r#"{"Hello":{"proto":3,"shards":4,"resume_seq":0}}"#;
+        assert_eq!(parsed, Request::Hello { proto: 4, session: 9, codec: None });
+        let bare = r#"{"Hello":{"proto":4,"shards":4,"resume_seq":0}}"#;
         let parsed: Response = serde_json::from_str(bare).unwrap();
-        assert_eq!(parsed, Response::Hello { proto: 3, shards: 4, resume_seq: 0, codec: None });
+        assert_eq!(parsed, Response::Hello { proto: 4, shards: 4, resume_seq: 0, codec: None });
     }
 
     #[test]
     fn flight_dump_response_roundtrips() {
         let tree = richnote_obs::SpanTree::assemble(&[
-            TraceEvent::Span(richnote_obs::SpanRecord::publish(7, 1, 42)),
-            TraceEvent::Span(richnote_obs::SpanRecord::queued(7, 0, 0, 5, 42)),
+            SpanRecord::publish(7, 1, 42),
+            SpanRecord::queued(7, 0, 0, 5, 42),
         ])
         .pop()
         .unwrap();
@@ -720,12 +721,7 @@ mod tests {
                 }],
             })),
             Response::Observed(Observed::Trace {
-                events: vec![TraceEvent::RoundEnd {
-                    shard: 0,
-                    round: 3,
-                    selected: 2,
-                    bytes_spent: 90_000,
-                }],
+                spans: vec![SpanRecord::serialized(7, 0, 3, 42, 90_000)],
                 dropped: 1,
             }),
         ];

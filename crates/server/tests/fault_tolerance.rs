@@ -565,19 +565,27 @@ fn proto_mismatch_is_rejected_with_a_typed_error() {
     drop(writer);
     drop(reader);
 
-    // A real protocol-v2 peer also stamps `2` into the frame header; it
-    // is turned away on that byte, before its payload is even parsed.
-    let mut stream = TcpStream::connect(addr).expect("raw connect");
-    let hello = br#"{"Hello":{"proto":2,"session":0}}"#;
-    stream.write_all(&(hello.len() as u32).to_le_bytes()).expect("length");
-    stream.write_all(&[2]).expect("version byte");
-    stream.write_all(hello).expect("payload");
-    match read_frame::<_, Response>(&mut BufReader::new(stream)).expect("response").expect("frame")
-    {
-        Response::Error { code: ErrorCode::ProtoMismatch, message } => {
-            assert!(message.contains("v2"), "message names the peer's version: {message}");
+    // A real protocol-v2 or -v3 peer also stamps its version into the
+    // frame header; it is turned away on that byte, before its payload is
+    // even parsed.
+    for theirs in [2u8, 3] {
+        let mut stream = TcpStream::connect(addr).expect("raw connect");
+        let hello = format!(r#"{{"Hello":{{"proto":{theirs},"session":0}}}}"#);
+        stream.write_all(&(hello.len() as u32).to_le_bytes()).expect("length");
+        stream.write_all(&[theirs]).expect("version byte");
+        stream.write_all(hello.as_bytes()).expect("payload");
+        match read_frame::<_, Response>(&mut BufReader::new(stream))
+            .expect("response")
+            .expect("frame")
+        {
+            Response::Error { code: ErrorCode::ProtoMismatch, message } => {
+                assert!(
+                    message.contains(&format!("v{theirs}")),
+                    "message names the peer's version: {message}"
+                );
+            }
+            other => panic!("expected a ProtoMismatch rejection, got {other:?}"),
         }
-        other => panic!("expected a ProtoMismatch rejection, got {other:?}"),
     }
 
     let mut client = Client::builder(addr).connect().expect("current-version client still welcome");

@@ -8,7 +8,7 @@ use richnote_core::{AlbumId, ArtistId, ContentId, ContentItem, TrackId, UserId};
 use richnote_pubsub::Topic;
 use richnote_server::{
     derive_trace_id, Client, FaultPlan, HistoryQuery, SampleRate, Server, ServerConfig,
-    ShardPanicFault, SloStatus, SpanStage, SpanTree, TraceEvent, TRACE_DUMP_EVENT_BUDGET,
+    ShardPanicFault, SloStatus, SpanStage, SpanTree, TRACE_DUMP_EVENT_BUDGET,
 };
 use richnote_trace::{TraceConfig, TraceGenerator};
 use std::io::{Read, Write};
@@ -87,27 +87,150 @@ fn stats_request_returns_the_merged_registry() {
     handle.join().expect("server thread");
 }
 
+/// One popular friend-feed notification for `user`.
+fn item_for(id: u64, user: UserId) -> ContentItem {
+    ContentItem {
+        id: ContentId::new(id),
+        recipient: user,
+        sender: None,
+        kind: ContentKind::FriendFeed,
+        track: TrackId::new(id),
+        album: AlbumId::new(1),
+        artist: ArtistId::new(1),
+        arrival: 0.0,
+        track_secs: 180.0,
+        features: ContentFeatures {
+            tie: SocialTie::Mutual,
+            track_popularity: 0.9,
+            album_popularity: 0.5,
+            artist_popularity: 0.7,
+            weekend: false,
+            night: false,
+        },
+        interaction: Interaction::NoActivity,
+    }
+}
+
+/// Rounds, selections and chosen levels are `Stats` families; the trace
+/// rings hold spans only, and reading them consumes them.
 #[test]
-fn trace_dump_drains_structured_events_once() {
+fn trace_dump_drains_spans_once() {
     let (addr, _metrics, handle) = spawn_observable(4096);
     let mut client = Client::builder(addr).connect().expect("connect");
     warm_up(&mut client);
 
-    let (events, dropped) = client.trace_dump().expect("trace dump");
+    let snap = client.stats().expect("stats").snapshot;
+    assert_eq!(snap.counter_total("richnote_rounds_total"), 6, "3 ticks across 2 shards");
+    let selected = snap.counter_total("richnote_selected_total");
+    assert!(selected > 0, "selections must be counted");
+    assert_eq!(snap.counter_total("richnote_level_total"), selected, "one level per selection");
+    let (untraced, dropped) = client.trace_dump().expect("trace dump");
     assert_eq!(dropped, 0, "the ring was sized for the warm-up");
-    let rounds = events.iter().filter(|e| matches!(e, TraceEvent::RoundStart { .. })).count();
-    let selects = events.iter().filter(|e| matches!(e, TraceEvent::Select { .. })).count();
-    let matches = events.iter().filter(|e| matches!(e, TraceEvent::BrokerMatch { .. })).count();
-    assert_eq!(rounds, 6, "3 ticks across 2 shards");
-    assert!(selects > 0, "selections must be traced");
-    assert!(matches > 0, "broker matches must be traced");
+    assert!(untraced.is_empty(), "untraced traffic leaves nothing in the rings");
 
-    // Drain semantics: a second dump starts from an empty ring.
+    let user = UserId::new(900_001);
+    client.subscribe(user, Topic::FriendFeed(user)).expect("subscribe");
+    client
+        .publish_traced(Topic::FriendFeed(user), item_for(900_001, user), Some(0xD0_0D))
+        .expect("publish");
+    client.sync().expect("sync");
+    client.tick(1).expect("tick");
+    let (spans, _) = client.trace_dump().expect("trace dump");
+    assert!(spans.iter().any(|s| s.stage == SpanStage::Select), "the selection must be traced");
+    assert!(spans.iter().all(|s| s.trace == 0xD0_0D));
+
+    // Drain semantics: a second dump starts from empty rings.
     let (again, _) = client.trace_dump().expect("second dump");
+    assert!(again.is_empty(), "drained spans must not be replayed");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}
+
+/// The two facts the retired aggregate trace events carried that no
+/// metric did — coordinated checkpoint writes by outcome, injected faults
+/// by kind — are families on the server registry.
+#[test]
+fn checkpoint_and_fault_counts_are_registry_families() {
+    let dir = std::env::temp_dir().join(format!("richnote-obs-ckpt-{}", std::process::id()));
+    let faults = FaultPlan {
+        checkpoint_fail_every: 2,
+        conn_reset_per_frame: 0.3,
+        seed: 5,
+        ..FaultPlan::none()
+    };
+    let cfg = ServerConfig::builder()
+        .addr("127.0.0.1:0")
+        .shards(1)
+        .checkpoint_dir(dir.to_str().unwrap())
+        .faults(faults)
+        .build()
+        .expect("config");
+    let (addr, handle) = Server::spawn(cfg).expect("spawn");
+    let mut client = Client::builder(addr).connect().expect("connect");
+
+    // A reset drops the frame before it is served and the client retries,
+    // so exactly three writes reach the store; every second one fails.
+    let outcomes: Vec<bool> = (0..3).map(|_| client.checkpoint().is_ok()).collect();
+    assert_eq!(outcomes, [true, false, true]);
+
+    let snap = client.stats().expect("stats").snapshot;
+    let writes = |result| snap.value_where("richnote_checkpoint_writes_total", "result", result);
+    assert_eq!(writes("ok"), Some(2.0));
+    assert_eq!(writes("failed"), Some(1.0));
+    let resets = snap
+        .value_where("richnote_faults_injected_total", "kind", "conn_reset")
+        .expect("fault family registered");
+    assert!(client.reconnects() > 0, "the fault schedule must actually fire");
     assert!(
-        !again.iter().any(|e| matches!(e, TraceEvent::RoundStart { .. })),
-        "drained events must not be replayed"
+        resets >= client.reconnects() as f64,
+        "every reconnect follows a counted reset ({resets} resets, {} reconnects)",
+        client.reconnects()
     );
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Only spans occupy a trace ring, so a ring sized for the spans of a
+/// workload holds all of them: `K / 4` traced publications leave three
+/// spans each in the server ring (publish, match, ack) and three in the
+/// shard ring (queue, select, serialize) — under `K` in both.
+#[test]
+fn ring_sized_for_the_spans_evicts_nothing() {
+    const K: usize = 64;
+    let cfg = ServerConfig::builder()
+        .addr("127.0.0.1:0")
+        .shards(1)
+        .trace_capacity(K)
+        .trace_sample(SampleRate::ALL)
+        .build()
+        .expect("config");
+    let (addr, handle) = Server::spawn(cfg).expect("spawn");
+    let mut client = Client::builder(addr).connect().expect("connect");
+
+    let traced = (K / 4) as u64;
+    for n in 1..=traced {
+        let user = UserId::new(n);
+        client.subscribe(user, Topic::FriendFeed(user)).expect("subscribe");
+    }
+    for n in 1..=traced {
+        let user = UserId::new(n);
+        let trace = derive_trace_id(3, n, n);
+        client
+            .publish_traced(Topic::FriendFeed(user), item_for(n, user), Some(trace))
+            .expect("pub");
+    }
+    client.sync().expect("sync");
+    client.tick(1).expect("tick");
+    client.sync().expect("post-tick sync");
+
+    let (spans, dropped) = client.trace_dump().expect("trace dump");
+    assert_eq!(dropped, 0, "nothing but spans may occupy the rings");
+    let trees = SpanTree::assemble(&spans);
+    assert_eq!(trees.len() as u64, traced);
+    assert!(trees.iter().all(SpanTree::is_complete), "every publication was selected and acked");
+
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
@@ -141,9 +264,9 @@ fn traced_publication_yields_a_complete_span_tree() {
     // ticks flushes the cumulative PubAck that closes the span trees.
     client.sync().expect("post-tick sync");
 
-    let (events, dropped) = client.trace_dump().expect("trace dump");
+    let (spans, dropped) = client.trace_dump().expect("trace dump");
     assert_eq!(dropped, 0, "the ring was sized for the workload");
-    let trees = SpanTree::assemble(&events);
+    let trees = SpanTree::assemble(&spans);
     assert!(!trees.is_empty(), "traced publications must yield span trees");
     let backlog = client.stats().expect("stats").snapshot.gauge_total("richnote_backlog") as usize;
     let complete = trees.iter().filter(|t| t.is_complete()).count();
@@ -200,55 +323,31 @@ fn trace_dump_chunks_rings_larger_than_one_frame() {
         let user = UserId::new(u);
         client.subscribe(user, Topic::FriendFeed(user)).expect("subscribe");
     }
-    // Every publish lands three events in the server-side ring alone
-    // (publish span, broker-match event, match span), so 8,000 traced
-    // publications overflow the single-response budget several times.
+    // Every publish lands three spans in the server-side ring alone
+    // (publish, match, ack), so 8,000 traced publications overflow the
+    // single-response budget.
     let minted = users * per_user;
     for n in 0..minted {
         let user = UserId::new(n % users);
-        let item = ContentItem {
-            id: ContentId::new(n + 1),
-            recipient: user,
-            sender: None,
-            kind: ContentKind::FriendFeed,
-            track: TrackId::new(n + 1),
-            album: AlbumId::new(1),
-            artist: ArtistId::new(1),
-            arrival: 0.0,
-            track_secs: 180.0,
-            features: ContentFeatures {
-                tie: SocialTie::Mutual,
-                track_popularity: 0.9,
-                album_popularity: 0.5,
-                artist_popularity: 0.7,
-                weekend: false,
-                night: false,
-            },
-            interaction: Interaction::NoActivity,
-        };
+        let item = item_for(n + 1, user);
         let trace = derive_trace_id(11, n, n + 1);
         client.publish_traced(Topic::FriendFeed(user), item, Some(trace)).expect("publish");
     }
     client.sync().expect("sync");
     client.tick(2).expect("tick");
 
-    let (events, dropped) = client.trace_dump().expect("trace dump");
+    let (spans, dropped) = client.trace_dump().expect("trace dump");
     assert_eq!(dropped, 0, "the rings were sized for the workload");
     assert!(
-        events.len() > TRACE_DUMP_EVENT_BUDGET,
-        "the workload must overflow one response ({} events <= {TRACE_DUMP_EVENT_BUDGET})",
-        events.len()
+        spans.len() > TRACE_DUMP_EVENT_BUDGET,
+        "the workload must overflow one response ({} spans <= {TRACE_DUMP_EVENT_BUDGET})",
+        spans.len()
     );
-    let publishes = events
-        .iter()
-        .filter(
-            |e| matches!(e, TraceEvent::Span(s) if s.stage == richnote_server::SpanStage::Publish),
-        )
-        .count() as u64;
+    let publishes = spans.iter().filter(|s| s.stage == SpanStage::Publish).count() as u64;
     assert_eq!(publishes, minted, "no chunk boundary may lose a publish span");
     // Chunked draining is still a drain: nothing is replayed afterwards.
     let (again, _) = client.trace_dump().expect("second dump");
-    assert!(again.is_empty(), "drained chunks must not be replayed ({} events)", again.len());
+    assert!(again.is_empty(), "drained chunks must not be replayed ({} spans)", again.len());
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");

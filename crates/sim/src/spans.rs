@@ -12,10 +12,12 @@
 //! gradient, budget remaining) and Serialize spans the moment the MCKP
 //! selector commits.
 //!
-//! Head sampling mirrors the daemon: a finished tree is kept when the
-//! [`SampleRate`] keeps its id *or* the trace is anomalous (selection
-//! downgraded to level 0–1), so post-mortem-interesting traces survive
-//! any sampling rate. Everything recorded is virtual-time only — the
+//! Which finished trees are kept is the daemon's own decision — the
+//! harness drives the same [`SpanStager`] a shard worker does, so a tree
+//! is kept when the [`SampleRate`] keeps its id *or* the trace is
+//! anomalous (selection downgraded to level 0–1) and
+//! post-mortem-interesting traces survive any sampling rate.
+//! Everything recorded is virtual-time only — the
 //! same seed and trace always dump byte-identical span trees, which is
 //! asserted by test below and makes simulator span dumps diffable
 //! artifacts.
@@ -26,16 +28,15 @@ use crate::UserMetrics;
 use richnote_core::content::ContentItem;
 use richnote_core::ids::{ContentId, UserId};
 use richnote_core::policy::{SelectDecision, SelectionObserver};
-use richnote_obs::{derive_trace_id, SampleRate, SpanDecision, SpanRecord, SpanTree};
-use std::collections::HashMap;
+use richnote_obs::{derive_trace_id, SampleRate, SpanDecision, SpanRecord, SpanStager, SpanTree};
 
-/// Stages spans per publication and assembles finished trees, applying
-/// head sampling with anomaly bypass. Implements [`SelectionObserver`]
-/// so it can ride any policy's round loop.
+/// Mints trace ids and stages each publication's Publish and Queue spans
+/// in a [`SpanStager`], then collects the trees the stager keeps.
+/// Implements [`SelectionObserver`] so it can ride any policy's round
+/// loop.
 pub struct SpanHarness {
     user: u64,
-    sample: SampleRate,
-    staged: HashMap<u64, Vec<SpanRecord>>,
+    stager: SpanStager,
     finished: Vec<SpanTree>,
 }
 
@@ -53,21 +54,23 @@ impl SpanHarness {
         user: UserId,
         items: &[&ContentItem],
     ) -> Self {
-        let mut staged = HashMap::new();
-        if !sample.is_off() {
-            for (idx, item) in items.iter().enumerate() {
-                let trace = derive_trace_id(cfg.seed, item.arrival.to_bits(), item.id.value());
-                let round = (item.arrival / cfg.round_secs).max(0.0) as u64;
-                staged.insert(
-                    item.id.value(),
-                    vec![
-                        SpanRecord::publish(trace, idx as u64, item.id.value()),
-                        SpanRecord::queued(trace, 0, round, user.value(), item.id.value()),
-                    ],
-                );
-            }
+        let user = user.value();
+        // Every item is staged up front, so the map is sized to hold them all.
+        let mut stager = SpanStager::new(0, sample, items.len());
+        for (idx, item) in items.iter().enumerate() {
+            let content = item.id.value();
+            let trace = derive_trace_id(cfg.seed, item.arrival.to_bits(), content);
+            let round = (item.arrival / cfg.round_secs).max(0.0) as u64;
+            stager.stage(
+                user,
+                content,
+                [
+                    SpanRecord::publish(trace, idx as u64, content),
+                    SpanRecord::queued(trace, 0, round, user, content),
+                ],
+            );
         }
-        SpanHarness { user: user.value(), sample, staged, finished: Vec::new() }
+        SpanHarness { user, stager, finished: Vec::new() }
     }
 
     /// Trees finished so far, in selection order.
@@ -78,28 +81,19 @@ impl SpanHarness {
 
 impl SelectionObserver for SpanHarness {
     fn on_select(&mut self, round: u64, content: ContentId, decision: &SelectDecision) {
-        let Some(mut spans) = self.staged.remove(&content.value()) else {
-            return;
+        let span_decision = SpanDecision {
+            level: decision.level,
+            utility: decision.utility,
+            gradient: decision.gradient,
+            budget_remaining: decision.budget_remaining,
         };
-        let trace = spans[0].trace;
-        spans.push(SpanRecord::selected(
-            trace,
-            0,
+        self.finished.extend(self.stager.finish(
             round,
             self.user,
             content.value(),
-            SpanDecision {
-                level: decision.level,
-                utility: decision.utility,
-                gradient: decision.gradient,
-                budget_remaining: decision.budget_remaining,
-            },
+            span_decision,
+            decision.size,
         ));
-        spans.push(SpanRecord::serialized(trace, 0, round, content.value(), decision.size));
-        let anomalous = decision.level <= 1;
-        if anomalous || self.sample.keeps(trace) {
-            self.finished.push(SpanTree { trace, spans });
-        }
     }
 }
 

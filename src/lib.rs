@@ -57,7 +57,7 @@ pub use richnote_trace as trace;
 // The daemon-facing types most downstream users touch, lifted to the root
 // so `richnote::Client` works without spelling out the module path.
 pub use richnote_core::{Policy, PolicyCheckpoint, SelectionObserver};
-pub use richnote_obs::{Log2Histogram, Registry, RegistrySnapshot, TraceEvent};
+pub use richnote_obs::{Log2Histogram, Registry, RegistrySnapshot, SpanRecord};
 pub use richnote_server::{
     Client, RetryPolicy, Server, ServerConfig, ServerConfigBuilder, ServerError, ServerResult,
 };

@@ -13,8 +13,9 @@
 use proptest::prelude::*;
 use richnote_core::content::{ContentFeatures, ContentItem, ContentKind, Interaction, SocialTie};
 use richnote_core::ids::{AlbumId, ArtistId, ContentId, PlaylistId, TrackId, UserId};
+use richnote_obs::{SpanDecision, SpanRecord};
 use richnote_pubsub::Topic;
-use richnote_server::wire::{Delivery, ErrorCode, Request, Response, View};
+use richnote_server::wire::{Delivery, ErrorCode, Observed, Request, Response, View};
 use richnote_server::{codec_for, CodecKind, HistoryQuery, ServerError};
 
 // ---------------------------------------------------------------------------
@@ -309,6 +310,40 @@ proptest! {
         prop_assert_eq!(&via_binary, &resp);
         prop_assert_eq!(via_json, via_binary);
     }
+}
+
+/// The `Trace` view's answer — spans, one of each stage shape — decodes to
+/// the same value through either codec.
+#[test]
+fn observed_trace_spans_roundtrip_identically_through_both_codecs() {
+    let resp = Response::Observed(Observed::Trace {
+        spans: vec![
+            SpanRecord::publish(7, 1, 42),
+            SpanRecord::matched(7, 1, 2),
+            SpanRecord::queued(7, 0, 3, 5, 42),
+            SpanRecord::selected(
+                7,
+                0,
+                4,
+                5,
+                42,
+                SpanDecision {
+                    level: 3,
+                    utility: 0.8,
+                    gradient: 1.25e-5,
+                    budget_remaining: 310_000,
+                },
+            ),
+            SpanRecord::serialized(7, 0, 4, 42, 90_000),
+            SpanRecord::acked(7, 1),
+            SpanRecord::dropped(8, None),
+        ],
+        dropped: 3,
+    });
+    let via_json = response_roundtrip(CodecKind::Json, &resp);
+    let via_binary = response_roundtrip(CodecKind::Binary, &resp);
+    assert_eq!(via_json, resp);
+    assert_eq!(via_binary, resp);
 }
 
 proptest! {
