@@ -329,17 +329,15 @@ impl AdaptivePolicy {
         }
     }
 
-    fn round_impl(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        obs: &mut dyn SelectionObserver,
-    ) -> Vec<DeliveredNotification> {
+    /// Opens a round: records the observed network state, shapes the
+    /// round, and derives the context the inner scheduler runs under —
+    /// the driver's, with the shaped grant and the prediction's signal in
+    /// place of its own.
+    fn open_round<'a>(&mut self, ctx: &RoundContext<'a>) -> (AdaptiveDecision, RoundContext<'a>) {
         if let Some(s) = ctx.net.and_then(|n| n.state) {
             self.last_state = Some(s);
         }
         let decision = self.shape(ctx);
-        obs.on_adapt(ctx.round, &decision);
-
         let derived = RoundContext {
             data_grant: decision.data_grant,
             net: Some(NetSignal {
@@ -349,6 +347,17 @@ impl AdaptivePolicy {
             }),
             ..*ctx
         };
+        (decision, derived)
+    }
+
+    fn round_impl(
+        &mut self,
+        ctx: &RoundContext<'_>,
+        obs: &mut dyn SelectionObserver,
+    ) -> Vec<DeliveredNotification> {
+        let (decision, derived) = self.open_round(ctx);
+        obs.on_adapt(ctx.round, &decision);
+
         // The inner scheduler self-reports quality as "RichNote"; re-label
         // its samples so cohorts are attributed to the policy the driver
         // actually configured.
@@ -415,6 +424,26 @@ impl Policy for AdaptivePolicy {
         obs: &mut dyn SelectionObserver,
     ) -> Vec<DeliveredNotification> {
         self.round_impl(ctx, obs)
+    }
+
+    /// Under a constant context and with no deliveries to feed the
+    /// estimator, every idle round shapes to the same decision: one
+    /// `shape`, one `on_adapt` per round, and the inner scheduler's idle
+    /// rounds under the derived grant.
+    fn idle_rounds(
+        &mut self,
+        ctx: &RoundContext<'_>,
+        rounds: u64,
+        obs: &mut dyn SelectionObserver,
+    ) {
+        if rounds == 0 {
+            return;
+        }
+        let (decision, derived) = self.open_round(ctx);
+        for i in 0..rounds {
+            obs.on_adapt(ctx.round + i, &decision);
+        }
+        self.inner.idle_rounds(&derived, rounds, &mut RelabelQuality { inner: obs });
     }
 
     fn checkpoint(&self) -> PolicyCheckpoint {
@@ -645,15 +674,47 @@ mod tests {
         assert_eq!(err, WrongPolicy { expected: "Adaptive", found: "RichNote" });
     }
 
+    struct Recorder(Vec<(u64, AdaptiveDecision)>);
+    impl SelectionObserver for Recorder {
+        fn on_select(&mut self, _: u64, _: ContentId, _: &crate::policy::SelectDecision) {}
+        fn on_adapt(&mut self, round: u64, d: &AdaptiveDecision) {
+            self.0.push((round, *d));
+        }
+    }
+
+    /// An emptied policy with a fed estimator and an observed state, so
+    /// the idle decision scales the grant and caps the ladder.
+    #[test]
+    fn idle_rounds_match_select_round_in_state_and_reports() {
+        let drained = || {
+            let mut p = AdaptivePolicy::builder().build();
+            p.enqueue(notification(1, 0.9, 0.0));
+            let d = p.run_round(&ctx_with_state(0, 50_000_000, NetworkState::Wifi));
+            assert_eq!((d.len(), p.backlog()), (1, 0));
+            p
+        };
+        // With and without a signal on the idle rounds themselves.
+        let signalled = ctx_with_state(1, 50_000_000, NetworkState::Cell);
+        for ctx in [signalled, RoundContext { net: None, ..signalled }] {
+            let (mut fast, mut slow) = (drained(), drained());
+            let (mut fast_obs, mut slow_obs) = (Recorder(Vec::new()), Recorder(Vec::new()));
+            fast.idle_rounds(&ctx, 40, &mut fast_obs);
+            for r in 0..40 {
+                let step = RoundContext { round: ctx.round + r, ..ctx };
+                assert!(slow.select_round(&step, &mut slow_obs).is_empty());
+            }
+            assert_eq!(Policy::checkpoint(&fast), Policy::checkpoint(&slow));
+            assert_eq!(fast_obs.0, slow_obs.0);
+            assert!(fast_obs.0.iter().all(|(_, d)| d.grant_scaled), "{:?}", fast_obs.0[0]);
+            // Zero rounds is no round: not even the observed state moves.
+            let mut untouched = drained();
+            untouched.idle_rounds(&ctx, 0, &mut Recorder(Vec::new()));
+            assert_eq!(Policy::checkpoint(&untouched), Policy::checkpoint(&drained()));
+        }
+    }
+
     #[test]
     fn on_adapt_reports_the_shaping_decision() {
-        struct Recorder(Vec<(u64, AdaptiveDecision)>);
-        impl SelectionObserver for Recorder {
-            fn on_select(&mut self, _: u64, _: ContentId, _: &crate::policy::SelectDecision) {}
-            fn on_adapt(&mut self, round: u64, d: &AdaptiveDecision) {
-                self.0.push((round, *d));
-            }
-        }
         let mut p = AdaptivePolicy::builder().build();
         p.enqueue(notification(1, 0.9, 0.0));
         let mut obs = Recorder(Vec::new());

@@ -119,6 +119,25 @@ impl LyapunovState {
         }
     }
 
+    /// `rounds` consecutive [`LyapunovState::begin_round`] calls with the
+    /// same grants, bit for bit, in less than `rounds` steps: `B(t)` in
+    /// one multiply-add while the sums stay exact, and `P(t)` by replaying
+    /// the gated add only until it crosses `κ` or stops changing — after
+    /// which no further round can move it.
+    pub fn idle_rounds(&mut self, data_grant: u64, energy_grant: f64, rounds: u64) {
+        self.data_budget = accrue(self.data_budget, data_grant, rounds);
+        let e = energy_grant.max(0.0);
+        let mut left = rounds;
+        while left > 0 && self.p <= self.cfg.kappa {
+            let next = self.p + e;
+            if next.to_bits() == self.p.to_bits() {
+                break;
+            }
+            self.p = next;
+            left -= 1;
+        }
+    }
+
     /// Records arrival of an item whose presentations total
     /// `item_total_size` bytes (the `ν(t)` term of Eq. 4).
     pub fn on_enqueue(&mut self, item_total_size: u64) {
@@ -141,9 +160,146 @@ impl LyapunovState {
     }
 }
 
+/// `budget += grant as f64`, `rounds` times, bit for bit.
+///
+/// Budgets only ever move by whole bytes, so the usual case is a whole
+/// budget whose every partial sum stays at or below 2⁵³: each of those
+/// adds is exact and the result is one integer multiply-add. Any other
+/// budget (fractional, negative, huge — reachable only through a
+/// hand-written checkpoint) replays the adds, stopping once one no longer
+/// changes the value.
+pub(crate) fn accrue(budget: f64, grant: u64, rounds: u64) -> f64 {
+    const EXACT: u64 = 1 << 53;
+    if rounds == 0 {
+        return budget;
+    }
+    let whole = budget as u64; // saturating: negative and NaN give 0
+    if whole as f64 == budget && whole < EXACT {
+        let total = grant.checked_mul(rounds).and_then(|g| g.checked_add(whole));
+        if let Some(total) = total.filter(|&t| t <= EXACT) {
+            return total as f64;
+        }
+    }
+    let mut b = budget;
+    for _ in 0..rounds {
+        let next = b + grant as f64;
+        if next.to_bits() == b.to_bits() {
+            break;
+        }
+        b = next;
+    }
+    b
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const TWO_53: f64 = 9_007_199_254_740_992.0;
+
+    /// Budgets on every path of [`accrue`]: whole (the closed form), whole
+    /// but within reach of 2⁵³ (the partial sums leave the exact range),
+    /// fractional, beyond 2⁵³, negative.
+    fn budgets() -> impl Strategy<Value = f64> {
+        (0usize..5, 0u64..1 << 40, 0.0f64..1.0).prop_map(|(kind, whole, frac)| match kind {
+            0 => whole as f64,
+            1 => TWO_53 - (whole % 4096) as f64,
+            2 => whole as f64 + frac,
+            3 => TWO_53 * (1.0 + 1000.0 * frac),
+            _ => -(whole as f64) * frac,
+        })
+    }
+
+    fn grants() -> impl Strategy<Value = u64> {
+        (0usize..4, 0u64..1 << 20).prop_map(|(kind, g)| match kind {
+            0 => 0,
+            1 => g % 7,
+            2 => g,
+            _ => (1 << 53) + (g << 30),
+        })
+    }
+
+    /// `P` below, exactly at and above `κ`, for `κ = 3000`; and the signed
+    /// zero a zero grant turns into `+0.0`.
+    fn energy_levels() -> impl Strategy<Value = f64> {
+        (0usize..5, 0.0f64..3000.0).prop_map(|(kind, x)| match kind {
+            0 => x,
+            1 => 3000.0,
+            2 => 3000.0 + x,
+            3 => -0.0,
+            _ => x / 1e6,
+        })
+    }
+
+    fn energy_grants() -> impl Strategy<Value = f64> {
+        (0usize..5, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+            0 => -x,
+            1 => 0.0,
+            2 => 1e-300,
+            3 => x / 100.0, // thousands of rounds to reach κ
+            _ => 5000.0 * x,
+        })
+    }
+
+    /// Mostly short, sometimes a million rounds.
+    fn round_counts() -> impl Strategy<Value = u64> {
+        (0usize..4, 0u64..=1_000_000).prop_map(|(kind, n)| match kind {
+            0 => n % 4,
+            1 | 2 => n % 600,
+            _ => n,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn idle_rounds_is_begin_round_repeated_bit_for_bit(
+            data_budget in budgets(),
+            grant in grants(),
+            p in energy_levels(),
+            e in energy_grants(),
+            n in round_counts(),
+        ) {
+            let mut fast =
+                LyapunovState { cfg: LyapunovConfig::paper_default(), q: 0.0, p, data_budget };
+            let mut slow = fast.clone();
+            fast.idle_rounds(grant, e, n);
+            for _ in 0..n {
+                slow.begin_round(grant, e);
+            }
+            prop_assert_eq!(fast.data_budget.to_bits(), slow.data_budget.to_bits());
+            prop_assert_eq!(fast.p.to_bits(), slow.p.to_bits());
+            prop_assert_eq!(fast.q.to_bits(), slow.q.to_bits());
+        }
+    }
+
+    #[test]
+    fn idle_rounds_at_the_edges_of_the_closed_form() {
+        // (budget, grant, rounds): the last exact sum, the first inexact
+        // one, a signed zero that must survive zero rounds, and a grant
+        // whose product overflows u64.
+        for (budget, grant, rounds) in [
+            (TWO_53 - 10.0, 5, 2),
+            (TWO_53 - 10.0, 5, 3),
+            (TWO_53 - 1.0, 1, 40),
+            (-0.0, 0, 0),
+            (-0.0, 0, 3),
+            (7.0, u64::MAX, 9),
+            (0.5, 3, 1000),
+        ] {
+            let mut slow = budget;
+            for _ in 0..rounds {
+                slow += grant as f64;
+            }
+            assert_eq!(
+                accrue(budget, grant, rounds).to_bits(),
+                slow.to_bits(),
+                "budget {budget} grant {grant} rounds {rounds}"
+            );
+        }
+    }
 
     fn state() -> LyapunovState {
         LyapunovState::new(LyapunovConfig::paper_default())

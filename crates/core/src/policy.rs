@@ -188,6 +188,38 @@ pub trait Policy: NotificationScheduler {
         obs: &mut dyn SelectionObserver,
     ) -> Vec<DeliveredNotification>;
 
+    /// Advances `rounds` consecutive rounds during which this policy's
+    /// queue is empty, leaving exactly the state — and reporting through
+    /// `obs` exactly what — that many [`Policy::select_round`] calls
+    /// would. `ctx` is the context of the first of those rounds; each
+    /// later one has `round + 1` and `now + round_secs` and is otherwise
+    /// the same.
+    ///
+    /// This is what lets a driver skip idle users and settle them later
+    /// in one step. The obligation is the caller's: the queue is empty,
+    /// and grants, link, connectivity signal and cost model are the same
+    /// for every skipped round — a driver whose context varies per round
+    /// (the simulator's does) must call `select_round` instead.
+    ///
+    /// The default body is the sequential loop, always correct; policies
+    /// override it with a closed form that is bit-identical to it.
+    fn idle_rounds(
+        &mut self,
+        ctx: &RoundContext<'_>,
+        rounds: u64,
+        obs: &mut dyn SelectionObserver,
+    ) {
+        for i in 0..rounds {
+            let step = RoundContext {
+                round: ctx.round + i,
+                now: ctx.now + i as f64 * ctx.round_secs,
+                ..*ctx
+            };
+            let delivered = self.select_round(&step, obs);
+            debug_assert!(delivered.is_empty(), "idle_rounds on a policy with a queue");
+        }
+    }
+
     /// Captures the policy's complete mutable state.
     fn checkpoint(&self) -> PolicyCheckpoint;
 
@@ -235,6 +267,15 @@ impl Policy for Box<dyn Policy + Send> {
         obs: &mut dyn SelectionObserver,
     ) -> Vec<DeliveredNotification> {
         (**self).select_round(ctx, obs)
+    }
+
+    fn idle_rounds(
+        &mut self,
+        ctx: &RoundContext<'_>,
+        rounds: u64,
+        obs: &mut dyn SelectionObserver,
+    ) {
+        (**self).idle_rounds(ctx, rounds, obs);
     }
 
     fn checkpoint(&self) -> PolicyCheckpoint {

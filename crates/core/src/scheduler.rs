@@ -16,7 +16,7 @@
 
 use crate::content::ContentItem;
 use crate::ids::ContentId;
-use crate::lyapunov::{LyapunovConfig, LyapunovState};
+use crate::lyapunov::{accrue, LyapunovConfig, LyapunovState};
 use crate::mckp::{select_greedy_into, GreedyOptions, GreedyScratch, MckpItem};
 use crate::policy::{
     FixedLevelCheckpoint, NoopObserver, Policy, PolicyCheckpoint, SelectDecision,
@@ -650,6 +650,13 @@ impl Policy for RichNoteScheduler {
         self.round_impl(ctx, obs)
     }
 
+    /// With nothing queued a round is `begin_round` and nothing else:
+    /// expiry, the MCKP and the suppression report all see an empty queue.
+    fn idle_rounds(&mut self, ctx: &RoundContext<'_>, rounds: u64, _: &mut dyn SelectionObserver) {
+        debug_assert!(self.queue.is_empty(), "idle_rounds on a policy with a queue");
+        self.lyap.idle_rounds(ctx.data_grant, ctx.energy_grant, rounds);
+    }
+
     fn checkpoint(&self) -> PolicyCheckpoint {
         PolicyCheckpoint::RichNote(RichNoteScheduler::checkpoint(self))
     }
@@ -736,6 +743,12 @@ impl FixedLevelState {
         }
         report_suppressed(obs, ctx.round, policy, cohort, self.queue.len());
         delivered
+    }
+
+    /// `rounds` drains of an empty queue: only the budget rolls over.
+    fn idle_rounds(&mut self, data_grant: u64, rounds: u64) {
+        debug_assert!(self.queue.is_empty(), "idle_rounds on a policy with a queue");
+        self.data_budget = accrue(self.data_budget, data_grant, rounds);
     }
 
     fn checkpoint(&self) -> FixedLevelCheckpoint {
@@ -846,6 +859,10 @@ impl Policy for FifoScheduler {
         self.state.drain("FIFO", ctx, obs)
     }
 
+    fn idle_rounds(&mut self, ctx: &RoundContext<'_>, rounds: u64, _: &mut dyn SelectionObserver) {
+        self.state.idle_rounds(ctx.data_grant, rounds);
+    }
+
     fn checkpoint(&self) -> PolicyCheckpoint {
         PolicyCheckpoint::Fifo(self.state.checkpoint())
     }
@@ -921,6 +938,10 @@ impl Policy for UtilScheduler {
     ) -> Vec<DeliveredNotification> {
         self.resort();
         self.state.drain("UTIL", ctx, obs)
+    }
+
+    fn idle_rounds(&mut self, ctx: &RoundContext<'_>, rounds: u64, _: &mut dyn SelectionObserver) {
+        self.state.idle_rounds(ctx.data_grant, rounds);
     }
 
     fn checkpoint(&self) -> PolicyCheckpoint {
@@ -1300,6 +1321,42 @@ mod tests {
             fifo2.run_round(&online_ctx(1, 110_000)),
             fifo.run_round(&online_ctx(1, 110_000))
         );
+    }
+
+    proptest::proptest! {
+        /// The baselines' budget roll-over: `idle_rounds` against that many
+        /// `select_round` calls on an empty queue, over whole, fractional
+        /// and beyond-2⁵³ budgets.
+        #[test]
+        fn fixed_level_idle_rounds_match_select_round_bit_for_bit(
+            kind in 0usize..3,
+            whole in 0u64..1 << 40,
+            frac in 0.0f64..1.0,
+            grant in 0u64..1 << 20,
+            rounds in 0u64..3000,
+        ) {
+            let data_budget = match kind {
+                0 => whole as f64,
+                1 => whole as f64 + frac,
+                _ => 9_007_199_254_740_992.0 * (1.0 + frac) - (whole % 64) as f64,
+            };
+            let state = FixedLevelCheckpoint { fixed_level: 3, data_budget, queue: Vec::new() };
+            let budget_bits = |p: &dyn Policy| match p.checkpoint() {
+                PolicyCheckpoint::Fifo(c) | PolicyCheckpoint::Util(c) => c.data_budget.to_bits(),
+                other => panic!("not a baseline: {other:?}"),
+            };
+            let ctx = online_ctx(7, grant);
+            for ck in [PolicyCheckpoint::Fifo(state.clone()), PolicyCheckpoint::Util(state)] {
+                let mut fast: Box<dyn Policy + Send> = Policy::restore(ck.clone()).unwrap();
+                let mut slow: Box<dyn Policy + Send> = Policy::restore(ck).unwrap();
+                fast.idle_rounds(&ctx, rounds, &mut NoopObserver);
+                for r in 0..rounds {
+                    let step = RoundContext { round: ctx.round + r, ..ctx };
+                    assert!(slow.select_round(&step, &mut NoopObserver).is_empty());
+                }
+                proptest::prop_assert_eq!(budget_bits(&*fast), budget_bits(&*slow));
+            }
+        }
     }
 
     #[test]

@@ -121,8 +121,21 @@ impl<T> BoundedQueue<T> {
 
     /// Pops the oldest entry, blocking while the queue is empty.
     /// Returns `None` once the queue is closed **and** drained.
+    ///
+    /// Before it sleeps on an empty queue the consumer yields once. A
+    /// producer that is in the middle of a burst and shares the CPU then
+    /// finishes the burst, and the consumer takes it in one go; sleeping
+    /// straight away has every push wake the consumer for one entry, two
+    /// context switches each, and how often the kernel lets the woken
+    /// consumer preempt the producer varies from one second to the next.
+    /// With nothing else runnable on the CPU the yield returns at once.
     pub fn pop(&self) -> Option<T> {
         let mut inner = self.lock_counting();
+        if inner.deque.is_empty() && !inner.closed {
+            drop(inner);
+            std::thread::yield_now();
+            inner = self.lock_counting();
+        }
         loop {
             if let Some(v) = inner.deque.pop_front() {
                 return Some(v);

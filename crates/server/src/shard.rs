@@ -47,8 +47,8 @@ use richnote_core::quality::{
 };
 use richnote_core::scheduler::{QueuedNotification, RichNoteScheduler, RoundContext};
 use richnote_core::{
-    AdaptiveDecision, ContentId, ContentItem, Policy, PresentationLadder, SelectDecision,
-    SelectionObserver, UserId,
+    AdaptiveDecision, ContentId, ContentItem, NoopObserver, Policy, PresentationLadder,
+    SelectDecision, SelectionObserver, UserId,
 };
 use richnote_obs::rsrc::alloc_counting_active;
 use richnote_obs::{
@@ -56,6 +56,7 @@ use richnote_obs::{
     HistogramHandle, NullCpuClock, Registry, RegistrySnapshot, Ring, SampleRate, SpanDecision,
     SpanRecord, SpanStager, SpanTree, ThreadCpuClock, FLIGHT_CAPACITY,
 };
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -153,6 +154,8 @@ pub struct ShardObs {
     levels: Vec<CounterHandle>,
     backlog: GaugeHandle,
     users: GaugeHandle,
+    /// Users with something queued: what a round's cost scales with.
+    active_users: GaugeHandle,
     /// Users whose scheduler state came from a checkpoint at start-up.
     restored_users: GaugeHandle,
     round_duration: HistogramHandle,
@@ -209,6 +212,11 @@ impl ShardObs {
         let backlog =
             registry.gauge("richnote_backlog", "Notifications queued across schedulers", l);
         let users = registry.gauge("richnote_users", "Users with scheduler state", l);
+        let active_users = registry.gauge(
+            "richnote_active_users",
+            "Users with a non-empty scheduling queue (the users a round visits)",
+            l,
+        );
         let restored_users = registry.gauge(
             "richnote_restored_users",
             "Users whose scheduler state was restored from a checkpoint at start-up",
@@ -322,6 +330,7 @@ impl ShardObs {
             levels,
             backlog,
             users,
+            active_users,
             restored_users,
             round_duration,
             selection_latency,
@@ -539,29 +548,70 @@ pub struct RoundOutcome {
     pub bytes: u64,
 }
 
-/// The per-shard scheduler map plus its counters.
+/// One user's scheduler and how far the shard has advanced it.
+struct Slot<P> {
+    policy: P,
+    /// The first round `policy` has not been advanced through. A queued
+    /// user is visited every round, so this equals the shard's round; an
+    /// idle user falls behind and is settled by [`Policy::idle_rounds`]
+    /// when next ingested into or checkpointed.
+    next_round: u64,
+    /// The policy's queue length: `+1` per ingest, re-read from
+    /// `policy.backlog()` at every visit (deliveries and age expiry shrink
+    /// it). The user is in [`ShardState::active`] exactly while this is
+    /// non-zero.
+    queued: usize,
+}
+
+/// The per-shard schedulers plus their counters.
 ///
-/// Users are kept in a [`BTreeMap`] so rounds visit them in ascending id
-/// order — determinism requires a stable iteration order, and hash-map
-/// order varies per process.
+/// A round costs what the backlog costs: it visits only the users with
+/// something queued, in ascending id order — determinism requires a
+/// stable order, and hash-map order varies per process. A user with an
+/// empty queue only accrues budget, which [`Policy::idle_rounds`] settles
+/// bit-identically later because the shard's [`RoundContext`] is built
+/// from [`ServerConfig`] alone and so is the same for every round.
 pub struct ShardState<P: Policy + Send = RichNoteScheduler> {
     shard: usize,
     cfg: ServerConfig,
     /// Shared per-publication: `ingest` hands each queued notification an
     /// `Arc` of this one ladder instead of deep-copying the level table.
     ladder: Arc<PresentationLadder>,
-    schedulers: BTreeMap<UserId, P>,
+    /// Every user's slot, in first-seen order.
+    slots: Vec<Slot<P>>,
+    /// User → index into `slots`; ordered, so a checkpoint lists users by
+    /// ascending id.
+    by_user: BTreeMap<UserId, usize>,
+    /// The queued users with their slot indices: pushed on the idle →
+    /// queued edge, sorted at the start of a round, pruned as queues empty.
+    active: Vec<(UserId, usize)>,
+    /// Notifications queued across all slots (the sum of `Slot::queued`).
+    backlog: usize,
     /// Builds a fresh scheduler for a user seen for the first time.
     factory: fn() -> P,
     /// Wall-clock ingest instants for latency measurement only; not
     /// checkpointed (a restored process has fresh wall clocks anyway).
-    ingest_at: HashMap<ContentId, Instant>,
+    ingest_at: HashMap<(UserId, ContentId), Instant>,
     round: u64,
     ingested: u64,
     selected: u64,
     bytes_budgeted: u64,
     bytes_spent: u64,
     obs: ShardObs,
+}
+
+/// The context of round `round`. Everything but the round index and its
+/// virtual time comes from the configuration, which is what makes idle
+/// rounds skippable.
+fn round_ctx(cfg: &ServerConfig, round: u64) -> RoundContext<'_> {
+    RoundContext::builder(&cfg.cost)
+        .round(round)
+        .now(round as f64 * cfg.round_secs)
+        .round_secs(cfg.round_secs)
+        .link_capacity(cfg.link_capacity)
+        .data_grant(cfg.data_grant)
+        .energy_grant(cfg.energy_grant)
+        .build()
 }
 
 impl ShardState<RichNoteScheduler> {
@@ -588,7 +638,10 @@ impl<P: Policy + Send> ShardState<P> {
             shard,
             cfg,
             ladder: Arc::new(AudioPresentationSpec::paper_default().ladder()),
-            schedulers: BTreeMap::new(),
+            slots: Vec::new(),
+            by_user: BTreeMap::new(),
+            active: Vec::new(),
+            backlog: 0,
             factory,
             ingest_at: HashMap::new(),
             round: 0,
@@ -656,8 +709,24 @@ impl<P: Policy + Send> ShardState<P> {
                     ),
                 });
             }
-            state.schedulers.insert(u.user, policy);
+            let slot = Slot { queued: policy.backlog(), policy, next_round: ck.round };
+            // A user listed twice keeps the later entry.
+            match state.by_user.entry(u.user) {
+                Entry::Occupied(e) => state.slots[*e.get()] = slot,
+                Entry::Vacant(e) => {
+                    e.insert(state.slots.len());
+                    state.slots.push(slot);
+                }
+            }
         }
+        state.backlog = state.slots.iter().map(|s| s.queued).sum();
+        let slots = &state.slots;
+        state.active = state
+            .by_user
+            .iter()
+            .filter(|(_, &i)| slots[i].queued > 0)
+            .map(|(&u, &i)| (u, i))
+            .collect();
         state.obs.registry.set_counter(state.obs.pubs, state.ingested);
         state.obs.registry.set_counter(state.obs.selected, state.selected);
         state.obs.registry.set_counter(state.obs.rounds, state.round);
@@ -667,7 +736,9 @@ impl<P: Policy + Send> ShardState<P> {
     }
 
     /// Serializes this shard's full scheduling state at the current round
-    /// boundary.
+    /// boundary. A user the rounds have been skipping is settled on a copy
+    /// first (its queue is empty, so the copy is small): the checkpoint is
+    /// the one a shard that visited every user every round would write.
     pub fn checkpoint(&self) -> ShardCheckpoint {
         ShardCheckpoint {
             shard: self.shard,
@@ -677,9 +748,23 @@ impl<P: Policy + Send> ShardState<P> {
             bytes_budgeted: self.bytes_budgeted,
             bytes_spent: self.bytes_spent,
             users: self
-                .schedulers
+                .by_user
                 .iter()
-                .map(|(&user, s)| UserCheckpoint { user, scheduler: s.checkpoint() })
+                .map(|(&user, &i)| {
+                    let slot = &self.slots[i];
+                    let mut scheduler = slot.policy.checkpoint();
+                    if slot.next_round < self.round {
+                        let mut settled =
+                            P::restore(scheduler).expect("a policy restores its own checkpoint");
+                        settled.idle_rounds(
+                            &round_ctx(&self.cfg, slot.next_round),
+                            self.round - slot.next_round,
+                            &mut NoopObserver,
+                        );
+                        scheduler = settled.checkpoint();
+                    }
+                    UserCheckpoint { user, scheduler }
+                })
                 .collect(),
         }
     }
@@ -705,46 +790,57 @@ impl<P: Policy + Send> ShardState<P> {
             let (u, c) = (user.value(), item.id.value());
             self.obs.stager.stage(u, c, [SpanRecord::queued(t, self.shard, self.round, u, c)]);
         }
-        let factory = self.factory;
-        let scheduler = self.schedulers.entry(user).or_insert_with(factory);
+        let i = *self.by_user.entry(user).or_insert_with(|| {
+            self.slots.push(Slot { policy: (self.factory)(), next_round: self.round, queued: 0 });
+            self.slots.len() - 1
+        });
+        let slot = &mut self.slots[i];
+        if slot.next_round < self.round {
+            // Settle the rounds that skipped this user before anything is
+            // queued: `idle_rounds` needs the queue empty.
+            let mut ob = SelectObserver { obs: &mut self.obs, user: user.value() };
+            let ctx = round_ctx(&self.cfg, slot.next_round);
+            slot.policy.idle_rounds(&ctx, self.round - slot.next_round, &mut ob);
+            slot.next_round = self.round;
+        }
         let uc = content_utility(&item);
-        self.ingest_at.insert(item.id, received);
+        self.ingest_at.insert((user, item.id), received);
         // Virtual enqueue time: the start of the round the item lands in.
-        scheduler.enqueue(QueuedNotification {
+        slot.policy.enqueue(QueuedNotification {
             enqueued_at: self.round as f64 * self.cfg.round_secs,
             ladder: Arc::clone(&self.ladder),
             content_utility: uc,
             item,
         });
+        if slot.queued == 0 {
+            self.active.push((user, i));
+        }
+        slot.queued += 1;
+        self.backlog += 1;
         self.ingested += 1;
         self.obs.registry.inc(self.obs.pubs, 1);
         let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         self.obs.registry.observe_us(self.obs.stage_dequeue, us);
     }
 
-    /// Runs one round over every user on this shard.
+    /// Runs one round: every user is granted budget, and the users with
+    /// something queued are visited, in ascending id order.
     pub fn run_round(&mut self) -> RoundOutcome {
         let t0 = Instant::now();
         let cpu0 = self.obs.cpu_begin();
-        let now = self.round as f64 * self.cfg.round_secs;
-        let ctx = RoundContext::builder(&self.cfg.cost)
-            .round(self.round)
-            .now(now)
-            .round_secs(self.cfg.round_secs)
-            .link_capacity(self.cfg.link_capacity)
-            .data_grant(self.cfg.data_grant)
-            .energy_grant(self.cfg.energy_grant)
-            .build();
+        let ctx = round_ctx(&self.cfg, self.round);
         let mut outcome = RoundOutcome { round: self.round, selected: Vec::new(), bytes: 0 };
         let mut select_us = 0u64;
-        for (&user, scheduler) in &mut self.schedulers {
-            self.bytes_budgeted += self.cfg.data_grant;
+        self.bytes_budgeted += self.cfg.data_grant * self.slots.len() as u64;
+        self.active.sort_unstable_by_key(|&(user, _)| user);
+        self.active.retain(|&(user, i)| {
+            let slot = &mut self.slots[i];
             let mut ob = SelectObserver { obs: &mut self.obs, user: user.value() };
             let ts = Instant::now();
-            let delivered = scheduler.select_round(&ctx, &mut ob);
+            let delivered = slot.policy.select_round(&ctx, &mut ob);
             select_us += ts.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
             for d in delivered {
-                if let Some(received) = self.ingest_at.remove(&d.content) {
+                if let Some(received) = self.ingest_at.remove(&(user, d.content)) {
                     let us = received.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
                     self.obs.registry.observe_us(self.obs.selection_latency, us);
                 }
@@ -752,7 +848,13 @@ impl<P: Policy + Send> ShardState<P> {
                 outcome.bytes += d.size;
                 outcome.selected.push((user, d.content, d.level));
             }
-        }
+            // Deliveries and age expiry both shrink the queue.
+            let queued = slot.policy.backlog();
+            self.backlog = self.backlog - slot.queued + queued;
+            slot.queued = queued;
+            slot.next_round = ctx.round + 1;
+            queued > 0
+        });
         self.selected += outcome.selected.len() as u64;
         self.round += 1;
         self.obs.registry.inc(self.obs.rounds, 1);
@@ -774,7 +876,7 @@ impl<P: Policy + Send> ShardState<P> {
 
     /// Notifications still queued across this shard's schedulers.
     pub fn backlog(&self) -> usize {
-        self.schedulers.values().map(|s| s.backlog()).sum()
+        self.backlog
     }
 
     /// Folds the ingest queue's drop total into the registry (the queue
@@ -794,9 +896,9 @@ impl<P: Policy + Send> ShardState<P> {
 
     /// A registry snapshot with gauges refreshed to current state.
     pub fn stats(&mut self) -> RegistrySnapshot {
-        let backlog = self.backlog() as f64;
-        self.obs.registry.set_gauge(self.obs.backlog, backlog);
-        self.obs.registry.set_gauge(self.obs.users, self.schedulers.len() as f64);
+        self.obs.registry.set_gauge(self.obs.backlog, self.backlog as f64);
+        self.obs.registry.set_gauge(self.obs.users, self.slots.len() as f64);
+        self.obs.registry.set_gauge(self.obs.active_users, self.active.len() as f64);
         self.obs.registry.set_counter(self.obs.trace_shed, self.obs.stager.shed());
         self.obs.sample_cpu();
         self.obs.sample_allocs();
@@ -1351,7 +1453,7 @@ mod tests {
 
     /// One publication matched to two subscribers on the same shard arrives
     /// as two ingests sharing a content and trace id; each subscriber's
-    /// selection must finish its own trace.
+    /// selection must finish its own trace and time its own latency.
     #[test]
     fn fan_out_on_one_shard_keeps_every_subscribers_select_span() {
         let cfg = ServerConfig { trace_capacity: 64, ..ServerConfig::default() };
@@ -1361,6 +1463,8 @@ mod tests {
         }
         let out = shard.run_round();
         assert_eq!(out.selected.len(), 2, "both subscribers are delivered");
+        let latency = shard.stats().histogram_merged("richnote_selection_latency_us");
+        assert_eq!(latency.count(), 2, "one latency sample per subscriber");
         let select_users = |spans: &[SpanRecord]| -> Vec<Option<u64>> {
             spans.iter().filter(|s| s.stage == SpanStage::Select).map(|s| s.user).collect()
         };
