@@ -23,13 +23,12 @@
 
 use crate::ids::ContentId;
 use crate::policy::{
-    AdaptiveDecision, NoopObserver, Policy, PolicyCheckpoint, SelectDecision, SelectionObserver,
-    WrongPolicy,
+    AdaptiveDecision, Policy, PolicyCheckpoint, SelectDecision, SelectionObserver, WrongPolicy,
 };
 use crate::quality::QualitySample;
 use crate::scheduler::{
-    DeliveredNotification, NetSignal, NotificationScheduler, QueuedNotification, RichNoteConfig,
-    RichNoteScheduler, RoundContext, SchedulerCheckpoint,
+    DeliveredNotification, NetSignal, QueuedNotification, RichNoteConfig, RichNoteScheduler,
+    RoundContext, SchedulerCheckpoint,
 };
 use richnote_net::{MarkovConnectivity, NetworkState};
 use serde::{Deserialize, Serialize};
@@ -93,17 +92,6 @@ impl EwmaThroughput {
     /// The `(min, max)` of all samples ever observed.
     pub fn bounds(&self) -> Option<(f64, f64)> {
         Some((self.min_seen?, self.max_seen?))
-    }
-
-    /// The smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-}
-
-impl Default for EwmaThroughput {
-    fn default() -> Self {
-        Self::new(AdaptiveConfig::default().alpha)
     }
 }
 
@@ -175,30 +163,6 @@ impl AdaptivePolicyBuilder {
         self
     }
 
-    /// Sets the inner RichNote scheduler configuration.
-    pub fn richnote(mut self, cfg: RichNoteConfig) -> Self {
-        self.cfg.richnote = cfg;
-        self
-    }
-
-    /// Sets the EWMA smoothing factor.
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.cfg.alpha = alpha;
-        self
-    }
-
-    /// Sets the level cap applied on predicted flaky-cellular rounds.
-    pub fn cell_level_cap(mut self, cap: u8) -> Self {
-        self.cfg.cell_level_cap = cap;
-        self
-    }
-
-    /// Sets the Markov transition matrix used for prediction.
-    pub fn matrix(mut self, matrix: [[f64; 3]; 3]) -> Self {
-        self.cfg.matrix = matrix;
-        self
-    }
-
     /// Builds the policy.
     ///
     /// # Panics
@@ -252,11 +216,6 @@ impl AdaptivePolicy {
     /// The last network state observed through [`NetSignal`].
     pub fn last_state(&self) -> Option<NetworkState> {
         self.last_state
-    }
-
-    /// The shaping configuration.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.cfg
     }
 
     /// Captures the policy's complete mutable state.
@@ -349,30 +308,6 @@ impl AdaptivePolicy {
         };
         (decision, derived)
     }
-
-    fn round_impl(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        obs: &mut dyn SelectionObserver,
-    ) -> Vec<DeliveredNotification> {
-        let (decision, derived) = self.open_round(ctx);
-        obs.on_adapt(ctx.round, &decision);
-
-        // The inner scheduler self-reports quality as "RichNote"; re-label
-        // its samples so cohorts are attributed to the policy the driver
-        // actually configured.
-        let delivered = self.inner.select_round(&derived, &mut RelabelQuality { inner: obs });
-
-        // Feed the estimator from the realized transfer: the pacing model
-        // finishes the last delivery at `now + bytes/link_rate`, so the
-        // realized rate is total bytes over that span. Instantaneous links
-        // (infinite rate) produce a zero span and are skipped.
-        if let Some(last) = delivered.last() {
-            let bytes: u64 = delivered.iter().map(|d| d.size).sum();
-            self.ewma.observe(bytes, last.delivered_at - ctx.now);
-        }
-        delivered
-    }
 }
 
 /// Forwards everything to the wrapped observer but rewrites the policy
@@ -395,7 +330,7 @@ impl SelectionObserver for RelabelQuality<'_> {
     }
 }
 
-impl NotificationScheduler for AdaptivePolicy {
+impl Policy for AdaptivePolicy {
     fn name(&self) -> &str {
         "Adaptive"
     }
@@ -404,26 +339,28 @@ impl NotificationScheduler for AdaptivePolicy {
         self.inner.enqueue(notification);
     }
 
-    fn run_round(&mut self, ctx: &RoundContext<'_>) -> Vec<DeliveredNotification> {
-        self.round_impl(ctx, &mut NoopObserver)
-    }
-
-    fn backlog(&self) -> usize {
-        self.inner.backlog()
-    }
-
-    fn backlog_bytes(&self) -> u64 {
-        self.inner.backlog_bytes()
-    }
-}
-
-impl Policy for AdaptivePolicy {
     fn select_round(
         &mut self,
         ctx: &RoundContext<'_>,
         obs: &mut dyn SelectionObserver,
     ) -> Vec<DeliveredNotification> {
-        self.round_impl(ctx, obs)
+        let (decision, derived) = self.open_round(ctx);
+        obs.on_adapt(ctx.round, &decision);
+
+        // The inner scheduler self-reports quality as "RichNote"; re-label
+        // its samples so cohorts are attributed to the policy the driver
+        // actually configured.
+        let delivered = self.inner.select_round(&derived, &mut RelabelQuality { inner: obs });
+
+        // Feed the estimator from the realized transfer: the pacing model
+        // finishes the last delivery at `now + bytes/link_rate`, so the
+        // realized rate is total bytes over that span. Instantaneous links
+        // (infinite rate) produce a zero span and are skipped.
+        if let Some(last) = delivered.last() {
+            let bytes: u64 = delivered.iter().map(|d| d.size).sum();
+            self.ewma.observe(bytes, last.delivered_at - ctx.now);
+        }
+        delivered
     }
 
     /// Under a constant context and with no deliveries to feed the
@@ -444,6 +381,14 @@ impl Policy for AdaptivePolicy {
             obs.on_adapt(ctx.round + i, &decision);
         }
         self.inner.idle_rounds(&derived, rounds, &mut RelabelQuality { inner: obs });
+    }
+
+    fn backlog(&self) -> usize {
+        self.inner.backlog()
+    }
+
+    fn backlog_bytes(&self) -> u64 {
+        self.inner.backlog_bytes()
     }
 
     fn checkpoint(&self) -> PolicyCheckpoint {
@@ -660,8 +605,7 @@ mod tests {
     #[test]
     fn boxed_restore_dispatches_to_adaptive() {
         let p = AdaptivePolicy::builder().build();
-        let restored: Box<dyn Policy + Send> = Policy::restore(Policy::checkpoint(&p)).unwrap();
-        assert_eq!(restored.name(), "Adaptive");
+        assert_eq!(Policy::checkpoint(&p).restore().name(), "Adaptive");
     }
 
     #[test]

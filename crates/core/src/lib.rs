@@ -23,8 +23,8 @@
 //!   adjusted utility `Ua(i,j) = Q(t)·s(i) + (P(t)−κ)·ρ(i,j) + V·U(i,j)`
 //!   ([`lyapunov`]);
 //! * the round-based **scheduling policies**: `RichNote` and the two
-//!   industry baselines, `FIFO` and `UTIL` ([`scheduler`]), unified under
-//!   the checkpointable, observable [`Policy`] trait ([`policy`]).
+//!   industry baselines, `FIFO` and `UTIL` ([`scheduler`]), all driven
+//!   through the checkpointable, observable [`Policy`] trait ([`policy`]).
 //!
 //! # Quick example
 //!
@@ -75,7 +75,7 @@ pub use presentation::{AudioPresentationSpec, Presentation, PresentationLadder};
 pub use quality::{CohortCell, CohortLedger, ConnectivityCohort, QualitySample};
 pub use registry::{PolicyName, UnknownPolicy};
 pub use scheduler::{
-    DeliveredNotification, FifoScheduler, NetSignal, NotificationScheduler, QueuedNotification,
-    RichNoteScheduler, RoundContext, RoundContextBuilder, TransferCost, UtilScheduler,
+    DeliveredNotification, FifoScheduler, NetSignal, QueuedNotification, RichNoteScheduler,
+    RoundContext, RoundContextBuilder, TransferCost, UtilScheduler,
 };
 pub use utility::{combined_utility, ContentUtility, DurationUtility};

@@ -1,27 +1,31 @@
-//! The [`Policy`] trait: one interface for every scheduling policy.
+//! The [`Policy`] trait: the one interface every scheduling policy is
+//! driven through.
 //!
-//! [`super::scheduler::NotificationScheduler`] (PR 1) is the minimal
-//! simulation-facing interface; it has no checkpoint story and no way to
-//! watch *why* a policy picked a level. `Policy` is the daemon-facing
-//! superset: the same round loop, plus
+//! A policy owns one user's scheduling queue and budgets. A driver — the
+//! simulator's per-user loop, a server shard — feeds it with
+//! [`Policy::enqueue`] and advances it one round at a time with
+//! [`Policy::select_round`] (or [`Policy::run_round`] when nobody is
+//! watching). Around that round loop the trait carries
 //!
 //! * [`Policy::checkpoint`] / [`Policy::restore`] — every policy can be
-//!   captured into a serializable [`PolicyCheckpoint`] and rebuilt, so the
-//!   server's checkpoint machinery no longer hard-codes one scheduler;
+//!   captured into a serializable, policy-tagged [`PolicyCheckpoint`] and
+//!   rebuilt from it; [`PolicyCheckpoint::restore`] rebuilds whichever
+//!   policy wrote the checkpoint;
 //! * [`SelectionObserver`] — a per-round hook through which the policy
 //!   reports each selection (chosen level, realized utility, and the MCKP
 //!   gradient that won the knapsack slot), feeding the observability
-//!   layer without the policy knowing about registries or trace rings.
+//!   layer without the policy knowing about registries or trace rings;
+//! * [`Policy::idle_rounds`] — a closed form for rounds in which the queue
+//!   is empty, so a driver may skip idle users and settle them later.
 //!
-//! The simulator and the server shard are generic over `P: Policy`;
-//! `Box<dyn Policy>` also implements `Policy` (restore dispatches on the
-//! checkpoint variant), so call sites that pick a policy at runtime stay
-//! dynamic with no second code path.
+//! Drivers hold policies as `Box<dyn Policy + Send>`, built by name through
+//! [`crate::registry::PolicyName`] or from a configuration of their own.
 
+use crate::adaptive::AdaptivePolicy;
 use crate::ids::ContentId;
 use crate::scheduler::{
-    DeliveredNotification, NotificationScheduler, QueuedNotification, RoundContext,
-    SchedulerCheckpoint,
+    DeliveredNotification, FifoScheduler, QueuedNotification, RichNoteScheduler, RoundContext,
+    SchedulerCheckpoint, UtilScheduler,
 };
 use serde::{Deserialize, Serialize};
 
@@ -95,8 +99,8 @@ pub trait SelectionObserver {
     }
 }
 
-/// An observer that ignores everything (the default for plain
-/// `NotificationScheduler` runs).
+/// An observer that ignores everything (what [`Policy::run_round`] runs
+/// under).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
@@ -118,9 +122,8 @@ pub struct FixedLevelCheckpoint {
 /// A policy-tagged checkpoint: which policy wrote it, plus its state.
 ///
 /// The tag is what lets a restarted daemon rebuild the *same* policy the
-/// checkpoint came from — restoring a `Fifo` checkpoint into a RichNote
-/// shard fails loudly with [`WrongPolicy`] instead of silently changing
-/// scheduling behaviour.
+/// checkpoint came from, and refuse a checkpoint written under another
+/// `--policy` instead of silently changing scheduling behaviour.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PolicyCheckpoint {
     /// [`crate::scheduler::RichNoteScheduler`] state.
@@ -145,6 +148,19 @@ impl PolicyCheckpoint {
             PolicyCheckpoint::Adaptive(_) => "Adaptive",
         }
     }
+
+    /// Rebuilds whichever policy wrote the checkpoint.
+    pub fn restore(self) -> Box<dyn Policy + Send> {
+        fn boxed<P: Policy + Send + 'static>(ck: PolicyCheckpoint) -> Box<dyn Policy + Send> {
+            Box::new(P::restore(ck).expect("dispatched on the checkpoint's own variant"))
+        }
+        match self {
+            PolicyCheckpoint::RichNote(_) => boxed::<RichNoteScheduler>(self),
+            PolicyCheckpoint::Fifo(_) => boxed::<FifoScheduler>(self),
+            PolicyCheckpoint::Util(_) => boxed::<UtilScheduler>(self),
+            PolicyCheckpoint::Adaptive(_) => boxed::<AdaptivePolicy>(self),
+        }
+    }
 }
 
 /// Restore was handed a checkpoint written by a different policy.
@@ -164,29 +180,29 @@ impl std::fmt::Display for WrongPolicy {
 
 impl std::error::Error for WrongPolicy {}
 
-/// The unified scheduling-policy interface.
-///
-/// A supertrait of [`NotificationScheduler`], so every policy keeps the
-/// simulation-facing `name`/`enqueue`/`run_round`/`backlog` surface and
-/// adds checkpointing plus observable rounds on top. Semantically
-/// [`Policy::select_round`] is
-/// [`NotificationScheduler::run_round`] with telemetry: the two entry
-/// points deliver identical notifications for the same inputs.
-pub trait Policy: NotificationScheduler {
-    /// Admits newly arrived notifications into the scheduling queue.
-    fn observe_arrivals(&mut self, arrivals: Vec<QueuedNotification>) {
-        for n in arrivals {
-            self.enqueue(n);
-        }
-    }
+/// The scheduling-policy interface: one user's queue, advanced in rounds.
+pub trait Policy {
+    /// Short policy name for reports ("RichNote", "FIFO", "UTIL",
+    /// "Adaptive"); equals [`PolicyCheckpoint::policy_name`] of the
+    /// policy's own checkpoints.
+    fn name(&self) -> &str;
 
-    /// Runs one round, reporting each selection through `obs` and
-    /// returning the deliveries in delivery order.
+    /// Adds a notification to the scheduling queue.
+    fn enqueue(&mut self, notification: QueuedNotification);
+
+    /// Runs one round — updates budgets, selects notifications — reporting
+    /// each selection through `obs` and returning the deliveries in
+    /// delivery order.
     fn select_round(
         &mut self,
         ctx: &RoundContext<'_>,
         obs: &mut dyn SelectionObserver,
     ) -> Vec<DeliveredNotification>;
+
+    /// [`Policy::select_round`] with nobody watching.
+    fn run_round(&mut self, ctx: &RoundContext<'_>) -> Vec<DeliveredNotification> {
+        self.select_round(ctx, &mut NoopObserver)
+    }
 
     /// Advances `rounds` consecutive rounds during which this policy's
     /// queue is empty, leaving exactly the state — and reporting through
@@ -220,6 +236,12 @@ pub trait Policy: NotificationScheduler {
         }
     }
 
+    /// Number of items still queued.
+    fn backlog(&self) -> usize;
+
+    /// Bytes still queued, measured as `Σ s(i)` over queued items.
+    fn backlog_bytes(&self) -> u64;
+
     /// Captures the policy's complete mutable state.
     fn checkpoint(&self) -> PolicyCheckpoint;
 
@@ -232,73 +254,4 @@ pub trait Policy: NotificationScheduler {
     fn restore(ck: PolicyCheckpoint) -> Result<Self, WrongPolicy>
     where
         Self: Sized;
-}
-
-impl NotificationScheduler for Box<dyn Policy + Send> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn enqueue(&mut self, notification: QueuedNotification) {
-        (**self).enqueue(notification);
-    }
-
-    fn run_round(&mut self, ctx: &RoundContext<'_>) -> Vec<DeliveredNotification> {
-        (**self).run_round(ctx)
-    }
-
-    fn backlog(&self) -> usize {
-        (**self).backlog()
-    }
-
-    fn backlog_bytes(&self) -> u64 {
-        (**self).backlog_bytes()
-    }
-}
-
-impl Policy for Box<dyn Policy + Send> {
-    fn observe_arrivals(&mut self, arrivals: Vec<QueuedNotification>) {
-        (**self).observe_arrivals(arrivals);
-    }
-
-    fn select_round(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        obs: &mut dyn SelectionObserver,
-    ) -> Vec<DeliveredNotification> {
-        (**self).select_round(ctx, obs)
-    }
-
-    fn idle_rounds(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        rounds: u64,
-        obs: &mut dyn SelectionObserver,
-    ) {
-        (**self).idle_rounds(ctx, rounds, obs);
-    }
-
-    fn checkpoint(&self) -> PolicyCheckpoint {
-        (**self).checkpoint()
-    }
-
-    /// Rebuilds whichever concrete policy the checkpoint was written by.
-    fn restore(ck: PolicyCheckpoint) -> Result<Self, WrongPolicy> {
-        use crate::adaptive::AdaptivePolicy;
-        use crate::scheduler::{FifoScheduler, RichNoteScheduler, UtilScheduler};
-        Ok(match ck {
-            PolicyCheckpoint::RichNote(_) => {
-                Box::new(RichNoteScheduler::restore(ck).expect("variant matched"))
-            }
-            PolicyCheckpoint::Fifo(_) => {
-                Box::new(FifoScheduler::restore(ck).expect("variant matched"))
-            }
-            PolicyCheckpoint::Util(_) => {
-                Box::new(UtilScheduler::restore(ck).expect("variant matched"))
-            }
-            PolicyCheckpoint::Adaptive(_) => {
-                Box::new(AdaptivePolicy::restore(ck).expect("variant matched"))
-            }
-        })
-    }
 }

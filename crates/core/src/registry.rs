@@ -1,7 +1,9 @@
-//! Name → policy registry: one place that maps the `--policy` flag values
-//! (`richnote | fifo | util | adaptive`) to boxed [`Policy`] instances, so
-//! the server, the simulator and the bench harness all select policies the
-//! same way.
+//! Name → policy registry: the one place that maps the `--policy` flag
+//! values (`richnote | fifo | util | adaptive`) to boxed [`Policy`]
+//! instances. `richnote-server` and `loadgen` carry a [`PolicyName`] in
+//! their configuration and every shard builds its users' policies through
+//! [`PolicyName::factory`]; `simulate` parses the same names and attaches
+//! its own `--v/--kappa/--level` values.
 
 use crate::adaptive::AdaptivePolicy;
 use crate::policy::Policy;
@@ -37,8 +39,8 @@ impl PolicyName {
         }
     }
 
-    /// The display name matching [`crate::scheduler::NotificationScheduler::name`]
-    /// and [`crate::policy::PolicyCheckpoint::policy_name`].
+    /// The display name matching [`Policy::name`] and
+    /// [`crate::policy::PolicyCheckpoint::policy_name`].
     pub fn display_name(self) -> &'static str {
         match self {
             PolicyName::RichNote => "RichNote",
@@ -49,8 +51,7 @@ impl PolicyName {
     }
 
     /// A plain-`fn` factory building a default-configured instance of the
-    /// policy. `fn` pointers (not closures) so callers that store
-    /// factories in `fn() -> P` fields can use them directly.
+    /// policy: what a server shard calls for each user it first sees.
     pub fn factory(self) -> fn() -> Box<dyn Policy + Send> {
         match self {
             PolicyName::RichNote => || Box::new(RichNoteScheduler::builder().build()),
@@ -128,7 +129,6 @@ impl serde::Deserialize for PolicyName {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::NotificationScheduler;
 
     #[test]
     fn every_name_parses_and_builds() {
@@ -161,7 +161,6 @@ mod tests {
 
     #[test]
     fn factory_checkpoint_names_match() {
-        use crate::policy::Policy;
         for name in PolicyName::ALL {
             let policy = name.build();
             assert_eq!(policy.checkpoint().policy_name(), name.display_name());

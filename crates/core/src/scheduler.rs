@@ -11,16 +11,16 @@
 //! * [`UtilScheduler`] — industry baseline: deliver in descending utility
 //!   order at a fixed level (Spotify batch mode).
 //!
-//! All policies operate on the same [`RoundContext`] so the simulator can
-//! swap them freely, and all manage a per-user rolled-over data budget.
+//! All three implement [`Policy`] and operate on the same [`RoundContext`],
+//! so a driver swaps them freely, and all manage a per-user rolled-over
+//! data budget.
 
 use crate::content::ContentItem;
 use crate::ids::ContentId;
 use crate::lyapunov::{accrue, LyapunovConfig, LyapunovState};
 use crate::mckp::{select_greedy_into, GreedyOptions, GreedyScratch, MckpItem};
 use crate::policy::{
-    FixedLevelCheckpoint, NoopObserver, Policy, PolicyCheckpoint, SelectDecision,
-    SelectionObserver, WrongPolicy,
+    FixedLevelCheckpoint, Policy, PolicyCheckpoint, SelectDecision, SelectionObserver, WrongPolicy,
 };
 use crate::presentation::PresentationLadder;
 use crate::quality::{report_suppressed, ConnectivityCohort, QualitySample};
@@ -317,25 +317,6 @@ impl DeliveredNotification {
     }
 }
 
-/// Common interface of all scheduling policies.
-pub trait NotificationScheduler {
-    /// Short policy name for reports ("RichNote", "FIFO", "UTIL").
-    fn name(&self) -> &str;
-
-    /// Adds a notification to the scheduling queue.
-    fn enqueue(&mut self, notification: QueuedNotification);
-
-    /// Runs one round: updates budgets, selects notifications and returns
-    /// them in delivery order.
-    fn run_round(&mut self, ctx: &RoundContext<'_>) -> Vec<DeliveredNotification>;
-
-    /// Number of items still queued.
-    fn backlog(&self) -> usize;
-
-    /// Bytes still queued, measured as `Σ s(i)` over queued items.
-    fn backlog_bytes(&self) -> u64;
-}
-
 /// Configuration of the RichNote policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RichNoteConfig {
@@ -373,9 +354,8 @@ pub struct SchedulerCheckpoint {
 /// the greedy MCKP each round.
 ///
 /// ```
-/// use richnote_core::scheduler::{
-///     LinearCost, NotificationScheduler, RichNoteScheduler, RoundContext,
-/// };
+/// use richnote_core::scheduler::{LinearCost, RichNoteScheduler, RoundContext};
+/// use richnote_core::Policy;
 ///
 /// let mut sched = RichNoteScheduler::builder().build();
 /// let cost = LinearCost { fixed: 1.0, per_byte: 1e-4 };
@@ -422,24 +402,6 @@ impl RichNoteSchedulerBuilder {
     /// Replaces the whole configuration at once.
     pub fn config(mut self, cfg: RichNoteConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// Sets the Lyapunov controller parameters.
-    pub fn lyapunov(mut self, lyapunov: LyapunovConfig) -> Self {
-        self.cfg.lyapunov = lyapunov;
-        self
-    }
-
-    /// Sets the MCKP greedy options.
-    pub fn greedy(mut self, greedy: GreedyOptions) -> Self {
-        self.cfg.greedy = greedy;
-        self
-    }
-
-    /// Drops queue entries older than `secs` seconds.
-    pub fn max_age_secs(mut self, secs: f64) -> Self {
-        self.cfg.max_age_secs = Some(secs);
         self
     }
 
@@ -494,9 +456,36 @@ impl RichNoteScheduler {
         }
     }
 
-    /// The round body shared by [`NotificationScheduler::run_round`] (noop
-    /// observer) and [`Policy::select_round`] (live observer).
-    fn round_impl(
+    /// Drops queue entries older than the configured `max_age_secs`.
+    fn expire(&mut self, now: f64) {
+        let Some(max_age) = self.cfg.max_age_secs else {
+            return;
+        };
+        let lyap = &mut self.lyap;
+        let expired = &mut self.expired;
+        self.queue.retain(|n| {
+            if now - n.enqueued_at > max_age {
+                lyap.on_drop(n.ladder.total_size());
+                *expired += 1;
+                false
+            } else {
+                true
+            }
+        });
+    }
+}
+
+impl Policy for RichNoteScheduler {
+    fn name(&self) -> &str {
+        "RichNote"
+    }
+
+    fn enqueue(&mut self, notification: QueuedNotification) {
+        self.lyap.on_enqueue(notification.ladder.total_size());
+        self.queue.push(notification);
+    }
+
+    fn select_round(
         &mut self,
         ctx: &RoundContext<'_>,
         obs: &mut dyn SelectionObserver,
@@ -599,37 +588,11 @@ impl RichNoteScheduler {
         delivered
     }
 
-    /// Drops queue entries older than the configured `max_age_secs`.
-    fn expire(&mut self, now: f64) {
-        let Some(max_age) = self.cfg.max_age_secs else {
-            return;
-        };
-        let lyap = &mut self.lyap;
-        let expired = &mut self.expired;
-        self.queue.retain(|n| {
-            if now - n.enqueued_at > max_age {
-                lyap.on_drop(n.ladder.total_size());
-                *expired += 1;
-                false
-            } else {
-                true
-            }
-        });
-    }
-}
-
-impl NotificationScheduler for RichNoteScheduler {
-    fn name(&self) -> &str {
-        "RichNote"
-    }
-
-    fn enqueue(&mut self, notification: QueuedNotification) {
-        self.lyap.on_enqueue(notification.ladder.total_size());
-        self.queue.push(notification);
-    }
-
-    fn run_round(&mut self, ctx: &RoundContext<'_>) -> Vec<DeliveredNotification> {
-        self.round_impl(ctx, &mut NoopObserver)
+    /// With nothing queued a round is `begin_round` and nothing else:
+    /// expiry, the MCKP and the suppression report all see an empty queue.
+    fn idle_rounds(&mut self, ctx: &RoundContext<'_>, rounds: u64, _: &mut dyn SelectionObserver) {
+        debug_assert!(self.queue.is_empty(), "idle_rounds on a policy with a queue");
+        self.lyap.idle_rounds(ctx.data_grant, ctx.energy_grant, rounds);
     }
 
     fn backlog(&self) -> usize {
@@ -638,23 +601,6 @@ impl NotificationScheduler for RichNoteScheduler {
 
     fn backlog_bytes(&self) -> u64 {
         self.queue.iter().map(|n| n.ladder.total_size()).sum()
-    }
-}
-
-impl Policy for RichNoteScheduler {
-    fn select_round(
-        &mut self,
-        ctx: &RoundContext<'_>,
-        obs: &mut dyn SelectionObserver,
-    ) -> Vec<DeliveredNotification> {
-        self.round_impl(ctx, obs)
-    }
-
-    /// With nothing queued a round is `begin_round` and nothing else:
-    /// expiry, the MCKP and the suppression report all see an empty queue.
-    fn idle_rounds(&mut self, ctx: &RoundContext<'_>, rounds: u64, _: &mut dyn SelectionObserver) {
-        debug_assert!(self.queue.is_empty(), "idle_rounds on a policy with a queue");
-        self.lyap.idle_rounds(ctx.data_grant, ctx.energy_grant, rounds);
     }
 
     fn checkpoint(&self) -> PolicyCheckpoint {
@@ -824,31 +770,13 @@ impl FifoScheduler {
     }
 }
 
-impl NotificationScheduler for FifoScheduler {
+impl Policy for FifoScheduler {
     fn name(&self) -> &str {
         "FIFO"
     }
 
     fn enqueue(&mut self, notification: QueuedNotification) {
         self.state.queue.push_back(notification);
-    }
-
-    fn run_round(&mut self, ctx: &RoundContext<'_>) -> Vec<DeliveredNotification> {
-        self.state.drain("FIFO", ctx, &mut NoopObserver)
-    }
-
-    fn backlog(&self) -> usize {
-        self.state.queue.len()
-    }
-
-    fn backlog_bytes(&self) -> u64 {
-        self.state.backlog_bytes()
-    }
-}
-
-impl Policy for FifoScheduler {
-    fn observe_arrivals(&mut self, arrivals: Vec<QueuedNotification>) {
-        self.state.queue.extend(arrivals);
     }
 
     fn select_round(
@@ -861,6 +789,14 @@ impl Policy for FifoScheduler {
 
     fn idle_rounds(&mut self, ctx: &RoundContext<'_>, rounds: u64, _: &mut dyn SelectionObserver) {
         self.state.idle_rounds(ctx.data_grant, rounds);
+    }
+
+    fn backlog(&self) -> usize {
+        self.state.queue.len()
+    }
+
+    fn backlog_bytes(&self) -> u64 {
+        self.state.backlog_bytes()
     }
 
     fn checkpoint(&self) -> PolicyCheckpoint {
@@ -888,11 +824,6 @@ impl UtilScheduler {
         FixedLevelBuilder::default()
     }
 
-    /// The configured fixed level.
-    pub fn fixed_level(&self) -> u8 {
-        self.state.fixed_level
-    }
-
     fn resort(&mut self) {
         let level = self.state.fixed_level;
         self.state.queue.make_contiguous().sort_by(|a, b| {
@@ -903,32 +834,13 @@ impl UtilScheduler {
     }
 }
 
-impl NotificationScheduler for UtilScheduler {
+impl Policy for UtilScheduler {
     fn name(&self) -> &str {
         "UTIL"
     }
 
     fn enqueue(&mut self, notification: QueuedNotification) {
         self.state.queue.push_back(notification);
-    }
-
-    fn run_round(&mut self, ctx: &RoundContext<'_>) -> Vec<DeliveredNotification> {
-        self.resort();
-        self.state.drain("UTIL", ctx, &mut NoopObserver)
-    }
-
-    fn backlog(&self) -> usize {
-        self.state.queue.len()
-    }
-
-    fn backlog_bytes(&self) -> u64 {
-        self.state.backlog_bytes()
-    }
-}
-
-impl Policy for UtilScheduler {
-    fn observe_arrivals(&mut self, arrivals: Vec<QueuedNotification>) {
-        self.state.queue.extend(arrivals);
     }
 
     fn select_round(
@@ -942,6 +854,14 @@ impl Policy for UtilScheduler {
 
     fn idle_rounds(&mut self, ctx: &RoundContext<'_>, rounds: u64, _: &mut dyn SelectionObserver) {
         self.state.idle_rounds(ctx.data_grant, rounds);
+    }
+
+    fn backlog(&self) -> usize {
+        self.state.queue.len()
+    }
+
+    fn backlog_bytes(&self) -> u64 {
+        self.state.backlog_bytes()
     }
 
     fn checkpoint(&self) -> PolicyCheckpoint {
@@ -961,6 +881,7 @@ mod tests {
     use super::*;
     use crate::content::{ContentFeatures, ContentKind, Interaction};
     use crate::ids::{AlbumId, ArtistId, ContentId, TrackId, UserId};
+    use crate::policy::NoopObserver;
     use crate::presentation::AudioPresentationSpec;
 
     fn notification(id: u64, content_utility: f64, enqueued_at: f64) -> QueuedNotification {
@@ -1248,21 +1169,17 @@ mod tests {
     }
 
     #[test]
-    fn select_round_matches_run_round() {
-        let mut via_trait = RichNoteScheduler::builder().build();
-        let mut via_policy = RichNoteScheduler::builder().build();
+    fn richnote_observer_sees_one_decision_per_delivery() {
+        let mut s = RichNoteScheduler::builder().build();
         for i in 0..8 {
-            via_trait.enqueue(notification(i, 0.2 + 0.1 * i as f64, 0.0));
+            s.enqueue(notification(i, 0.2 + 0.1 * i as f64, 0.0));
         }
-        via_policy
-            .observe_arrivals((0..8).map(|i| notification(i, 0.2 + 0.1 * i as f64, 0.0)).collect());
         let mut obs = RecordingObserver::default();
-        let a = via_trait.run_round(&online_ctx(0, 400_000));
-        let b = via_policy.select_round(&online_ctx(0, 400_000), &mut obs);
-        assert_eq!(a, b, "select_round must deliver exactly what run_round does");
-        assert_eq!(obs.selects.len(), b.len(), "one on_select per delivery");
+        let delivered = s.select_round(&online_ctx(0, 400_000), &mut obs);
+        assert!(!delivered.is_empty());
+        assert_eq!(obs.selects.len(), delivered.len(), "one on_select per delivery");
         let mut remaining_prev = u64::MAX;
-        for (ev, d) in obs.selects.iter().zip(&b) {
+        for (ev, d) in obs.selects.iter().zip(&delivered) {
             assert_eq!(ev.1, d.content);
             assert_eq!(ev.2.level, d.level);
             assert_eq!(ev.2.size, d.size);
@@ -1278,7 +1195,7 @@ mod tests {
     #[test]
     fn baseline_observer_reports_zero_gradient() {
         let mut fifo = FifoScheduler::builder().fixed_level(1).build();
-        Policy::observe_arrivals(&mut fifo, vec![notification(1, 0.9, 0.0)]);
+        fifo.enqueue(notification(1, 0.9, 0.0));
         let mut obs = RecordingObserver::default();
         let d = fifo.select_round(&online_ctx(0, 1_000_000), &mut obs);
         assert_eq!(d.len(), 1);
@@ -1309,8 +1226,7 @@ mod tests {
             let json = serde_json::to_string(&ck).unwrap();
             let back: PolicyCheckpoint = serde_json::from_str(&json).unwrap();
             assert_eq!(ck, back, "{name} checkpoint must survive a JSON round trip");
-            let restored: Box<dyn Policy + Send> = Policy::restore(back).unwrap();
-            assert_eq!(restored.name(), name);
+            assert_eq!(back.restore().name(), name);
         }
 
         // Restored baselines resume with identical budgets and queues.
@@ -1347,8 +1263,7 @@ mod tests {
             };
             let ctx = online_ctx(7, grant);
             for ck in [PolicyCheckpoint::Fifo(state.clone()), PolicyCheckpoint::Util(state)] {
-                let mut fast: Box<dyn Policy + Send> = Policy::restore(ck.clone()).unwrap();
-                let mut slow: Box<dyn Policy + Send> = Policy::restore(ck).unwrap();
+                let (mut fast, mut slow) = (ck.clone().restore(), ck.restore());
                 fast.idle_rounds(&ctx, rounds, &mut NoopObserver);
                 for r in 0..rounds {
                     let step = RoundContext { round: ctx.round + r, ..ctx };

@@ -10,9 +10,9 @@
 //!                                                             │  drop-oldest)
 //!                                            shard workers ◀──┘
 //!                                            one thread per shard, each
-//!                                            owning its users' RichNote
-//!                                            schedulers and running the
-//!                                            round loop on Tick
+//!                                            owning its users' policies
+//!                                            (`ServerConfig::policy`) and
+//!                                            running the round loop on Tick
 //! ```
 //!
 //! Users are partitioned across shards by a multiplicative hash of their
@@ -21,7 +21,7 @@
 //! explicit [`wire::Request::Tick`] messages rather than wall-clock timers,
 //! which keeps selection deterministic: the same publications plus the same
 //! tick sequence yield the same selections as a single-threaded
-//! [`richnote_core::scheduler::RichNoteScheduler`] per user.
+//! [`richnote_core::Policy`] per user.
 //!
 //! The daemon uses blocking I/O with a thread per connection plus a thread
 //! per shard. The paper targets mobile clients with hour-scale rounds, so

@@ -512,14 +512,7 @@ impl Server {
         let workers: Vec<ShardWorker> = shard_cks
             .into_iter()
             .enumerate()
-            .map(|(s, ck)| match cfg.policy {
-                // Default policy keeps the monomorphized fast path; any
-                // other registry policy runs behind the boxed interface.
-                richnote_core::registry::PolicyName::RichNote => {
-                    ShardWorker::spawn(s, cfg.clone(), ck)
-                }
-                name => ShardWorker::spawn_with(s, cfg.clone(), ck, name.factory()),
-            })
+            .map(|(s, ck)| ShardWorker::spawn(s, cfg.clone(), ck))
             .collect();
         let queues = workers.iter().map(|w| Arc::clone(&w.queue)).collect();
         let router = Arc::new(Router::new(queues));

@@ -7,14 +7,14 @@
 //! jitter. Wall-clock [`Instant`]s are kept separately, purely to measure
 //! ingest-to-selection latency and per-stage durations.
 //!
-//! # Policy genericity
+//! # Policies
 //!
-//! [`ShardState`] is generic over `P:`[`Policy`] — the scheduler type is a
-//! type parameter, not an enum match, so the daemon can run the FIFO or
-//! UTIL baselines (or any future policy) with zero dispatch overhead on
-//! the round loop. The default is [`RichNoteScheduler`]; checkpoints carry
-//! a policy-tagged [`richnote_core::policy::PolicyCheckpoint`] and restoring one into the wrong
-//! policy fails loudly.
+//! A shard holds one `Box<dyn Policy + Send>` per user, built by the
+//! factory [`ServerConfig::policy`] names
+//! ([`richnote_core::PolicyName::factory`]); the round loop knows only the
+//! [`Policy`] trait. Checkpoints carry a policy-tagged
+//! [`richnote_core::policy::PolicyCheckpoint`], and restoring one written
+//! by a different policy than the shard builds fails loudly.
 //!
 //! # Observability
 //!
@@ -45,7 +45,7 @@ use richnote_core::quality::{
     QualitySample, COHORTS, DELIVERED_BYTES_FAMILY, DELIVERED_BYTES_HELP, QUALITY_LEVELS,
     SUPPRESSED_FAMILY, SUPPRESSED_HELP, UTILITY_FAMILY, UTILITY_HELP,
 };
-use richnote_core::scheduler::{QueuedNotification, RichNoteScheduler, RoundContext};
+use richnote_core::scheduler::{QueuedNotification, RoundContext};
 use richnote_core::{
     AdaptiveDecision, ContentId, ContentItem, NoopObserver, Policy, PresentationLadder,
     SelectDecision, SelectionObserver, UserId,
@@ -72,11 +72,6 @@ pub fn content_utility(item: &ContentItem) -> f64 {
     let f = &item.features;
     (0.5 * f.track_popularity + 0.3 * f.artist_popularity + 0.2 * f.album_popularity)
         .clamp(0.0, 1.0)
-}
-
-/// The default shard policy: RichNote with paper-default parameters.
-fn default_policy() -> RichNoteScheduler {
-    RichNoteScheduler::builder().build()
 }
 
 /// Highest deliverable presentation level in the paper's audio ladder
@@ -549,8 +544,8 @@ pub struct RoundOutcome {
 }
 
 /// One user's scheduler and how far the shard has advanced it.
-struct Slot<P> {
-    policy: P,
+struct Slot {
+    policy: Box<dyn Policy + Send>,
     /// The first round `policy` has not been advanced through. A queued
     /// user is visited every round, so this equals the shard's round; an
     /// idle user falls behind and is settled by [`Policy::idle_rounds`]
@@ -571,14 +566,14 @@ struct Slot<P> {
 /// empty queue only accrues budget, which [`Policy::idle_rounds`] settles
 /// bit-identically later because the shard's [`RoundContext`] is built
 /// from [`ServerConfig`] alone and so is the same for every round.
-pub struct ShardState<P: Policy + Send = RichNoteScheduler> {
+pub struct ShardState {
     shard: usize,
     cfg: ServerConfig,
     /// Shared per-publication: `ingest` hands each queued notification an
     /// `Arc` of this one ladder instead of deep-copying the level table.
     ladder: Arc<PresentationLadder>,
     /// Every user's slot, in first-seen order.
-    slots: Vec<Slot<P>>,
+    slots: Vec<Slot>,
     /// User → index into `slots`; ordered, so a checkpoint lists users by
     /// ascending id.
     by_user: BTreeMap<UserId, usize>,
@@ -588,7 +583,7 @@ pub struct ShardState<P: Policy + Send = RichNoteScheduler> {
     /// Notifications queued across all slots (the sum of `Slot::queued`).
     backlog: usize,
     /// Builds a fresh scheduler for a user seen for the first time.
-    factory: fn() -> P,
+    factory: fn() -> Box<dyn Policy + Send>,
     /// Wall-clock ingest instants for latency measurement only; not
     /// checkpointed (a restored process has fresh wall clocks anyway).
     ingest_at: HashMap<(UserId, ContentId), Instant>,
@@ -614,25 +609,31 @@ fn round_ctx(cfg: &ServerConfig, round: u64) -> RoundContext<'_> {
         .build()
 }
 
-impl ShardState<RichNoteScheduler> {
-    /// An empty shard running the default RichNote policy.
+impl ShardState {
+    /// An empty shard running the policy `cfg.policy` names.
     pub fn new(shard: usize, cfg: ServerConfig) -> Self {
-        ShardState::with_policy(shard, cfg, default_policy)
+        let factory = cfg.policy.factory();
+        ShardState::with_policy(shard, cfg, factory)
     }
 
-    /// Rebuilds a RichNote shard from its checkpoint.
+    /// Rebuilds a shard running the policy `cfg.policy` names from its
+    /// checkpoint.
     ///
     /// # Errors
     ///
-    /// See [`ShardState::restore_with`].
+    /// See [`ShardState::load`].
     pub fn restore(shard: usize, cfg: ServerConfig, ck: ShardCheckpoint) -> ServerResult<Self> {
-        ShardState::restore_with(shard, cfg, ck, default_policy)
+        ShardState::new(shard, cfg).load(ck)
     }
-}
 
-impl<P: Policy + Send> ShardState<P> {
-    /// An empty shard whose schedulers are built by `factory`.
-    pub fn with_policy(shard: usize, cfg: ServerConfig, factory: fn() -> P) -> Self {
+    /// An empty shard whose schedulers are built by `factory` instead of
+    /// the registry's: the seam for a policy configured other than by
+    /// default, or a test double.
+    pub fn with_policy(
+        shard: usize,
+        cfg: ServerConfig,
+        factory: fn() -> Box<dyn Policy + Send>,
+    ) -> Self {
         let obs = ShardObs::new(shard, cfg.trace_capacity, cfg.trace_sample, cfg.rsrc.enabled);
         ShardState {
             shard,
@@ -653,7 +654,7 @@ impl<P: Policy + Send> ShardState<P> {
         }
     }
 
-    /// Rebuilds a shard from its checkpoint.
+    /// Loads a checkpoint into a freshly built shard.
     ///
     /// Lifetime counters (ingested, selected, rounds, bytes) are restored
     /// into the metric registry so `Stats` survives a restart; wall-clock
@@ -666,73 +667,65 @@ impl<P: Policy + Send> ShardState<P> {
     ///
     /// Returns [`ServerError::Checkpoint`] when the checkpoint belongs to
     /// a different shard index or a user's state was written by a
-    /// different policy than `P`.
-    pub fn restore_with(
-        shard: usize,
-        cfg: ServerConfig,
-        ck: ShardCheckpoint,
-        factory: fn() -> P,
-    ) -> ServerResult<Self> {
-        if ck.shard != shard {
+    /// different policy than this shard's factory builds.
+    pub fn load(mut self, ck: ShardCheckpoint) -> ServerResult<Self> {
+        if ck.shard != self.shard {
             return Err(ServerError::Checkpoint {
                 path: String::new(),
-                detail: format!("shard checkpoint index {} restored onto shard {shard}", ck.shard),
+                detail: format!(
+                    "shard checkpoint index {} restored onto shard {}",
+                    ck.shard, self.shard
+                ),
             });
         }
-        let mut state = ShardState::with_policy(shard, cfg, factory);
-        state.round = ck.round;
-        state.ingested = ck.ingested;
-        state.selected = ck.selected;
-        state.bytes_budgeted = ck.bytes_budgeted;
-        state.bytes_spent = ck.bytes_spent;
-        state.obs.registry.set_gauge(state.obs.restored_users, ck.users.len() as f64);
+        self.round = ck.round;
+        self.ingested = ck.ingested;
+        self.selected = ck.selected;
+        self.bytes_budgeted = ck.bytes_budgeted;
+        self.bytes_spent = ck.bytes_spent;
+        self.obs.registry.set_gauge(self.obs.restored_users, ck.users.len() as f64);
         // What this shard will build for new users; restored users must
-        // have been written by the same policy. Concrete policy types
-        // already reject foreign checkpoint variants in `restore`, but a
-        // boxed registry policy would happily revive any variant — the
-        // name guard keeps `--policy` switches from silently mixing
-        // scheduler states.
-        let probe = factory();
-        let expected = probe.name().to_string();
+        // have been written by the same policy. A checkpoint revives
+        // whichever policy wrote it, so the name guard is what keeps a
+        // `--policy` switch from silently mixing scheduler states.
+        let probe = (self.factory)();
+        let expected = probe.name();
         for u in ck.users {
-            let policy = P::restore(u.scheduler).map_err(|e| ServerError::Checkpoint {
-                path: String::new(),
-                detail: format!("user {}: {e}", u.user.value()),
-            })?;
-            if policy.name() != expected {
+            if u.scheduler.policy_name() != expected {
                 return Err(ServerError::Checkpoint {
                     path: String::new(),
                     detail: format!(
                         "user {}: checkpoint written by the {} policy but this shard runs {expected}",
                         u.user.value(),
-                        policy.name()
+                        u.scheduler.policy_name()
                     ),
                 });
             }
+            let policy = u.scheduler.restore();
             let slot = Slot { queued: policy.backlog(), policy, next_round: ck.round };
             // A user listed twice keeps the later entry.
-            match state.by_user.entry(u.user) {
-                Entry::Occupied(e) => state.slots[*e.get()] = slot,
+            match self.by_user.entry(u.user) {
+                Entry::Occupied(e) => self.slots[*e.get()] = slot,
                 Entry::Vacant(e) => {
-                    e.insert(state.slots.len());
-                    state.slots.push(slot);
+                    e.insert(self.slots.len());
+                    self.slots.push(slot);
                 }
             }
         }
-        state.backlog = state.slots.iter().map(|s| s.queued).sum();
-        let slots = &state.slots;
-        state.active = state
+        self.backlog = self.slots.iter().map(|s| s.queued).sum();
+        let slots = &self.slots;
+        self.active = self
             .by_user
             .iter()
             .filter(|(_, &i)| slots[i].queued > 0)
             .map(|(&u, &i)| (u, i))
             .collect();
-        state.obs.registry.set_counter(state.obs.pubs, state.ingested);
-        state.obs.registry.set_counter(state.obs.selected, state.selected);
-        state.obs.registry.set_counter(state.obs.rounds, state.round);
-        state.obs.registry.set_counter(state.obs.bytes_spent, state.bytes_spent);
-        state.obs.registry.set_counter(state.obs.bytes_budgeted, state.bytes_budgeted);
-        Ok(state)
+        self.obs.registry.set_counter(self.obs.pubs, self.ingested);
+        self.obs.registry.set_counter(self.obs.selected, self.selected);
+        self.obs.registry.set_counter(self.obs.rounds, self.round);
+        self.obs.registry.set_counter(self.obs.bytes_spent, self.bytes_spent);
+        self.obs.registry.set_counter(self.obs.bytes_budgeted, self.bytes_budgeted);
+        Ok(self)
     }
 
     /// Serializes this shard's full scheduling state at the current round
@@ -754,8 +747,7 @@ impl<P: Policy + Send> ShardState<P> {
                     let slot = &self.slots[i];
                     let mut scheduler = slot.policy.checkpoint();
                     if slot.next_round < self.round {
-                        let mut settled =
-                            P::restore(scheduler).expect("a policy restores its own checkpoint");
+                        let mut settled = scheduler.restore();
                         settled.idle_rounds(
                             &round_ctx(&self.cfg, slot.next_round),
                             self.round - slot.next_round,
@@ -998,7 +990,7 @@ enum Flow {
     Stop,
 }
 
-fn handle_msg<P: Policy + Send>(state: &mut ShardState<P>, msg: ShardMsg) -> Flow {
+fn handle_msg(state: &mut ShardState, msg: ShardMsg) -> Flow {
     let faults = state.cfg.faults.clone();
     match msg {
         ShardMsg::Ingest { user, item, received, trace } => {
@@ -1048,28 +1040,19 @@ fn handle_msg<P: Policy + Send>(state: &mut ShardState<P>, msg: ShardMsg) -> Flo
 }
 
 impl ShardWorker {
-    /// Spawns the worker thread for shard `shard` running the default
-    /// RichNote policy, optionally seeded with restored state.
+    /// Spawns the worker thread for shard `shard` running the policy
+    /// `cfg.policy` names, optionally seeded with restored state.
     pub fn spawn(shard: usize, cfg: ServerConfig, restored: Option<ShardCheckpoint>) -> Self {
-        ShardWorker::spawn_with(shard, cfg, restored, default_policy)
-    }
-
-    /// Spawns the worker with an arbitrary policy factory.
-    pub fn spawn_with<P: Policy + Send + 'static>(
-        shard: usize,
-        cfg: ServerConfig,
-        restored: Option<ShardCheckpoint>,
-        factory: fn() -> P,
-    ) -> Self {
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity, ShardMsg::droppable));
         let q = Arc::clone(&queue);
         let handle = std::thread::Builder::new()
             .name(format!("richnote-shard-{shard}"))
             .spawn(move || {
                 let mut state = match restored {
-                    Some(ck) => ShardState::restore_with(shard, cfg, ck, factory)
-                        .expect("shard checkpoint mismatch"),
-                    None => ShardState::with_policy(shard, cfg, factory),
+                    Some(ck) => {
+                        ShardState::restore(shard, cfg, ck).expect("shard checkpoint mismatch")
+                    }
+                    None => ShardState::new(shard, cfg),
                 };
                 while let Some(msg) = q.pop() {
                     // The queue's drop counter lives outside the state;
@@ -1125,6 +1108,7 @@ mod tests {
     use crate::fault::{FaultPlan, ShardPanicFault};
     use richnote_core::content::{ContentFeatures, ContentKind, Interaction, SocialTie};
     use richnote_core::scheduler::{FifoScheduler, UtilScheduler};
+    use richnote_core::{PolicyCheckpoint, PolicyName};
     use richnote_obs::SpanStage;
 
     fn item(id: u64, recipient: u64, arrival: f64) -> ContentItem {
@@ -1300,39 +1284,37 @@ mod tests {
 
     #[test]
     fn shard_runs_baseline_policies_generically() {
-        let mut fifo: ShardState<FifoScheduler> =
-            ShardState::with_policy(0, ServerConfig::default(), || {
-                FifoScheduler::builder().fixed_level(2).build()
-            });
-        let mut util: ShardState<UtilScheduler> =
-            ShardState::with_policy(0, ServerConfig::default(), || {
-                UtilScheduler::builder().fixed_level(2).build()
-            });
-        for s in [0, 1] {
-            let now = Instant::now();
-            if s == 0 {
-                fifo.ingest(UserId::new(1), item(1, 1, 0.0), now, None);
-            } else {
-                util.ingest(UserId::new(1), item(1, 1, 0.0), now, None);
-            }
-        }
+        let mut fifo = ShardState::with_policy(0, ServerConfig::default(), || {
+            Box::new(FifoScheduler::builder().fixed_level(2).build())
+        });
+        let mut util = ShardState::with_policy(0, ServerConfig::default(), || {
+            Box::new(UtilScheduler::builder().fixed_level(2).build())
+        });
+        fifo.ingest(UserId::new(1), item(1, 1, 0.0), Instant::now(), None);
+        util.ingest(UserId::new(1), item(1, 1, 0.0), Instant::now(), None);
         let f = fifo.run_round();
         let u = util.run_round();
         assert_eq!(f.selected.len(), 1);
         assert_eq!(u.selected.len(), 1);
         assert!(f.selected.iter().all(|&(_, _, level)| level == 2));
         // A FIFO checkpoint cannot restore into a RichNote shard.
-        let ck = fifo.checkpoint();
-        let err = match ShardState::<RichNoteScheduler>::restore_with(
-            0,
-            ServerConfig::default(),
-            ck,
-            default_policy,
-        ) {
+        let err = match ShardState::restore(0, ServerConfig::default(), fifo.checkpoint()) {
             Ok(_) => panic!("FIFO checkpoint restored into a RichNote shard"),
             Err(e) => e,
         };
         assert!(err.to_string().contains("FIFO"), "{err}");
+    }
+
+    /// `new` and `restore` build the policy the configuration names.
+    #[test]
+    fn new_and_restore_honour_the_configured_policy() {
+        let cfg = ServerConfig { policy: PolicyName::Fifo, ..ServerConfig::default() };
+        let mut shard = ShardState::new(0, cfg.clone());
+        shard.ingest(UserId::new(1), item(1, 1, 0.0), Instant::now(), None);
+        let ck = shard.checkpoint();
+        assert!(matches!(ck.users[0].scheduler, PolicyCheckpoint::Fifo(_)), "{ck:?}");
+        let restored = ShardState::restore(0, cfg, ck.clone()).expect("same-policy restore");
+        assert_eq!(restored.checkpoint(), ck);
     }
 
     #[test]

@@ -25,8 +25,7 @@ fn adaptive_shard_checkpoint_roundtrips_estimator_state() {
     let cfg = adaptive_cfg();
     let items = TraceGenerator::new(TraceConfig::small(5)).generate().items;
 
-    let factory = PolicyName::Adaptive.factory();
-    let mut state = ShardState::with_policy(0, cfg.clone(), factory);
+    let mut state = ShardState::new(0, cfg.clone());
     for item in &items {
         state.ingest(item.recipient, item.clone(), Instant::now(), None);
     }
@@ -35,7 +34,7 @@ fn adaptive_shard_checkpoint_roundtrips_estimator_state() {
     }
 
     let ck = state.checkpoint();
-    let mut restored = ShardState::restore_with(0, cfg, ck, factory).unwrap();
+    let mut restored = ShardState::restore(0, cfg, ck).unwrap();
 
     // Both shards now run the same future: identical selections prove the
     // full policy state (not just the queues) was checkpointed.
@@ -50,47 +49,52 @@ fn adaptive_shard_checkpoint_roundtrips_estimator_state() {
 fn adaptive_checkpoint_rejected_by_other_policies() {
     let cfg = adaptive_cfg();
     let items = TraceGenerator::new(TraceConfig::small(5)).generate().items;
-    let mut state = ShardState::with_policy(0, cfg.clone(), PolicyName::Adaptive.factory());
+    let mut state = ShardState::new(0, cfg.clone());
     for item in &items {
         state.ingest(item.recipient, item.clone(), Instant::now(), None);
     }
     state.run_round();
     let ck = state.checkpoint();
 
-    // Boxed RichNote factory: the variant would revive, so the name guard
-    // must catch the mismatch.
-    let err = ShardState::restore_with(0, cfg.clone(), ck.clone(), PolicyName::RichNote.factory())
-        .err()
-        .expect("adaptive checkpoint must not restore under richnote");
-    assert!(format!("{err}").contains("policy"), "unhelpful error: {err}");
-
-    // Concrete RichNoteScheduler shard: the checkpoint variant itself
-    // mismatches.
-    assert!(ShardState::restore(0, cfg, ck).is_err());
+    // The checkpoint would revive as what it is, so the shard's name guard
+    // must catch the mismatch with what the configuration builds.
+    for other in [PolicyName::RichNote, PolicyName::Fifo, PolicyName::Util] {
+        let err = ShardState::restore(0, ServerConfig { policy: other, ..cfg.clone() }, ck.clone())
+            .err()
+            .expect("adaptive checkpoint must not restore under another policy");
+        assert!(format!("{err}").contains("policy"), "unhelpful error: {err}");
+    }
 }
 
-/// A restarted daemon pointed at an adaptive checkpoint but configured
-/// for a different policy must refuse at startup — before any shard
-/// worker spawns — with an error naming both policies. A mismatch caught
+/// A restarted daemon pointed at a checkpoint written under one policy
+/// but configured for another must refuse at startup — before any shard
+/// worker spawns — with an error naming the writer. A mismatch caught
 /// inside a worker thread would leave a half-alive daemon instead.
 #[test]
 fn server_spawn_rejects_cross_policy_checkpoint_at_startup() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    for (i, &written) in PolicyName::ALL.iter().enumerate() {
+        let configured = PolicyName::ALL[(i + 1) % PolicyName::ALL.len()];
+        cross_policy_restart(written, configured);
+    }
+}
+
+fn cross_policy_restart(written: PolicyName, configured: PolicyName) {
     let dir = std::env::temp_dir().join(format!(
-        "richnote-adaptive-xpolicy-{}-{}",
+        "richnote-xpolicy-{}-{}",
         std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
+        written.as_str()
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    let cfg_for = |policy| {
+        ServerConfig::builder()
+            .policy(policy)
+            .checkpoint_dir(dir.to_str().unwrap())
+            .build()
+            .unwrap()
+    };
 
-    let cfg = ServerConfig::builder()
-        .policy(PolicyName::Adaptive)
-        .checkpoint_dir(dir.to_str().unwrap())
-        .build()
-        .unwrap();
-    let (addr, handle) = Server::spawn(cfg.clone()).expect("spawn adaptive server");
+    let (addr, handle) = Server::spawn(cfg_for(written)).expect("spawn server");
     let mut client = Client::builder(addr).connect().expect("connect");
     let items = TraceGenerator::new(TraceConfig::small(3)).generate().items;
     for item in &items {
@@ -104,20 +108,16 @@ fn server_spawn_rejects_cross_policy_checkpoint_at_startup() {
     handle.join().unwrap();
 
     // Same dir, wrong policy: clean typed error, no server.
-    let wrong = ServerConfig::builder()
-        .policy(PolicyName::RichNote)
-        .checkpoint_dir(dir.to_str().unwrap())
-        .build()
-        .unwrap();
-    let err = Server::spawn(wrong).expect_err("cross-policy restore must fail at startup");
+    let err =
+        Server::spawn(cfg_for(configured)).expect_err("cross-policy restore must fail at startup");
     let msg = format!("{err}");
     assert!(
-        msg.contains("Adaptive") && msg.contains("policy"),
-        "error must name the mismatch: {msg}"
+        msg.contains(written.display_name()) && msg.contains("policy"),
+        "{written} restored under {configured} must name the mismatch: {msg}"
     );
 
     // Same dir, right policy: restores fine.
-    let (addr, handle) = Server::spawn(cfg).expect("same-policy restore");
+    let (addr, handle) = Server::spawn(cfg_for(written)).expect("same-policy restore");
     let mut client = Client::builder(addr).connect().expect("reconnect");
     client.shutdown().unwrap();
     handle.join().unwrap();

@@ -3,10 +3,8 @@
 //! [`RichNoteScheduler`] per user, and shard count must be invisible in
 //! the selections.
 
-use richnote_core::scheduler::{
-    NotificationScheduler, QueuedNotification, RichNoteScheduler, RoundContext,
-};
-use richnote_core::{ContentId, ContentItem, UserId};
+use richnote_core::scheduler::{QueuedNotification, RichNoteScheduler, RoundContext};
+use richnote_core::{ContentId, ContentItem, Policy, UserId};
 use richnote_pubsub::Topic;
 use richnote_server::shard::content_utility;
 use richnote_server::{shard_of, Client, Server, ServerConfig, ShardState};

@@ -2,8 +2,8 @@
 //! client retry under injected connection drops, drain semantics, and
 //! loud failure on corrupt checkpoints.
 
-use richnote_core::scheduler::{NotificationScheduler, QueuedNotification, RichNoteScheduler};
-use richnote_core::{ContentId, ContentItem, UserId};
+use richnote_core::scheduler::{QueuedNotification, RichNoteScheduler};
+use richnote_core::{ContentId, ContentItem, Policy, UserId};
 use richnote_pubsub::Topic;
 use richnote_server::shard::content_utility;
 use richnote_server::wire::{read_frame, write_frame, ErrorCode, Request, Response};

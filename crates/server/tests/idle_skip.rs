@@ -15,8 +15,8 @@ use richnote_core::content::{ContentFeatures, ContentKind, Interaction, SocialTi
 use richnote_core::presentation::AudioPresentationSpec;
 use richnote_core::quality::QualitySample;
 use richnote_core::scheduler::{
-    DeliveredNotification, LinearCost, NotificationScheduler, QueuedNotification, RichNoteConfig,
-    RichNoteScheduler, RoundContext,
+    DeliveredNotification, LinearCost, QueuedNotification, RichNoteConfig, RichNoteScheduler,
+    RoundContext,
 };
 use richnote_core::{
     AdaptiveDecision, AlbumId, ArtistId, ContentId, ContentItem, Policy, PolicyCheckpoint,
@@ -98,13 +98,16 @@ impl SelectionObserver for Telemetry {
     }
 }
 
+/// What a shard builds its users' policies with.
+type Factory = fn() -> Box<dyn Policy + Send>;
+
 /// The visit-everyone shard: what `ShardState` must be indistinguishable
 /// from.
-struct Reference<P> {
+struct Reference {
     cfg: ServerConfig,
     ladder: Arc<PresentationLadder>,
-    factory: fn() -> P,
-    users: BTreeMap<UserId, P>,
+    factory: Factory,
+    users: BTreeMap<UserId, Box<dyn Policy + Send>>,
     round: u64,
     ingested: u64,
     selected: u64,
@@ -113,8 +116,8 @@ struct Reference<P> {
     telemetry: Telemetry,
 }
 
-impl<P: Policy> Reference<P> {
-    fn new(cfg: ServerConfig, factory: fn() -> P) -> Self {
+impl Reference {
+    fn new(cfg: ServerConfig, factory: Factory) -> Self {
         Reference {
             cfg,
             ladder: Arc::new(AudioPresentationSpec::paper_default().ladder()),
@@ -185,14 +188,13 @@ impl<P: Policy> Reference<P> {
     /// A restart: policies come back from the checkpoint, the telemetry
     /// that no checkpoint carries starts over.
     fn restart_from(&mut self, ck: ShardCheckpoint) {
-        self.users =
-            ck.users.into_iter().map(|u| (u.user, P::restore(u.scheduler).unwrap())).collect();
+        self.users = ck.users.into_iter().map(|u| (u.user, u.scheduler.restore())).collect();
         self.telemetry = Telemetry::default();
     }
 }
 
 /// One seeded case: `steps` random operations against both models.
-fn differential<P: Policy + Send>(factory: fn() -> P, seed: u64) {
+fn differential(factory: Factory, seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     // Grants that starve (a queue waits, and ages, until the roll-over
     // reaches a metadata's size), bind (metadata fits, previews wait) and
@@ -213,15 +215,15 @@ fn differential<P: Policy + Send>(factory: fn() -> P, seed: u64) {
     let mut shard = ShardState::with_policy(0, cfg.clone(), factory);
     let mut reference = Reference::new(cfg.clone(), factory);
     let mut next_id = 0u64;
-    let publish = |shard: &mut ShardState<P>,
-                   reference: &mut Reference<P>,
+    let publish = |shard: &mut ShardState,
+                   reference: &mut Reference,
                    user: UserId,
                    id: u64,
                    popularity: f64| {
         shard.ingest(user, item(id, user, popularity), Instant::now(), None);
         reference.ingest(user, item(id, user, popularity));
     };
-    let round = |shard: &mut ShardState<P>, reference: &mut Reference<P>| {
+    let round = |shard: &mut ShardState, reference: &mut Reference| {
         assert_eq!(shard.run_round(), reference.run_round(), "seed {seed}");
         assert_eq!(shard.backlog(), reference.backlog(), "seed {seed}");
     };
@@ -263,7 +265,7 @@ fn differential<P: Policy + Send>(factory: fn() -> P, seed: u64) {
                 let ck = shard.checkpoint();
                 assert_eq!(ck, reference.checkpoint(), "seed {seed}");
                 reference.restart_from(ck.clone());
-                shard = ShardState::restore_with(0, cfg.clone(), ck, factory).unwrap();
+                shard = ShardState::with_policy(0, cfg.clone(), factory).load(ck).unwrap();
                 assert_eq!(shard.backlog(), reference.backlog(), "seed {seed}");
             }
         }
@@ -293,15 +295,14 @@ fn differential<P: Policy + Send>(factory: fn() -> P, seed: u64) {
 
 const SEEDS_PER_POLICY: u64 = 40;
 
-fn differential_cases<P: Policy + Send>(factory: fn() -> P, salt: u64) {
+fn differential_cases(factory: Factory, salt: u64) {
     for seed in 0..SEEDS_PER_POLICY {
         differential(factory, salt << 32 | seed);
     }
 }
 
-// Six policies × 40 seeds = 240 cases. The registry factories build the
-// boxed policies the daemon runs, so the `Box<dyn Policy>` forward of
-// `idle_rounds` is what these exercise.
+// Six policies × 40 seeds = 240 cases: the four the registry builds, which
+// are the ones the daemon runs, and two configured with queue expiry.
 
 #[test]
 fn registry_richnote_matches_the_visit_everyone_model() {
@@ -330,17 +331,16 @@ fn expiring() -> RichNoteConfig {
 }
 
 #[test]
-fn monomorphised_richnote_with_expiry_matches_the_visit_everyone_model() {
-    differential_cases(|| RichNoteScheduler::builder().config(expiring()).build(), 5);
+fn richnote_with_expiry_matches_the_visit_everyone_model() {
+    differential_cases(|| Box::new(RichNoteScheduler::builder().config(expiring()).build()), 5);
 }
 
 #[test]
-fn monomorphised_adaptive_with_expiry_matches_the_visit_everyone_model() {
+fn adaptive_with_expiry_matches_the_visit_everyone_model() {
     differential_cases(
         || {
-            AdaptivePolicy::builder()
-                .config(AdaptiveConfig { richnote: expiring(), ..AdaptiveConfig::default() })
-                .build()
+            let cfg = AdaptiveConfig { richnote: expiring(), ..AdaptiveConfig::default() };
+            Box::new(AdaptivePolicy::builder().config(cfg).build())
         },
         6,
     );
@@ -354,26 +354,13 @@ static BACKLOG_CALLS: AtomicU64 = AtomicU64::new(0);
 /// loop — so this double also holds that body to the closed forms.
 struct Counting(RichNoteScheduler);
 
-impl NotificationScheduler for Counting {
+impl Policy for Counting {
     fn name(&self) -> &str {
         self.0.name()
     }
     fn enqueue(&mut self, n: QueuedNotification) {
         self.0.enqueue(n);
     }
-    fn run_round(&mut self, ctx: &RoundContext<'_>) -> Vec<DeliveredNotification> {
-        self.0.run_round(ctx)
-    }
-    fn backlog(&self) -> usize {
-        BACKLOG_CALLS.fetch_add(1, Ordering::Relaxed);
-        self.0.backlog()
-    }
-    fn backlog_bytes(&self) -> u64 {
-        self.0.backlog_bytes()
-    }
-}
-
-impl Policy for Counting {
     fn select_round(
         &mut self,
         ctx: &RoundContext<'_>,
@@ -381,6 +368,13 @@ impl Policy for Counting {
     ) -> Vec<DeliveredNotification> {
         SELECT_ROUNDS.fetch_add(1, Ordering::Relaxed);
         self.0.select_round(ctx, obs)
+    }
+    fn backlog(&self) -> usize {
+        BACKLOG_CALLS.fetch_add(1, Ordering::Relaxed);
+        self.0.backlog()
+    }
+    fn backlog_bytes(&self) -> u64 {
+        self.0.backlog_bytes()
     }
     fn checkpoint(&self) -> PolicyCheckpoint {
         Policy::checkpoint(&self.0)
@@ -396,9 +390,10 @@ impl Policy for Counting {
 #[test]
 fn a_round_costs_the_queued_users_and_stats_costs_none() {
     const USERS: u64 = 10_003;
-    let factory: fn() -> Counting = || Counting(RichNoteScheduler::builder().build());
     let cfg = ServerConfig::default();
-    let mut shard = ShardState::with_policy(0, cfg.clone(), factory);
+    let mut shard = ShardState::with_policy(0, cfg.clone(), || {
+        Box::new(Counting(RichNoteScheduler::builder().build()))
+    });
     let mut plain = ShardState::new(0, cfg);
     for u in 0..USERS {
         put(&mut shard, u, u);
@@ -427,12 +422,17 @@ fn a_round_costs_the_queued_users_and_stats_costs_none() {
     assert_eq!(stats.gauge_total("richnote_users"), USERS as f64);
     assert_eq!(stats.gauge_total("richnote_active_users"), 0.0);
     assert_eq!(shard.backlog(), 0);
-    // The default sequential `idle_rounds` and RichNote's closed form
-    // agree on all 10 000 skipped users.
+    // An ingest settles its user through the policy's own `idle_rounds`:
+    // the default sequential body and RichNote's closed form agree on all
+    // 10 000 skipped users.
+    for u in 0..USERS {
+        put(&mut shard, u, 2 * USERS + u);
+        put(&mut plain, u, 2 * USERS + u);
+    }
     assert_eq!(shard.checkpoint(), plain.checkpoint());
 }
 
-fn put<P: Policy + Send>(shard: &mut ShardState<P>, user: u64, id: u64) {
+fn put(shard: &mut ShardState, user: u64, id: u64) {
     let user = UserId::new(user);
     shard.ingest(user, item(id, user, 0.8), Instant::now(), None);
 }

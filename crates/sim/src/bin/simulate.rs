@@ -24,7 +24,7 @@
 //! simulate --scenario all --policy richnote --json
 //! ```
 
-use richnote_core::paper;
+use richnote_core::{paper, PolicyName};
 use richnote_sim::experiments::{EnvConfig, ExperimentEnv};
 use richnote_sim::report::to_json;
 use richnote_sim::simulator::{NetworkKind, PolicyKind, PopulationSim, SimulationConfig};
@@ -32,7 +32,7 @@ use std::process::ExitCode;
 
 #[derive(Debug)]
 struct Options {
-    policy: String,
+    policy: PolicyName,
     level: u8,
     budget_mb: u64,
     scenario: Option<String>,
@@ -51,7 +51,7 @@ struct Options {
 impl Default for Options {
     fn default() -> Self {
         Self {
-            policy: "richnote".to_string(),
+            policy: PolicyName::RichNote,
             level: 3,
             budget_mb: 20,
             scenario: None,
@@ -77,7 +77,7 @@ fn parse() -> Result<Options, String> {
             args.next().ok_or(format!("{name} needs a value"))
         };
         match arg.as_str() {
-            "--policy" => opts.policy = take("--policy")?,
+            "--policy" => opts.policy = take("--policy")?.parse().map_err(|e| format!("{e}"))?,
             "--level" => {
                 opts.level = take("--level")?.parse().map_err(|e| format!("bad level: {e}"))?
             }
@@ -190,15 +190,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let policy = match opts.policy.as_str() {
-        "richnote" => PolicyKind::richnote_with(opts.v, opts.kappa),
-        "fifo" => PolicyKind::Fifo { level: opts.level },
-        "util" => PolicyKind::Util { level: opts.level },
-        "adaptive" => PolicyKind::adaptive_default(),
-        other => {
-            eprintln!("unknown policy {other} (expected richnote|fifo|util|adaptive)");
-            return ExitCode::FAILURE;
-        }
+    let policy = match opts.policy {
+        PolicyName::RichNote => PolicyKind::richnote_with(opts.v, opts.kappa),
+        PolicyName::Fifo => PolicyKind::Fifo { level: opts.level },
+        PolicyName::Util => PolicyKind::Util { level: opts.level },
+        PolicyName::Adaptive => PolicyKind::adaptive_default(),
     };
 
     if let Some(name) = &opts.scenario {

@@ -11,9 +11,8 @@ use richnote::core::generators::{
 };
 use richnote::core::ids::{AlbumId, ArtistId, ContentId, TrackId, UserId};
 use richnote::core::presentation::AudioPresentationSpec;
-use richnote::core::scheduler::{
-    LinearCost, NotificationScheduler, QueuedNotification, RichNoteScheduler, RoundContext,
-};
+use richnote::core::scheduler::{LinearCost, QueuedNotification, RichNoteScheduler, RoundContext};
+use richnote::Policy;
 
 fn item(id: u64) -> ContentItem {
     ContentItem {

@@ -7,9 +7,9 @@ use richnote::core::content::{ContentFeatures, ContentItem, ContentKind, Interac
 use richnote::core::ids::{AlbumId, ArtistId, ContentId, TrackId, UserId};
 use richnote::core::presentation::AudioPresentationSpec;
 use richnote::core::scheduler::{
-    FifoScheduler, LinearCost, NotificationScheduler, QueuedNotification, RichNoteScheduler,
-    RoundContext, UtilScheduler,
+    FifoScheduler, LinearCost, QueuedNotification, RichNoteScheduler, RoundContext, UtilScheduler,
 };
+use richnote::Policy;
 
 fn notification(id: u64, content_utility: f64) -> QueuedNotification {
     QueuedNotification {

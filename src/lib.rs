@@ -20,9 +20,9 @@
 //! * [`server`] — the sharded TCP delivery daemon, its fault-tolerant
 //!   [`Client`], checkpoint/restore, and the fault-injection harness.
 //!
-//! See the `examples/` directory for runnable end-to-end scenarios and
-//! `crates/bench` for the harness that regenerates every figure and table
-//! of the paper.
+//! See the `examples/` directory for runnable end-to-end scenarios and the
+//! `repro` binary of `crates/sim` for the harness that regenerates every
+//! figure and table of the paper.
 //!
 //! # Example
 //!

@@ -3,11 +3,10 @@
 
 use richnote::core::content::ContentKind;
 use richnote::core::presentation::AudioPresentationSpec;
-use richnote::core::scheduler::{
-    LinearCost, NotificationScheduler, QueuedNotification, RichNoteScheduler, RoundContext,
-};
+use richnote::core::scheduler::{LinearCost, QueuedNotification, RichNoteScheduler, RoundContext};
 use richnote::sim::feed::FeedRouter;
 use richnote::trace::generator::{TraceConfig, TraceGenerator};
+use richnote::Policy;
 use std::collections::HashMap;
 
 #[test]

@@ -7,9 +7,9 @@ use richnote::core::content::{ContentFeatures, ContentItem, ContentKind, Interac
 use richnote::core::ids::{AlbumId, ArtistId, ContentId, TrackId, UserId};
 use richnote::core::presentation::AudioPresentationSpec;
 use richnote::core::scheduler::{
-    FifoScheduler, LinearCost, NotificationScheduler, QueuedNotification, RichNoteScheduler,
-    RoundContext, UtilScheduler,
+    FifoScheduler, LinearCost, QueuedNotification, RichNoteScheduler, RoundContext, UtilScheduler,
 };
+use richnote::Policy;
 use std::collections::HashSet;
 
 const COST: LinearCost = LinearCost { fixed: 3.5, per_byte: 2.5e-5 };
@@ -41,7 +41,7 @@ fn workload() -> impl Strategy<Value = Vec<Vec<f64>>> {
 }
 
 fn run_policy(
-    scheduler: &mut dyn NotificationScheduler,
+    scheduler: &mut dyn Policy,
     rounds: &[Vec<f64>],
     grant: u64,
 ) -> Vec<richnote::core::scheduler::DeliveredNotification> {
@@ -75,7 +75,7 @@ proptest! {
     ) {
         let total_grant = grant * rounds.len() as u64;
         for policy in 0..3usize {
-            let mut s: Box<dyn NotificationScheduler> = match policy {
+            let mut s: Box<dyn Policy> = match policy {
                 0 => Box::new(RichNoteScheduler::builder().build()),
                 1 => Box::new(FifoScheduler::builder().fixed_level(3).build()),
                 _ => Box::new(UtilScheduler::builder().fixed_level(3).build()),
@@ -105,7 +105,7 @@ proptest! {
     #[test]
     fn delays_are_never_negative(rounds in workload(), grant in 10_000u64..1_000_000) {
         for policy in 0..3usize {
-            let mut s: Box<dyn NotificationScheduler> = match policy {
+            let mut s: Box<dyn Policy> = match policy {
                 0 => Box::new(RichNoteScheduler::builder().build()),
                 1 => Box::new(FifoScheduler::builder().fixed_level(2).build()),
                 _ => Box::new(UtilScheduler::builder().fixed_level(2).build()),
