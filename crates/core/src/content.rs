@@ -25,12 +25,6 @@ impl ContentKind {
     /// All kinds, in a stable order.
     pub const ALL: [ContentKind; 3] =
         [ContentKind::FriendFeed, ContentKind::AlbumRelease, ContentKind::PlaylistUpdate];
-
-    /// Whether Spotify delivers this kind in real-time mode (friend feeds)
-    /// rather than batch mode.
-    pub fn is_realtime(self) -> bool {
-        matches!(self, ContentKind::FriendFeed)
-    }
 }
 
 impl fmt::Display for ContentKind {
@@ -250,13 +244,6 @@ mod tests {
         assert_eq!(Interaction::Clicked { at: 1.0 }.click_time(), Some(1.0));
         assert!(!Interaction::Hovered.is_click());
         assert_eq!(Interaction::NoActivity.click_time(), None);
-    }
-
-    #[test]
-    fn only_friend_feed_is_realtime() {
-        assert!(ContentKind::FriendFeed.is_realtime());
-        assert!(!ContentKind::AlbumRelease.is_realtime());
-        assert!(!ContentKind::PlaylistUpdate.is_realtime());
     }
 
     #[test]

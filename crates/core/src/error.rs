@@ -57,42 +57,6 @@ impl fmt::Display for LadderError {
 
 impl Error for LadderError {}
 
-/// Error fitting a duration-utility function to survey data.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SurveyFitError {
-    /// Fewer than two usable data points were supplied.
-    TooFewPoints {
-        /// Number of usable points found.
-        found: usize,
-    },
-    /// All x-values are identical, so no slope can be estimated.
-    DegenerateDesign,
-    /// A sample fell outside the domain of the model being fitted
-    /// (e.g. a duration at or beyond `D` for the polynomial model).
-    OutOfDomain {
-        /// The offending duration in seconds.
-        duration: f64,
-    },
-}
-
-impl fmt::Display for SurveyFitError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SurveyFitError::TooFewPoints { found } => {
-                write!(f, "need at least two usable survey points, found {found}")
-            }
-            SurveyFitError::DegenerateDesign => {
-                write!(f, "survey points share a single x-value; slope is undefined")
-            }
-            SurveyFitError::OutOfDomain { duration } => {
-                write!(f, "duration {duration}s is outside the model domain")
-            }
-        }
-    }
-}
-
-impl Error for SurveyFitError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,15 +69,8 @@ mod tests {
     }
 
     #[test]
-    fn survey_error_reports_counts() {
-        let msg = SurveyFitError::TooFewPoints { found: 1 }.to_string();
-        assert!(msg.contains("found 1"));
-    }
-
-    #[test]
     fn errors_are_std_errors() {
         fn assert_err<E: Error + Send + Sync + 'static>() {}
         assert_err::<LadderError>();
-        assert_err::<SurveyFitError>();
     }
 }

@@ -14,7 +14,7 @@
 //! * the **utility model** `U(i, j) = Uc(i) × Up(i, j)` combining content
 //!   utility with presentation utility, including the survey-derived
 //!   logarithmic and polynomial duration-utility functions (Eq. 8/9)
-//!   ([`utility`], [`survey`]);
+//!   ([`utility`]; the surveys they are fitted from live in `richnote-sim`);
 //! * the **multi-choice knapsack (MCKP) selection heuristic**
 //!   (`SelectPresentations`, Algorithm 1) with greedy, fractional and exact
 //!   dynamic-programming solvers ([`mckp`]);
@@ -46,24 +46,20 @@
 pub mod adaptive;
 pub mod content;
 pub mod error;
-pub mod generators;
 pub mod ids;
 pub mod lyapunov;
 pub mod mckp;
-pub mod mckp2;
 pub mod paper;
 pub mod policy;
 pub mod presentation;
 pub mod quality;
 pub mod registry;
 pub mod scheduler;
-pub mod survey;
-pub mod transport;
 pub mod utility;
 
 pub use adaptive::{AdaptiveCheckpoint, AdaptiveConfig, AdaptivePolicy, EwmaThroughput};
 pub use content::{ContentItem, ContentKind};
-pub use error::{LadderError, SurveyFitError};
+pub use error::LadderError;
 pub use ids::{AlbumId, ArtistId, ContentId, PlaylistId, TopicId, TrackId, UserId};
 pub use lyapunov::{LyapunovConfig, LyapunovState};
 pub use mckp::{select_exact, select_fractional, select_greedy, MckpItem, Selection};

@@ -18,17 +18,9 @@
 //! * [`select_exact`] — textbook dynamic program, exponential-free but
 //!   `O(n · budget)`; intended for small instances (tests, ablations).
 //!
-//! # This module vs [`crate::mckp2`]
-//!
-//! **Use this module on the production path.** The scheduler folds the
-//! energy constraint into the objective via the Lyapunov virtual queue
-//! (Sec. IV), leaving a single data constraint — exactly this problem.
-//! Use [`crate::mckp2`] only when you need the *hard* two-constraint
-//! formulation of Eq. 2 (energy ablations, relaxation-gap measurement).
-//! With a slack energy budget the two greedy solvers provably coincide —
-//! `tests/mckp_differential.rs` asserts selection-for-selection equality —
-//! so there is never a correctness reason to pay mckp2's extra bookkeeping
-//! when energy cannot bind.
+//! Eq. 2 also bounds energy, but the scheduler folds that constraint into
+//! the objective through the Lyapunov virtual queue `P(t)` (Sec. IV),
+//! leaving the single data constraint solved here.
 
 use crate::presentation::PresentationLadder;
 use crate::utility::combined_utility;
@@ -75,18 +67,6 @@ impl MckpItem {
             .map(|p| (p.size, combined_utility(content_utility, p.utility)))
             .collect();
         Self::new(id, levels)
-    }
-
-    /// Builds an item with explicit per-level utilities (e.g. the
-    /// Lyapunov-adjusted utility `Ua(i,j)`); `sizes` and `utilities` cover
-    /// levels `1..` and must have equal lengths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ or sizes are not strictly increasing.
-    pub fn from_adjusted(id: usize, sizes: &[u64], utilities: &[f64]) -> Self {
-        assert_eq!(sizes.len(), utilities.len(), "sizes and utilities must align");
-        Self::new(id, sizes.iter().copied().zip(utilities.iter().copied()).collect())
     }
 
     /// Rebuilds this item in place from `(size, utility)` pairs for levels

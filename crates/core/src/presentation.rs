@@ -122,11 +122,6 @@ impl PresentationLadder {
         self.levels.iter().map(|p| p.size).sum()
     }
 
-    /// Size of the largest single presentation.
-    pub fn max_size(&self) -> u64 {
-        self.levels.last().map(|p| p.size).unwrap_or(0)
-    }
-
     /// The (size, utility) pairs of deliverable levels (level ≥ 1).
     pub fn deliverable(&self) -> &[Presentation] {
         &self.levels[1..]
@@ -328,7 +323,6 @@ mod tests {
     fn total_size_sums_all_presentations() {
         let ladder = PresentationLadder::new(vec![(100, 0.1), (300, 0.2)]).unwrap();
         assert_eq!(ladder.total_size(), 400);
-        assert_eq!(ladder.max_size(), 300);
     }
 
     #[test]

@@ -295,11 +295,6 @@ impl CohortLedger {
         self.bytes.iter().sum()
     }
 
-    /// Total suppressed notification-rounds across all cohorts.
-    pub fn total_suppressed(&self) -> u64 {
-        self.suppressed.iter().sum()
-    }
-
     /// Utility per megabyte delivered, the paper's headline ratio
     /// (`None` until any bytes have been delivered).
     pub fn utility_per_mb(&self) -> Option<f64> {
@@ -366,7 +361,6 @@ mod tests {
         assert!(!l.is_empty());
         assert_eq!(l.policy(), "RichNote");
         assert_eq!(l.total_bytes(), 2_000_200);
-        assert_eq!(l.total_suppressed(), 4);
         assert!((l.total_utility() - 1.1).abs() < 1e-12);
         let upmb = l.utility_per_mb().unwrap();
         assert!((upmb - 1.1 / 2.0002).abs() < 1e-9, "{upmb}");

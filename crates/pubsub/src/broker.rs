@@ -1,24 +1,17 @@
-//! The topic-based broker with real-time, batch and round delivery modes.
+//! The topic-based broker with real-time and round delivery modes.
 
 use crate::topic::{Publication, Topic};
 use richnote_core::ids::UserId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
-use std::sync::Mutex;
 
 /// How matched publications reach a subscriber.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DeliveryMode {
     /// Hand over immediately on publish.
     Realtime,
-    /// Buffer and flush every `period_secs` (Spotify batch mode).
-    Batch {
-        /// Flush period in seconds.
-        period_secs: f64,
-    },
-    /// RichNote's round-based middle ground: flush every `round_secs`,
-    /// typically much shorter than a batch period.
+    /// Buffer and flush every `round_secs`: RichNote's rounds, and with a
+    /// long period Spotify's batch mode (e.g. 6 h for artist pages).
     Rounds {
         /// Round length in seconds.
         round_secs: f64,
@@ -29,7 +22,6 @@ impl DeliveryMode {
     fn period(&self) -> Option<f64> {
         match *self {
             DeliveryMode::Realtime => None,
-            DeliveryMode::Batch { period_secs } => Some(period_secs),
             DeliveryMode::Rounds { round_secs } => Some(round_secs),
         }
     }
@@ -61,13 +53,13 @@ pub struct Delivery<P> {
 ///
 /// ```
 /// use richnote_core::ids::UserId;
-/// use richnote_pubsub::{Broker, Publication, Topic};
+/// use richnote_pubsub::{Broker, DeliveryMode, Publication, Topic};
 ///
 /// let mut broker: Broker<&str> = Broker::new();
 /// let feed = Topic::FriendFeed(UserId::new(7));
-/// broker.subscribe(UserId::new(1), feed);
+/// broker.subscribe_with_mode(UserId::new(1), feed, DeliveryMode::Realtime);
 /// let delivered = broker.publish(Publication::new(feed, "new track", 0.0));
-/// assert_eq!(delivered.len(), 1); // friend feeds are real-time by default
+/// assert_eq!(delivered.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Broker<P> {
@@ -98,38 +90,6 @@ impl<P: Clone> Broker<P> {
     pub fn subscribe_with_mode(&mut self, user: UserId, topic: Topic, mode: DeliveryMode) {
         self.subscriptions.entry(topic).or_default().insert(user);
         self.modes.insert((user, topic), mode);
-    }
-
-    /// Subscribes `user` to `topic` with the topic's default Spotify mode:
-    /// real-time for friend feeds, 6-hour batch otherwise.
-    pub fn subscribe(&mut self, user: UserId, topic: Topic) {
-        let mode = if topic.default_realtime() {
-            DeliveryMode::Realtime
-        } else {
-            DeliveryMode::Batch { period_secs: 6.0 * 3600.0 }
-        };
-        self.subscribe_with_mode(user, topic, mode);
-    }
-
-    /// Unsubscribes `user` from `topic`. Buffered deliveries are retained.
-    pub fn unsubscribe(&mut self, user: UserId, topic: Topic) {
-        if let Some(set) = self.subscriptions.get_mut(&topic) {
-            set.remove(&user);
-            if set.is_empty() {
-                self.subscriptions.remove(&topic);
-            }
-        }
-        self.modes.remove(&(user, topic));
-    }
-
-    /// Whether `user` subscribes to `topic`.
-    pub fn is_subscribed(&self, user: UserId, topic: Topic) -> bool {
-        self.subscriptions.get(&topic).is_some_and(|s| s.contains(&user))
-    }
-
-    /// Number of distinct subscribed topics.
-    pub fn n_topics(&self) -> usize {
-        self.subscriptions.len()
     }
 
     /// Publishes; returns deliveries for real-time subscribers and buffers
@@ -171,8 +131,8 @@ impl<P: Clone> Broker<P> {
 
     /// Releases buffered deliveries whose subscription's period has elapsed
     /// by `now`. A subscription flushes when `now ≥ last_flush + period`,
-    /// with `last_flush` anchored at time 0 — so a 6-hour batch
-    /// subscription first flushes at the 6-hour mark. Delivered items get
+    /// with `last_flush` anchored at time 0 — so a 6-hour subscription
+    /// first flushes at the 6-hour mark. Delivered items get
     /// `delivered_at = now`.
     pub fn flush(&mut self, now: f64) -> Vec<Delivery<P>> {
         let mut out = Vec::new();
@@ -216,41 +176,6 @@ impl<P: Clone> Default for Broker<P> {
     }
 }
 
-/// A thread-safe broker handle for concurrent publishers.
-///
-/// Cloning shares the underlying broker.
-#[derive(Debug, Clone)]
-pub struct SharedBroker<P> {
-    inner: Arc<Mutex<Broker<P>>>,
-}
-
-impl<P: Clone> SharedBroker<P> {
-    /// Wraps a broker.
-    pub fn new(broker: Broker<P>) -> Self {
-        Self { inner: Arc::new(Mutex::new(broker)) }
-    }
-
-    /// Thread-safe publish.
-    pub fn publish(&self, publication: Publication<P>) -> Vec<Delivery<P>> {
-        self.inner.lock().unwrap().publish(publication)
-    }
-
-    /// Thread-safe subscribe.
-    pub fn subscribe(&self, user: UserId, topic: Topic) {
-        self.inner.lock().unwrap().subscribe(user, topic);
-    }
-
-    /// Thread-safe flush.
-    pub fn flush(&self, now: f64) -> Vec<Delivery<P>> {
-        self.inner.lock().unwrap().flush(now)
-    }
-
-    /// Runs a closure with exclusive access to the broker.
-    pub fn with<T>(&self, f: impl FnOnce(&mut Broker<P>) -> T) -> T {
-        f(&mut self.inner.lock().unwrap())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,11 +185,15 @@ mod tests {
         Topic::FriendFeed(UserId::new(u))
     }
 
+    fn realtime(b: &mut Broker<u32>, user: u64, topic: Topic) {
+        b.subscribe_with_mode(UserId::new(user), topic, DeliveryMode::Realtime);
+    }
+
     #[test]
     fn realtime_subscribers_get_publications_immediately() {
         let mut b: Broker<u32> = Broker::new();
-        b.subscribe(UserId::new(1), feed(9));
-        b.subscribe(UserId::new(2), feed(9));
+        realtime(&mut b, 1, feed(9));
+        realtime(&mut b, 2, feed(9));
         let out = b.publish(Publication::new(feed(9), 7, 100.0));
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].subscriber, UserId::new(1));
@@ -276,7 +205,7 @@ mod tests {
     #[test]
     fn non_subscribers_get_nothing() {
         let mut b: Broker<u32> = Broker::new();
-        b.subscribe(UserId::new(1), feed(9));
+        realtime(&mut b, 1, feed(9));
         let out = b.publish(Publication::new(feed(8), 7, 0.0));
         assert!(out.is_empty());
         assert_eq!(b.matched_count(), 0);
@@ -284,33 +213,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_subscribers_are_buffered_until_flush() {
+    fn round_subscribers_are_buffered_until_flush() {
         let mut b: Broker<u32> = Broker::new();
         let artist = Topic::ArtistPage(ArtistId::new(5));
-        b.subscribe(UserId::new(1), artist);
+        let six_hours = DeliveryMode::Rounds { round_secs: 6.0 * 3_600.0 };
+        b.subscribe_with_mode(UserId::new(1), artist, six_hours);
         let out = b.publish(Publication::new(artist, 42, 10.0));
         assert!(out.is_empty());
         assert_eq!(b.buffered_count(), 1);
-        // Default artist-page batch period is 6 h: an early flush is a no-op.
+        // A flush before the first 6-hour mark is a no-op.
         assert!(b.flush(3_600.0).is_empty());
         let flushed = b.flush(6.0 * 3_600.0);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].delivered_at, 6.0 * 3_600.0);
         assert_eq!(flushed[0].published_at, 10.0);
         assert_eq!(b.buffered_count(), 0);
-    }
-
-    #[test]
-    fn batch_period_gates_repeat_flushes() {
-        let mut b: Broker<u32> = Broker::new();
-        let artist = Topic::ArtistPage(ArtistId::new(5));
-        b.subscribe_with_mode(UserId::new(1), artist, DeliveryMode::Batch { period_secs: 100.0 });
-        b.publish(Publication::new(artist, 1, 0.0));
-        assert!(b.flush(50.0).is_empty(), "first period not yet elapsed");
-        assert_eq!(b.flush(100.0).len(), 1);
-        b.publish(Publication::new(artist, 2, 110.0));
-        assert!(b.flush(150.0).is_empty(), "period since last flush not elapsed");
-        assert_eq!(b.flush(200.0).len(), 1);
     }
 
     #[test]
@@ -322,64 +239,30 @@ mod tests {
         assert!(b.flush(59.0).is_empty());
         assert_eq!(b.flush(60.0).len(), 1);
         b.publish(Publication::new(pl, 2, 90.0));
-        assert!(b.flush(119.0).is_empty());
+        assert!(b.flush(119.0).is_empty(), "round since last flush not elapsed");
         assert_eq!(b.flush(120.0).len(), 1);
-    }
-
-    #[test]
-    fn unsubscribe_stops_future_matches() {
-        let mut b: Broker<u32> = Broker::new();
-        b.subscribe(UserId::new(1), feed(9));
-        assert!(b.is_subscribed(UserId::new(1), feed(9)));
-        b.unsubscribe(UserId::new(1), feed(9));
-        assert!(!b.is_subscribed(UserId::new(1), feed(9)));
-        assert!(b.publish(Publication::new(feed(9), 7, 0.0)).is_empty());
-        assert_eq!(b.n_topics(), 0);
     }
 
     #[test]
     fn modes_are_per_subscription_like_spotify_hybrid() {
         // The same user gets friend feeds in real time and artist pages in
-        // batch — the hybrid engine of Sec. II.
+        // rounds — the hybrid engine of Sec. II.
         let mut b: Broker<u32> = Broker::new();
-        b.subscribe(UserId::new(1), Topic::ArtistPage(ArtistId::new(2)));
-        b.subscribe(UserId::new(1), feed(9));
+        let artist = Topic::ArtistPage(ArtistId::new(2));
+        b.subscribe_with_mode(UserId::new(1), artist, DeliveryMode::Rounds { round_secs: 60.0 });
+        realtime(&mut b, 1, feed(9));
         let out = b.publish(Publication::new(feed(9), 7, 0.0));
         assert_eq!(out.len(), 1, "friend feed is real-time");
-        let out = b.publish(Publication::new(Topic::ArtistPage(ArtistId::new(2)), 8, 0.0));
-        assert!(out.is_empty(), "artist page is batched");
+        let out = b.publish(Publication::new(artist, 8, 0.0));
+        assert!(out.is_empty(), "artist page is buffered");
         assert_eq!(b.buffered_count(), 1);
-    }
-
-    #[test]
-    fn shared_broker_is_send_across_threads() {
-        let shared = SharedBroker::new(Broker::<u64>::new());
-        for u in 0..8u64 {
-            shared.subscribe(UserId::new(u), feed(99));
-        }
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let s = shared.clone();
-                std::thread::spawn(move || {
-                    let mut delivered = 0usize;
-                    for i in 0..100 {
-                        delivered +=
-                            s.publish(Publication::new(feed(99), t * 1000 + i, i as f64)).len();
-                    }
-                    delivered
-                })
-            })
-            .collect();
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 4 * 100 * 8);
-        assert_eq!(shared.with(|b| b.published_count()), 400);
     }
 
     #[test]
     fn matched_count_tracks_fanout() {
         let mut b: Broker<u32> = Broker::new();
         for u in 0..5 {
-            b.subscribe(UserId::new(u), feed(1));
+            realtime(&mut b, u, feed(1));
         }
         b.publish(Publication::new(feed(1), 0, 0.0));
         assert_eq!(b.matched_count(), 5);

@@ -5,22 +5,20 @@
 //!
 //! Topics correspond to **friend feeds**, **artist pages** and **shared
 //! playlists**; publications are notifications about friends streaming
-//! tracks, album releases, and playlist updates. Delivery happens in one of
-//! three modes:
+//! tracks, album releases, and playlist updates. Each subscription is
+//! delivered in one of two modes:
 //!
 //! * **real-time** — matched publications are handed to the subscriber
 //!   immediately (Spotify's friend-feed path);
-//! * **batch** — publications are buffered and flushed on a long period
-//!   (Spotify's album/playlist path);
-//! * **rounds** — RichNote's middle ground: flush on a fixed round length,
-//!   tunable per feed frequency.
+//! * **rounds** — publications are buffered and flushed on a fixed round
+//!   length: RichNote's rounds, or with a long period Spotify's batch path
+//!   for albums and playlists.
 //!
-//! The [`broker::Broker`] is single-threaded and deterministic; a
-//! [`broker::SharedBroker`] wrapper provides thread-safe access for
-//! concurrent publishers.
+//! The [`broker::Broker`] is single-threaded and deterministic; callers
+//! that share it across threads wrap it in a lock.
 
 pub mod broker;
 pub mod topic;
 
-pub use broker::{Broker, Delivery, DeliveryMode, SharedBroker};
+pub use broker::{Broker, Delivery, DeliveryMode};
 pub use topic::{Publication, Topic};

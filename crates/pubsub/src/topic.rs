@@ -15,14 +15,6 @@ pub enum Topic {
     Playlist(PlaylistId),
 }
 
-impl Topic {
-    /// Whether Spotify serves this topic in real-time mode by default
-    /// (friend feeds) rather than batch mode.
-    pub fn default_realtime(&self) -> bool {
-        matches!(self, Topic::FriendFeed(_))
-    }
-}
-
 impl fmt::Display for Topic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -60,13 +52,6 @@ mod tests {
         assert_eq!(Topic::FriendFeed(UserId::new(3)).to_string(), "feed/u3");
         assert_eq!(Topic::ArtistPage(ArtistId::new(4)).to_string(), "artist/ar4");
         assert_eq!(Topic::Playlist(PlaylistId::new(5)).to_string(), "playlist/pl5");
-    }
-
-    #[test]
-    fn only_friend_feeds_are_realtime_by_default() {
-        assert!(Topic::FriendFeed(UserId::new(1)).default_realtime());
-        assert!(!Topic::ArtistPage(ArtistId::new(1)).default_realtime());
-        assert!(!Topic::Playlist(PlaylistId::new(1)).default_realtime());
     }
 
     #[test]

@@ -49,7 +49,11 @@
 //! asserts the zero-acked-loss invariant: once every connection has
 //! synced, `ingested + dropped-by-backpressure + dropped-on-drain` must
 //! equal the number of publications offered, and the process exits
-//! nonzero otherwise.
+//! nonzero otherwise. The counters are read before and after the run, so
+//! the invariant covers this run's publications only and holds against a
+//! daemon that has already served traffic (or restored it from a
+//! checkpoint). `--drain` and `--shutdown` are sent even when the check
+//! fails.
 
 use richnote_core::UserId;
 use richnote_pubsub::Topic;
@@ -348,6 +352,9 @@ fn run(a: &Args) -> ServerResult<()> {
         let user = UserId::new(uid);
         control.subscribe(user, Topic::FriendFeed(user))?;
     }
+    // The daemon's counters are lifetime totals; this run is accounted
+    // as the difference from here to the end.
+    let before = control.stats()?.snapshot;
 
     // Ticker thread: drives rounds while load is offered, so the latency
     // histogram reflects steady-state ingest-to-selection time. In stats
@@ -498,9 +505,11 @@ fn run(a: &Args) -> ServerResult<()> {
     }
 
     let snap = control.stats()?.snapshot;
-    let ingested = snap.counter_total("richnote_pubs_total");
-    let dropped = snap.counter_total("richnote_queue_dropped_total");
-    let dropped_on_drain = snap.counter_total("richnote_dropped_on_drain_total");
+    let delta =
+        |family: &str| snap.counter_total(family).saturating_sub(before.counter_total(family));
+    let ingested = delta("richnote_pubs_total");
+    let dropped = delta("richnote_queue_dropped_total");
+    let dropped_on_drain = delta("richnote_dropped_on_drain_total");
     let backlog = snap.gauge_total("richnote_backlog") as u64;
     let lat = snap.histogram_merged("richnote_selection_latency_us");
     let per_shard = |family: &str, shard: usize| {
@@ -519,7 +528,7 @@ fn run(a: &Args) -> ServerResult<()> {
         ingested,
         dropped,
         dropped_on_drain,
-        snap.counter_total("richnote_selected_total"),
+        delta("richnote_selected_total"),
         rounds,
         backlog
     );
@@ -573,20 +582,23 @@ fn run(a: &Args) -> ServerResult<()> {
 
     // Zero-acked-loss invariant: every publication was acked (sync above
     // succeeded on every connection), so each must be accounted for as
-    // ingested, dropped by backpressure, or refused during a drain.
+    // ingested, dropped by backpressure, or refused during a drain. A
+    // failed check is returned only after the drain or shutdown below.
     let accounted = ingested + dropped + dropped_on_drain + backlog;
-    if accounted != total_pubs as u64 {
-        return Err(ServerError::Frame(format!(
+    let checked = if accounted == total_pubs as u64 {
+        println!("acked-publication accounting: {accounted}/{total_pubs} — zero loss");
+        if a.trace_sample.is_off() {
+            Ok(())
+        } else {
+            verify_span_trees(&mut control, a, traced.load(Ordering::Relaxed))
+        }
+    } else {
+        Err(ServerError::Frame(format!(
             "acked-publication loss: {total_pubs} acked but only {accounted} accounted for \
              (ingested {ingested} + dropped {dropped} + dropped-on-drain {dropped_on_drain} \
              + backlog {backlog})"
-        )));
-    }
-    println!("acked-publication accounting: {accounted}/{total_pubs} — zero loss");
-
-    if !a.trace_sample.is_off() {
-        verify_span_trees(&mut control, a, traced.load(Ordering::Relaxed))?;
-    }
+        )))
+    };
 
     if a.drain {
         let t0 = Instant::now();
@@ -601,7 +613,7 @@ fn run(a: &Args) -> ServerResult<()> {
     } else if a.shutdown {
         control.shutdown()?;
     }
-    Ok(())
+    checked
 }
 
 fn main() -> ExitCode {

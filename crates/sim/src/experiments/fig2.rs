@@ -6,12 +6,12 @@
 //!   and polynomial (Eq. 9) models; the logarithmic fit wins.
 
 use crate::report::{f3, Table};
+use crate::survey::{
+    empirical_utility, survey_grid, synthesize_stop_survey, FitComparison, GridCell,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use richnote_core::presentation::{pareto_frontier, CandidatePresentation};
-use richnote_core::survey::{
-    empirical_utility, survey_grid, synthesize_stop_survey, FitComparison, GridCell,
-};
 use richnote_core::utility::DurationUtility;
 use serde::{Deserialize, Serialize};
 

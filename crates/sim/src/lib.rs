@@ -26,6 +26,8 @@
 //! * [`simulator`] — population-level orchestration with thread-parallel
 //!   user simulation;
 //! * [`report`] — text tables, CSV and JSON export;
+//! * [`survey`] — the synthetic presentation-utility surveys and the
+//!   regression that re-fits Eq. 8/9 from them (Fig. 2);
 //! * [`scenarios`] — the deterministic scenario pack (commute flaky-cell,
 //!   evening-WiFi surge, mass-event congestion, battery-critical cohort)
 //!   with utility-per-MB / shed-rate reports;
@@ -43,6 +45,7 @@ pub mod report;
 pub mod scenarios;
 pub mod simulator;
 pub mod spans;
+pub mod survey;
 pub mod user;
 
 pub use alerts::{alert_timeline, timeline_json};

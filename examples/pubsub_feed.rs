@@ -1,6 +1,7 @@
 //! The notification *generation* path (Sec. II): music activity flows
 //! through the topic-based pub/sub broker — friend feeds in real-time mode,
-//! artist pages in batch mode, and RichNote's round-based middle ground.
+//! artist pages on Spotify's 6-hour batch schedule, and RichNote's shorter
+//! rounds. Both buffered schedules are `DeliveryMode::Rounds`.
 //!
 //! Run with: `cargo run --example pubsub_feed`
 
@@ -15,12 +16,17 @@ fn main() {
 
     // Alice (u1) and Bob (u2) follow Carol's (u3) friend feed in real time.
     let carol_feed = Topic::FriendFeed(UserId::new(3));
-    broker.subscribe(UserId::new(1), carol_feed);
-    broker.subscribe(UserId::new(2), carol_feed);
+    broker.subscribe_with_mode(UserId::new(1), carol_feed, DeliveryMode::Realtime);
+    broker.subscribe_with_mode(UserId::new(2), carol_feed, DeliveryMode::Realtime);
 
-    // Dave (u4) follows an artist page — Spotify batch mode by default.
+    // Dave (u4) follows an artist page on Spotify's batch schedule: one
+    // flush every 6 hours.
     let artist = Topic::ArtistPage(ArtistId::new(42));
-    broker.subscribe(UserId::new(4), artist);
+    broker.subscribe_with_mode(
+        UserId::new(4),
+        artist,
+        DeliveryMode::Rounds { round_secs: 6.0 * 3_600.0 },
+    );
 
     // Erin (u5) follows the same artist but opts into RichNote's
     // round-based delivery: hourly flushes instead of 6-hour batches.

@@ -1,17 +1,17 @@
-//! Differential property test between the two greedy MCKP solvers.
+//! Differential property tests of the production greedy MCKP path.
 //!
-//! `mckp::select_greedy_with` (single data constraint, the production path
-//! after the Lyapunov relaxation moves energy into the objective) and
-//! `mckp2::select_greedy2` (hard two-constraint formulation of Eq. 2) must
-//! coincide when the energy budget is slack: with `E → ∞` the composite
-//! gradient `ΔU / (Δs/B + Δρ/E)` degenerates to `B·ΔU/Δs`, a positive
-//! rescaling of the single-constraint gradient, and both solvers break
-//! gradient ties on item index — so the *selections themselves* must
-//! match, not just the objective values.
+//! `RichNoteScheduler` solves every round through `mckp::select_greedy_into`
+//! with one `GreedyScratch` that it keeps across rounds, so the reused
+//! working memory must never leak one solve into the next. And the
+//! fractional relaxation's integral part is documented as the greedy
+//! solution under the paper's default options; these props hold both to
+//! `select_greedy_with`, the allocating reference.
 
 use proptest::prelude::*;
-use richnote::core::mckp::{select_greedy_with, GreedyOptions, MckpItem};
-use richnote::core::mckp2::{select_greedy2, EnergyProfile};
+use richnote::core::mckp::{
+    select_fractional, select_greedy, select_greedy_into, select_greedy_with, GreedyOptions,
+    GreedyScratch, MckpItem,
+};
 
 /// Strategy: a small MCKP item with strictly increasing sizes and
 /// monotone utilities.
@@ -36,50 +36,33 @@ fn mckp_items() -> impl Strategy<Value = Vec<MckpItem>> {
     })
 }
 
-/// A linear energy profile aligned with an item's levels.
-fn energy_profile(item: &MckpItem, joules_per_byte: f64) -> EnergyProfile {
-    EnergyProfile::new(item.levels().iter().map(|&(s, _)| s as f64 * joules_per_byte).collect())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn two_constraint_greedy_degenerates_to_single_constraint(
-        items in mckp_items(),
-        budget in 0u64..250,
+    fn reused_scratch_matches_a_fresh_solve(
+        rounds in prop::collection::vec((mckp_items(), 0u64..250, any::<bool>()), 1..8),
     ) {
-        // Slack energy: orders of magnitude above what any selection can
-        // possibly spend, so only the data budget can bind.
-        let energy: Vec<EnergyProfile> =
-            items.iter().map(|it| energy_profile(it, 1e-3)).collect();
-        let one = select_greedy_with(
-            &items,
-            budget,
-            GreedyOptions { stop_at_first_overflow: false, ..Default::default() },
-        );
-        let two = select_greedy2(&items, &energy, budget, 1e12);
+        // One scratch, never reset by the caller: each solve starts from
+        // whatever heap and levels the previous instance left behind.
+        let mut scratch = GreedyScratch::default();
+        for (items, budget, stop) in &rounds {
+            let opts = GreedyOptions { stop_at_first_overflow: *stop, ..Default::default() };
+            let fresh = select_greedy_with(items, *budget, opts);
+            let total_size = select_greedy_into(items, *budget, opts, &mut scratch);
 
-        prop_assert_eq!(&two.levels, &one.levels);
-        prop_assert_eq!(two.total_size, one.total_size);
-        prop_assert!((two.total_utility - one.total_utility).abs() <= 1e-9);
-        prop_assert!(two.total_size <= budget);
+            prop_assert_eq!(scratch.levels(), &fresh.levels[..]);
+            prop_assert_eq!(total_size, fresh.total_size);
+            prop_assert!(total_size <= *budget);
+        }
     }
 
     #[test]
-    fn tight_energy_budget_only_shrinks_the_selection(
+    fn fractional_integral_part_is_the_paper_greedy(
         items in mckp_items(),
         budget in 0u64..250,
-        energy_budget in 0.0f64..0.5,
     ) {
-        let energy: Vec<EnergyProfile> =
-            items.iter().map(|it| energy_profile(it, 1e-2)).collect();
-        let slack = select_greedy2(&items, &energy, budget, 1e12);
-        let tight = select_greedy2(&items, &energy, budget, energy_budget);
-
-        // The hard energy constraint can only remove value, never add it.
-        prop_assert!(tight.total_utility <= slack.total_utility + 1e-9);
-        prop_assert!(tight.total_energy <= energy_budget + 1e-9);
-        prop_assert!(tight.total_size <= budget);
+        let frac = select_fractional(&items, budget);
+        prop_assert_eq!(&frac.integral, &select_greedy(&items, budget));
     }
 }

@@ -4,14 +4,11 @@
 //! Markov row-stochasticity.
 
 use proptest::prelude::*;
-use richnote::core::ids::ContentId;
 use richnote::core::lyapunov::{LyapunovConfig, LyapunovState};
 use richnote::core::mckp::{
     select_exact, select_fractional, select_greedy_with, GreedyOptions, MckpItem,
 };
-use richnote::core::mckp2::{select_greedy2, EnergyProfile};
 use richnote::core::presentation::{pareto_frontier, CandidatePresentation, PresentationLadder};
-use richnote::core::transport::DeliveryQueue;
 use richnote::energy::model::NetworkEnergyModel;
 use richnote::net::markov::{MarkovConnectivity, NetworkState};
 
@@ -133,61 +130,6 @@ proptest! {
         }
         prop_assert!(state.q() <= (max_burst.max(theta)) as f64 + 5_000.0);
         prop_assert!(state.p() >= 0.0);
-    }
-
-    #[test]
-    fn two_constraint_greedy_respects_both_budgets(
-        items in mckp_items(),
-        data_budget in 0u64..150,
-        energy_budget in 0.0f64..50.0,
-        per_byte in 0.01f64..2.0,
-    ) {
-        let energy: Vec<EnergyProfile> = items
-            .iter()
-            .map(|it| EnergyProfile::from_item(it, |s| s as f64 * per_byte))
-            .collect();
-        let sel = select_greedy2(&items, &energy, data_budget, energy_budget);
-        prop_assert!(sel.total_size <= data_budget);
-        prop_assert!(sel.total_energy <= energy_budget + 1e-9);
-        // Relaxing the energy budget never hurts utility.
-        let relaxed = select_greedy2(&items, &energy, data_budget, energy_budget + 100.0);
-        prop_assert!(relaxed.total_utility + 1e-12 >= sel.total_utility);
-    }
-
-    #[test]
-    fn transport_conserves_bytes_and_items(
-        sizes in prop::collection::vec(0u64..100_000, 1..20),
-        windows in prop::collection::vec((0.1f64..50.0, 0.0f64..10_000.0), 1..30),
-    ) {
-        let mut q = DeliveryQueue::new();
-        let total_bytes: u64 = sizes.iter().sum();
-        for (i, &s) in sizes.iter().enumerate() {
-            q.push(ContentId::new(i as u64), s, 0.0);
-        }
-        let mut completed = Vec::new();
-        let mut clock = 0.0;
-        for (secs, rate) in windows {
-            let done = q.advance(clock, secs, rate);
-            for d in &done {
-                // Completion times are within the window and ordered.
-                prop_assert!(d.completed_at >= clock);
-                prop_assert!(d.completed_at <= clock + secs + 1e-6);
-            }
-            completed.extend(done);
-            clock += secs;
-        }
-        // Conservation: every byte is delivered, still pending, or in
-        // flight as partial progress of a pending download.
-        let delivered_bytes: u64 = completed.iter().map(|d| d.size).sum();
-        prop_assert_eq!(
-            delivered_bytes + q.pending_bytes() + q.in_flight_bytes(),
-            total_bytes
-        );
-        prop_assert_eq!(completed.len() + q.len(), sizes.len());
-        // FIFO: completions happen in enqueue order.
-        for w in completed.windows(2) {
-            prop_assert!(w[0].content.value() < w[1].content.value());
-        }
     }
 
     #[test]
