@@ -4,8 +4,8 @@
 //! The daemon decides *for* the user under changing conditions, so it
 //! must detect its own degradation without an operator watching. Rules
 //! close the loop from signal → detection: each one names a metric
-//! family (or SLO objective), a window, and a threshold, and walks a
-//! `pending → firing → resolved` state machine as evaluations pass.
+//! family, a window, and a threshold, and walks a `pending → firing →
+//! resolved` state machine as evaluations pass.
 //!
 //! Time is always the caller's: the server evaluates at tick boundaries
 //! using `rounds_done × round_secs`, the simulator at its round clock —
@@ -21,8 +21,6 @@
 //!   with `per` set, the ratio of this family's windowed delta to the
 //!   `per` family's (window length cancels, so the same rule means the
 //!   same thing at any sampling cadence).
-//! * [`AlertRuleKind::SloBurn`] — the named objective's burn rate (the
-//!   worse of fast and slow) from an [`SloReport`].
 //!
 //! A rule with no matching data (unknown family, empty history, zero
 //! denominator) reads as *no value* and the condition is false — absence
@@ -46,7 +44,6 @@
 
 use crate::history::{HistoryQuery, MetricsHistory};
 use crate::registry::{GaugeHandle, Registry, RegistrySnapshot};
-use crate::slo::SloReport;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -85,13 +82,6 @@ pub enum AlertRuleKind {
         /// Condition: measured value strictly above this fires.
         above: f64,
     },
-    /// The named SLO objective's burn rate (max of fast and slow burn).
-    SloBurn {
-        /// Objective name, e.g. `shed_rate`.
-        objective: String,
-        /// Condition: burn rate strictly above this fires.
-        above: f64,
-    },
 }
 
 /// One declarative alert rule.
@@ -117,53 +107,38 @@ impl AlertRule {
         if self.name.is_empty() {
             return Err("alert rule name must not be empty".to_string());
         }
-        if self.for_secs.is_nan() || self.for_secs < 0.0 {
-            return Err(format!("alert rule {}: for_secs must be >= 0", self.name));
+        if !self.for_secs.is_finite() || self.for_secs < 0.0 {
+            return Err(format!("alert rule {}: for_secs must be finite and >= 0", self.name));
+        }
+        // An infinite threshold never fires, and it cannot round-trip
+        // through the JSON that capture headers and incident bundles embed.
+        if !self.threshold().is_finite() {
+            return Err(format!("alert rule {}: above must be finite", self.name));
+        }
+        let (AlertRuleKind::Threshold { family, window_secs, .. }
+        | AlertRuleKind::Rate { family, window_secs, .. }) = &self.kind;
+        if family.is_empty() {
+            return Err(format!("alert rule {}: family must not be empty", self.name));
+        }
+        if !window_secs.is_finite() || *window_secs <= 0.0 {
+            return Err(format!("alert rule {}: window_secs must be finite and > 0", self.name));
         }
         match &self.kind {
-            AlertRuleKind::Threshold { family, quantile, window_secs, .. } => {
-                if family.is_empty() {
-                    return Err(format!("alert rule {}: family must not be empty", self.name));
-                }
-                if window_secs.is_nan() || *window_secs <= 0.0 {
-                    return Err(format!("alert rule {}: window_secs must be > 0", self.name));
-                }
-                if let Some(q) = quantile {
-                    if quantile_of(*q).is_none() {
-                        return Err(format!(
-                            "alert rule {}: quantile {q} is not one of 0.5, 0.95, 0.99",
-                            self.name
-                        ));
-                    }
-                }
+            AlertRuleKind::Threshold { quantile: Some(q), .. } if quantile_of(*q).is_none() => {
+                Err(format!("alert rule {}: quantile {q} is not one of 0.5, 0.95, 0.99", self.name))
             }
-            AlertRuleKind::Rate { family, window_secs, per, .. } => {
-                if family.is_empty() {
-                    return Err(format!("alert rule {}: family must not be empty", self.name));
-                }
-                if window_secs.is_nan() || *window_secs <= 0.0 {
-                    return Err(format!("alert rule {}: window_secs must be > 0", self.name));
-                }
-                if per.as_deref() == Some("") {
-                    return Err(format!("alert rule {}: per must not be empty", self.name));
-                }
+            AlertRuleKind::Rate { per: Some(per), .. } if per.is_empty() => {
+                Err(format!("alert rule {}: per must not be empty", self.name))
             }
-            AlertRuleKind::SloBurn { objective, .. } => {
-                if objective.is_empty() {
-                    return Err(format!("alert rule {}: objective must not be empty", self.name));
-                }
-            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// The rule's threshold value.
     pub fn threshold(&self) -> f64 {
-        match &self.kind {
-            AlertRuleKind::Threshold { above, .. }
-            | AlertRuleKind::Rate { above, .. }
-            | AlertRuleKind::SloBurn { above, .. } => *above,
-        }
+        let (AlertRuleKind::Threshold { above, .. } | AlertRuleKind::Rate { above, .. }) =
+            &self.kind;
+        *above
     }
 }
 
@@ -260,9 +235,9 @@ struct RuleRuntime {
     gauge: GaugeHandle,
 }
 
-/// Evaluates a rule set over a history (and optional SLO report) in
-/// caller-supplied time, tracking per-rule state, a bounded timeline of
-/// transitions, and the `richnote_alert_state` gauge family.
+/// Evaluates a rule set over a history in caller-supplied time, tracking
+/// per-rule state, a bounded timeline of transitions, and the
+/// `richnote_alert_state` gauge family.
 pub struct AlertEngine {
     rules: Vec<AlertRule>,
     runtime: Vec<RuleRuntime>,
@@ -340,15 +315,18 @@ impl AlertEngine {
 
     /// Evaluates every rule at `now_secs`, returning the transitions this
     /// step produced (also appended to the timeline).
+    ///
+    /// `_unused` is always `None`; it keeps the three-argument call shape
+    /// existing callers use until it is removed.
     pub fn evaluate(
         &mut self,
         now_secs: f64,
         history: &MetricsHistory,
-        slo: Option<&SloReport>,
+        _unused: Option<std::convert::Infallible>,
     ) -> Vec<AlertEvent> {
         let mut events = Vec::new();
         for (rule, rt) in self.rules.iter().zip(self.runtime.iter_mut()) {
-            let value = measure(&rule.kind, history, slo);
+            let value = measure(&rule.kind, history);
             rt.value = value;
             let active = value.is_some_and(|v| v > rule.threshold());
             let mut push = |from: AlertState, to: AlertState, since: &mut f64| {
@@ -406,10 +384,9 @@ impl AlertEngine {
     }
 }
 
-/// Measures one rule against the history/SLO inputs; `None` when no data
-/// matches (unknown family, empty history, zero denominator, unknown
-/// objective).
-fn measure(kind: &AlertRuleKind, history: &MetricsHistory, slo: Option<&SloReport>) -> Option<f64> {
+/// Measures one rule against the history; `None` when no data matches
+/// (unknown family, empty history, zero denominator).
+fn measure(kind: &AlertRuleKind, history: &MetricsHistory) -> Option<f64> {
     match kind {
         AlertRuleKind::Threshold { family, labels, quantile, window_secs, .. } => {
             let r = history.query(&HistoryQuery {
@@ -454,16 +431,11 @@ fn measure(kind: &AlertRuleKind, history: &MetricsHistory, slo: Option<&SloRepor
                 None => Some(num.total.rate),
             }
         }
-        AlertRuleKind::SloBurn { objective, .. } => {
-            let report = slo?;
-            let v = report.verdicts.iter().find(|v| v.name == *objective)?;
-            Some(v.fast_burn.max(v.slow_burn))
-        }
     }
 }
 
 /// The stock rule set the daemon (and simulator) start from: shed rate,
-/// ack p99 latency, and ingest-queue contention.
+/// ack p99 latency, ingest-queue contention, and round p99 latency.
 pub fn default_rules() -> Vec<AlertRule> {
     vec![
         AlertRule {
@@ -496,6 +468,19 @@ pub fn default_rules() -> Vec<AlertRule> {
                 window_secs: 60.0,
                 per: Some("richnote_pubs_total".to_string()),
                 above: 0.25,
+            },
+            for_secs: 30.0,
+        },
+        AlertRule {
+            // A round is a batched MCKP selection over a shard's users;
+            // 100 ms of wall time is already an outlier at test scale.
+            name: "round_p99".to_string(),
+            kind: AlertRuleKind::Threshold {
+                family: "richnote_round_duration_us".to_string(),
+                labels: Vec::new(),
+                quantile: Some(0.99),
+                window_secs: 60.0,
+                above: 100_000.0,
             },
             for_secs: 30.0,
         },
@@ -583,11 +568,6 @@ impl Watchdog {
         Watchdog { cfg, shards }
     }
 
-    /// The configured thresholds.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.cfg
-    }
-
     /// Ingests one round of probes at `now_secs` and returns every shard
     /// currently in trouble (empty = all healthy).
     pub fn observe(&mut self, now_secs: f64, probes: &[ShardProbe]) -> Vec<WatchdogVerdict> {
@@ -638,7 +618,6 @@ impl Watchdog {
 mod tests {
     use super::*;
     use crate::registry::Registry;
-    use crate::slo::{SloEngine, SloSpec};
 
     /// A snapshot with the given cumulative drop/pub counters and one
     /// ack-stage histogram observation set.
@@ -787,31 +766,29 @@ mod tests {
         assert_eq!(e.snapshot()[0].value, None);
     }
 
+    /// The stock rules' `round_p99` state after 40 s of rounds that each
+    /// take `round_us`, sampled every 10 s.
+    fn round_p99_state_after(round_us: u64) -> AlertState {
+        let mut reg = Registry::new();
+        let h = reg.histogram("richnote_round_duration_us", "rounds", &[("shard", "0")]);
+        let mut history = MetricsHistory::new(16);
+        let mut e = AlertEngine::new(default_rules());
+        for t in 0..5u32 {
+            for _ in 0..10 {
+                reg.observe_us(h, round_us);
+            }
+            history.record(f64::from(t) * 10.0, reg.snapshot());
+            e.evaluate(f64::from(t) * 10.0, &history, None);
+        }
+        e.snapshot().into_iter().find(|a| a.rule == "round_p99").expect("stock rule").state
+    }
+
     #[test]
-    fn slo_burn_rule_reads_the_named_objective() {
-        let mut engine = SloEngine::new(60, 6);
-        let idx = engine.objective(SloSpec {
-            name: "shed_rate".to_string(),
-            target: 0.001,
-            fast_burn_threshold: 6.0,
-        });
-        engine.record(idx, 50, 50);
-        let report = engine.evaluate();
-        let h = MetricsHistory::new(4);
-        let mut e = AlertEngine::new(vec![AlertRule {
-            name: "budget_burn".to_string(),
-            kind: AlertRuleKind::SloBurn { objective: "shed_rate".to_string(), above: 6.0 },
-            for_secs: 0.0,
-        }]);
-        let ev = e.evaluate(0.0, &h, Some(&report));
-        assert_eq!(ev.last().unwrap().to, AlertState::Firing);
-        // Unknown objective is no data, not a crash.
-        let mut e2 = AlertEngine::new(vec![AlertRule {
-            name: "ghost".to_string(),
-            kind: AlertRuleKind::SloBurn { objective: "nope".to_string(), above: 0.0 },
-            for_secs: 0.0,
-        }]);
-        assert!(e2.evaluate(0.0, &h, Some(&report)).is_empty());
+    fn slow_rounds_fire_the_stock_round_p99_rule() {
+        // 200 ms rounds held for 30 s fire; 1 ms rounds never leave
+        // inactive.
+        assert_eq!(round_p99_state_after(200_000), AlertState::Firing);
+        assert_eq!(round_p99_state_after(1_000), AlertState::Inactive);
     }
 
     #[test]
@@ -905,6 +882,17 @@ mod tests {
             for_secs: 0.0,
         };
         assert!(bad_w.validate().unwrap_err().contains("window_secs"));
+        // Infinite holds, thresholds and windows never fire (and do not
+        // survive a JSON round trip).
+        let inf = f64::INFINITY;
+        assert!(shed_rule(inf).validate().unwrap_err().contains("for_secs"));
+        for (field, above, window) in [("above", inf, 60.0), ("window_secs", 0.05, inf)] {
+            let mut r = shed_rule(0.0);
+            if let AlertRuleKind::Rate { above: a, window_secs: w, .. } = &mut r.kind {
+                (*a, *w) = (above, window);
+            }
+            assert!(r.validate().unwrap_err().contains(field), "{field}");
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A fixed-memory ring of registry snapshots with windowed queries.
 //!
 //! [`MetricsHistory`] keeps the last `capacity` [`RegistrySnapshot`]s,
-//! each stamped with a caller-supplied timestamp (seconds). Like
-//! [`crate::slo`], time is driven explicitly — the daemon stamps samples
+//! each stamped with a caller-supplied timestamp (seconds). Time is
+//! driven explicitly — the daemon stamps samples
 //! with virtual tick time (`rounds × round_secs`), so a replayed capture
 //! produces byte-identical history, and the simulator can feed synthetic
 //! clocks.

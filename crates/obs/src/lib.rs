@@ -44,13 +44,9 @@
 //!   ([`MetricsHistory`], [`HistoryQuery`], [`QueryResult`]) — the
 //!   server-side source for `richnote-top` rates and the `/query`
 //!   endpoint.
-//! * [`slo`] — rolling multi-window service-level objectives: error
-//!   budgets, fast/slow burn rates, and ok/degraded/violating verdicts
-//!   ([`SloEngine`], [`SloReport`]), with time driven explicitly so
-//!   evaluation is deterministic.
 //! * [`alert`] — a declarative alert-rule engine ([`AlertRule`],
 //!   [`AlertEngine`]) evaluated in caller-supplied virtual time over the
-//!   metrics history (threshold, windowed-rate and SLO-burn rules with a
+//!   metrics history (threshold and windowed-rate rules with a
 //!   pending → firing → resolved state machine), plus the per-shard
 //!   stall [`Watchdog`]; the same rules run identically in the daemon
 //!   and the simulator, so a seeded run yields a byte-identical alert
@@ -71,7 +67,6 @@ pub mod registry;
 pub mod ring;
 pub mod rsrc;
 pub mod sampler;
-pub mod slo;
 pub mod span;
 pub mod stager;
 
@@ -99,6 +94,5 @@ pub use rsrc::{
     NullCpuClock, ThreadCpuClock,
 };
 pub use sampler::SampleRate;
-pub use slo::{burn_rate, split_above, SloEngine, SloReport, SloSpec, SloStatus, SloVerdict};
 pub use span::{derive_trace_id, SpanDecision, SpanRecord, SpanStage, SpanTree};
 pub use stager::SpanStager;

@@ -15,7 +15,7 @@
 //!   [`DETERMINISTIC_COUNTERS`]: publication, selection, round, budget,
 //!   level, shed, and adaptive-policy counts. Gauges (uptime, backlog
 //!   snapshots, utility cohorts), histograms (all latency-valued), and
-//!   resource/contention/SLO counters are stripped — they measure the
+//!   resource/contention counters are stripped — they measure the
 //!   machine, not the policy. The quality families stay out too: utility
 //!   is gauge-valued and both it and the byte/suppression cohorts reset
 //!   on restart, so they diverge across a capture/replay boundary.

@@ -10,9 +10,7 @@
 //!                 [--flight-dir DIR]
 //!                 [--record PATH] [--codec json|binary]
 //!                 [--policy richnote|fifo|util|adaptive]
-//!                 [--no-rsrc] [--slo-window SECS]
-//!                 [--slo-round-latency US] [--slo-ack-latency US]
-//!                 [--slo-shed-target FRACTION]
+//!                 [--no-rsrc]
 //!                 [--alert-rules PATH] [--incident-dir DIR]
 //!                 [--stall-secs S]
 //!                 [--faults SPEC]
@@ -44,16 +42,14 @@
 //! ladder capping). Checkpoints record their policy, and restoring under
 //! a different one fails loudly.
 //! `--no-rsrc` turns off per-thread CPU/allocation cost accounting
-//! (for overhead A/B runs; the counters export as zero). The `--slo-*`
-//! flags tune the health engine behind `/healthz` and the wire `Health`
-//! view: the rolling window length, the per-round and per-ack wall
-//! latencies past which an event burns error budget, and the budgeted
-//! shed fraction. `--alert-rules` loads a JSON array of
-//! [`richnote_server::AlertRule`] definitions replacing the built-in
-//! defaults, `--incident-dir` makes every newly-firing alert and every
-//! watchdog trip write a CRC-framed `.rnincident` forensic bundle there
-//! (read with `richnote-incident print`), and `--stall-secs` sets the
-//! per-shard watchdog's stall budget before a wedged shard flips
+//! (for overhead A/B runs; the counters export as zero).
+//! `/healthz` and the wire `Health` view fold shard liveness, the alert
+//! rules and the watchdog into one verdict. `--alert-rules` loads a JSON
+//! array of [`richnote_server::AlertRule`] definitions replacing the
+//! built-in defaults, `--incident-dir` makes every newly-firing alert and
+//! every watchdog trip write a CRC-framed `.rnincident` forensic bundle
+//! there (read with `richnote-incident print`), and `--stall-secs` sets
+//! the per-shard watchdog's stall budget before a wedged shard flips
 //! `/healthz` to `violating`. `--faults` takes the spec grammar of
 //! [`richnote_server::FaultPlan::parse`], e.g.
 //! `reset=0.02,short-read=7,panic=1@3,ckfail=2,seed=9` (testing only).
@@ -61,7 +57,7 @@
 use richnote_obs::rsrc::{set_alloc_counting, CountingAlloc};
 use richnote_server::{
     AlertRule, CodecKind, FaultPlan, PolicyName, SampleRate, Server, ServerConfig,
-    ServerConfigBuilder, SloConfig, WatchdogConfig,
+    ServerConfigBuilder, WatchdogConfig,
 };
 use std::process::ExitCode;
 use std::time::Instant;
@@ -82,9 +78,7 @@ fn usage() -> ! {
          [--trace-sample 1/N] [--flight-dir DIR] \
          [--record PATH] [--codec json|binary] \
          [--policy richnote|fifo|util|adaptive] \
-         [--no-rsrc] [--slo-window SECS] [--slo-round-latency US] \
-         [--slo-ack-latency US] [--slo-shed-target FRACTION] \
-         [--alert-rules PATH] [--incident-dir DIR] [--stall-secs S] \
+         [--no-rsrc] [--alert-rules PATH] [--incident-dir DIR] [--stall-secs S] \
          [--faults SPEC]"
     );
     std::process::exit(2)
@@ -92,7 +86,6 @@ fn usage() -> ! {
 
 fn parse_args() -> ServerConfigBuilder {
     let mut builder = ServerConfig::builder().addr("127.0.0.1:7464");
-    let mut slo = SloConfig::default();
     let mut watchdog = WatchdogConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -135,22 +128,6 @@ fn parse_args() -> ServerConfigBuilder {
             "--codec" => builder.codec(parse::<CodecKind>(&value("--codec"), "--codec")),
             "--policy" => builder.policy(parse::<PolicyName>(&value("--policy"), "--policy")),
             "--no-rsrc" => builder.rsrc_enabled(false),
-            "--slo-window" => {
-                slo.window_secs = parse(&value("--slo-window"), "--slo-window");
-                builder
-            }
-            "--slo-round-latency" => {
-                slo.round_latency_us = parse(&value("--slo-round-latency"), "--slo-round-latency");
-                builder
-            }
-            "--slo-ack-latency" => {
-                slo.ack_latency_us = parse(&value("--slo-ack-latency"), "--slo-ack-latency");
-                builder
-            }
-            "--slo-shed-target" => {
-                slo.shed_target = parse(&value("--slo-shed-target"), "--slo-shed-target");
-                builder
-            }
             "--alert-rules" => {
                 let path = value("--alert-rules");
                 match load_alert_rules(&path) {
@@ -183,7 +160,7 @@ fn parse_args() -> ServerConfigBuilder {
             }
         };
     }
-    builder.slo(slo).watchdog(watchdog)
+    builder.watchdog(watchdog)
 }
 
 /// Loads `--alert-rules`: a JSON array of rule definitions, e.g.

@@ -319,7 +319,7 @@ fn fmt_uptime(secs: u64) -> String {
     }
 }
 
-/// The identity header, the resource-cost pane, and the SLO line.
+/// The identity header and the resource-cost pane.
 fn render_identity_and_cost(a: &Args, stats: &StatsReply, health: &HealthReport) {
     println!(
         "richnote-top — {} | richnote-server v{} ({}, {}) | up {} | health {} \
@@ -343,21 +343,6 @@ fn render_identity_and_cost(a: &Args, stats: &StatsReply, health: &HealthReport)
         snap.counter_total("richnote_queue_contended_total"),
         snap.counter_total("richnote_registry_contended_total"),
     );
-    let slos: Vec<String> = health
-        .slos
-        .iter()
-        .map(|v| {
-            format!(
-                "{} {} (budget {:.1}%, burn {:.2}/{:.2})",
-                v.name,
-                v.status.as_str(),
-                v.budget_remaining * 100.0,
-                v.fast_burn,
-                v.slow_burn,
-            )
-        })
-        .collect();
-    println!("slo: {}", slos.join(" | "));
 }
 
 /// Per-shard virtual-time rates from a `richnote_pubs_total` history

@@ -571,8 +571,8 @@ impl Client {
         }
     }
 
-    /// Fetches the server's SLO health verdict: overall status, per-SLO
-    /// burn rates and error budgets, and shard liveness.
+    /// Fetches the server's health verdict: overall status, shard
+    /// liveness, firing alerts and watchdog verdicts.
     ///
     /// # Errors
     ///

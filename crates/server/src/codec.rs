@@ -846,8 +846,10 @@ fn dec_response(s: &mut &[u8]) -> ServerResult<Response> {
 mod tests {
     use super::*;
     use crate::fault::ShortReader;
-    use crate::wire::{BuildInfo, HealthReport, Observed, StatsReply, View, PROTO_VERSION};
-    use richnote_obs::{HistoryQuery, SloStatus, SpanRecord};
+    use crate::wire::{
+        BuildInfo, HealthReport, HealthStatus, Observed, StatsReply, View, PROTO_VERSION,
+    };
+    use richnote_obs::{HistoryQuery, SpanRecord};
 
     fn sample_item() -> ContentItem {
         ContentItem {
@@ -927,8 +929,13 @@ mod tests {
 
     fn hot_responses() -> Vec<Response> {
         vec![
-            Response::Hello { proto: 4, shards: 4, resume_seq: 17, codec: Some("binary".into()) },
-            Response::Hello { proto: 4, shards: 1, resume_seq: 0, codec: None },
+            Response::Hello {
+                proto: PROTO_VERSION,
+                shards: 4,
+                resume_seq: 17,
+                codec: Some("binary".into()),
+            },
+            Response::Hello { proto: PROTO_VERSION, shards: 1, resume_seq: 0, codec: None },
             Response::Subscribed,
             Response::PubAck { seq: 123_456_789 },
             Response::Ticked { rounds: 8, selected: 42 },
@@ -998,11 +1005,10 @@ mod tests {
                 build: BuildInfo::current(),
             }),
             Observed::Health(HealthReport {
-                status: SloStatus::Ok,
+                status: HealthStatus::Ok,
                 uptime_secs: 3,
                 shards_alive: 2,
                 shards_total: 2,
-                slos: vec![],
                 alerts_firing: 0,
                 watchdog: vec![],
             }),

@@ -67,10 +67,6 @@ pub struct ServerConfig {
     /// export, contention counters). On by default; absent in older
     /// config JSON, which deserializes to the default.
     pub rsrc: RsrcConfig,
-    /// Service-level objectives evaluated by the `Health` view and the
-    /// `/healthz` path. Absent in older config JSON, which deserializes
-    /// to the default.
-    pub slo: SloConfig,
     /// Path of the wire-level capture file. `Some` records every inbound
     /// post-handshake request frame (see `crate::record`); `None` (the
     /// default, and what older config JSON deserializes to) disables
@@ -162,8 +158,8 @@ impl AlertConfig {
                 return Some(format!("alert rule {}: duplicate name", rule.name));
             }
         }
-        if self.watchdog.stall_secs.is_nan() || self.watchdog.stall_secs <= 0.0 {
-            return Some("watchdog stall_secs must be > 0".to_string());
+        if !self.watchdog.stall_secs.is_finite() || self.watchdog.stall_secs <= 0.0 {
+            return Some("watchdog stall_secs must be finite and > 0".to_string());
         }
         None
     }
@@ -230,89 +226,6 @@ impl serde::Deserialize for RsrcConfig {
     }
 }
 
-/// SLO thresholds and window geometry.
-///
-/// Latency thresholds classify each round/ack sample as good or bad;
-/// targets are the budgeted bad fractions. Burn-rate semantics live in
-/// `richnote_obs::slo` — the slow window fires at burn ≥ 1, the fast
-/// window at burn ≥ `fast_burn_threshold`, and both firing at once is a
-/// violation.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SloConfig {
-    /// Rolling window length in seconds.
-    pub window_secs: u64,
-    /// Sub-window bucket count (the fast window is the newest sixth).
-    pub buckets: usize,
-    /// A round slower than this (µs of wall time) is a bad event.
-    pub round_latency_us: u64,
-    /// Budgeted fraction of slow rounds.
-    pub round_latency_target: f64,
-    /// An ack (connection-side reply write) slower than this is bad.
-    pub ack_latency_us: u64,
-    /// Budgeted fraction of slow acks.
-    pub ack_latency_target: f64,
-    /// Budgeted fraction of publications shed by queue overflow.
-    pub shed_target: f64,
-    /// Fast-window burn rate at which the fast window fires.
-    pub fast_burn_threshold: f64,
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            window_secs: 60,
-            buckets: 12,
-            // A round is a batched MCKP selection over a shard's users;
-            // 100ms of wall time is already an outlier at test scale.
-            round_latency_us: 100_000,
-            round_latency_target: 0.01,
-            ack_latency_us: 50_000,
-            ack_latency_target: 0.01,
-            // Shedding is the paper's load-control valve, but routine
-            // shedding means the budget model is mis-sized: 0.1%.
-            shed_target: 0.001,
-            fast_burn_threshold: 6.0,
-        }
-    }
-}
-
-// Manual impl so configs written before this field existed still load.
-impl serde::Deserialize for SloConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(SloConfig {
-            window_secs: serde::field(v, "window_secs")?,
-            buckets: serde::field(v, "buckets")?,
-            round_latency_us: serde::field(v, "round_latency_us")?,
-            round_latency_target: serde::field(v, "round_latency_target")?,
-            ack_latency_us: serde::field(v, "ack_latency_us")?,
-            ack_latency_target: serde::field(v, "ack_latency_target")?,
-            shed_target: serde::field(v, "shed_target")?,
-            fast_burn_threshold: serde::field(v, "fast_burn_threshold")?,
-        })
-    }
-
-    fn if_missing() -> Option<Self> {
-        Some(SloConfig::default())
-    }
-}
-
-impl SloConfig {
-    fn target_ok(t: f64) -> bool {
-        t > 0.0 && t <= 1.0 && !t.is_nan()
-    }
-
-    /// Whether every knob is usable.
-    pub fn is_valid(&self) -> bool {
-        self.window_secs >= 1
-            && self.buckets >= 1
-            && Self::target_ok(self.round_latency_target)
-            && Self::target_ok(self.ack_latency_target)
-            && Self::target_ok(self.shed_target)
-            && self.fast_burn_threshold > 0.0
-            && !self.fast_burn_threshold.is_nan()
-    }
-}
-
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
@@ -333,7 +246,6 @@ impl Default for ServerConfig {
             trace_sample: SampleRate::ALL,
             flight_dir: None,
             rsrc: RsrcConfig::default(),
-            slo: SloConfig::default(),
             record: None,
             codec: CodecKind::Binary,
             policy: PolicyName::RichNote,
@@ -369,9 +281,6 @@ impl ServerConfig {
         }
         if !self.faults.is_valid() {
             return Err(ConfigError::BadFaultRate);
-        }
-        if !self.slo.is_valid() {
-            return Err(ConfigError::BadSlo);
         }
         if let Some(why) = self.alerts.problem() {
             return Err(ConfigError::BadAlert(why));
@@ -502,13 +411,6 @@ impl ServerConfigBuilder {
     #[must_use]
     pub fn rsrc_enabled(mut self, enabled: bool) -> Self {
         self.cfg.rsrc.enabled = enabled;
-        self
-    }
-
-    /// Replaces the SLO thresholds wholesale.
-    #[must_use]
-    pub fn slo(mut self, slo: SloConfig) -> Self {
-        self.cfg.slo = slo;
         self
     }
 
@@ -661,17 +563,16 @@ mod tests {
     }
 
     #[test]
-    fn pre_slo_config_json_still_loads() {
-        // A config serialized before the rsrc/slo fields existed must
-        // deserialize with their defaults filled in (rolling upgrades
+    fn pre_rsrc_config_json_still_loads() {
+        // A config serialized before the rsrc field existed must
+        // deserialize with its default filled in (rolling upgrades
         // replay old checkpoint configs).
         let mut v = ServerConfig::default().to_value();
         if let serde_json::Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "rsrc" && k != "slo");
+            fields.retain(|(k, _)| k != "rsrc");
         }
         let back = ServerConfig::from_value(&v).unwrap();
         assert_eq!(back.rsrc, RsrcConfig::default());
-        assert_eq!(back.slo, SloConfig::default());
         assert_eq!(back, ServerConfig::default());
     }
 
@@ -798,16 +699,27 @@ mod tests {
     }
 
     #[test]
-    fn bad_slo_rejected() {
-        let slo = SloConfig { round_latency_target: 0.0, ..SloConfig::default() };
-        assert_eq!(ServerConfig::builder().slo(slo).build(), Err(ConfigError::BadSlo));
-        let slo = SloConfig { buckets: 0, ..SloConfig::default() };
-        assert_eq!(ServerConfig::builder().slo(slo).build(), Err(ConfigError::BadSlo));
-        let slo = SloConfig { fast_burn_threshold: -1.0, ..SloConfig::default() };
-        assert_eq!(ServerConfig::builder().slo(slo).build(), Err(ConfigError::BadSlo));
-        // The toggle alone cannot invalidate a config.
+    fn non_finite_alert_and_watchdog_thresholds_are_rejected() {
+        // `1e999` parses to infinity: a rule that can never fire, and a
+        // config that no longer round-trips through JSON.
+        let text = r#"[{"name":"never","for_secs":0,"kind":{"Threshold":{
+            "family":"richnote_round_duration_us","labels":[],"quantile":null,
+            "window_secs":60,"above":1e999}}}]"#;
+        let rules: Vec<AlertRule> =
+            serde::Deserialize::from_value(&serde_json::parse_value(text).unwrap()).unwrap();
+        match ServerConfig::builder().alert_rules(rules).build() {
+            Err(ConfigError::BadAlert(why)) => assert!(why.contains("above"), "{why}"),
+            other => panic!("expected BadAlert, got {other:?}"),
+        }
+        let cfg = ServerConfig::builder()
+            .watchdog(WatchdogConfig { stall_secs: f64::INFINITY, min_cpu_delta_us: 1 })
+            .build();
+        assert!(matches!(cfg, Err(ConfigError::BadAlert(_))));
+    }
+
+    #[test]
+    fn rsrc_toggle_alone_cannot_invalidate_a_config() {
         let cfg = ServerConfig::builder().rsrc_enabled(false).build().unwrap();
         assert!(!cfg.rsrc.enabled);
-        assert!(ServerConfig::default().slo.is_valid());
     }
 }

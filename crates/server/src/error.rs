@@ -139,9 +139,6 @@ pub enum ConfigError {
     CheckpointIntervalWithoutDir,
     /// A fault-injection probability was outside `[0, 1]` or NaN.
     BadFaultRate,
-    /// An SLO knob was unusable: empty window, no buckets, a target
-    /// outside `(0, 1]`, or a non-positive burn threshold.
-    BadSlo,
     /// An alert rule or watchdog knob was unusable; the message names
     /// the offending rule and field.
     BadAlert(String),
@@ -158,13 +155,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadFaultRate => {
                 write!(f, "fault probabilities must lie in [0, 1]")
-            }
-            ConfigError::BadSlo => {
-                write!(
-                    f,
-                    "slo window/buckets must be non-empty, targets in (0, 1], \
-                     burn threshold positive"
-                )
             }
             ConfigError::BadAlert(why) => write!(f, "alerts: {why}"),
         }

@@ -3,7 +3,7 @@
 //!
 //! A bundle is written best-effort at the moment of detection so the
 //! evidence survives the process: the merged registry snapshot, the
-//! relevant history windows, the alert timeline, SLO verdicts, watchdog
+//! relevant history windows, the alert timeline, watchdog
 //! verdicts, recent flight-recorder span trees, and the sanitized
 //! config. `richnote-incident` pretty-prints and diffs bundles offline.
 //!
@@ -62,7 +62,7 @@ pub struct IncidentBundle {
     /// Why and when the bundle was written.
     pub meta: IncidentMeta,
     /// Named sections in write order (`config`, `registry`, `alerts`,
-    /// `slos`, `history`, `watchdog`, `flights`, …).
+    /// `watchdog`, `history`, `flights`, …).
     pub sections: Vec<(String, serde_json::Value)>,
 }
 

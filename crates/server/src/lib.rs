@@ -79,9 +79,7 @@ pub mod wire;
 pub use checkpoint::{CheckpointStore, ServerCheckpoint, ShardCheckpoint};
 pub use client::{Client, ClientBuilder, RetryPolicy};
 pub use codec::{codec_for, negotiate, BinaryCodec, CodecKind, FrameCodec, JsonCodec};
-pub use config::{
-    AlertConfig, HistoryConfig, RsrcConfig, ServerConfig, ServerConfigBuilder, SloConfig,
-};
+pub use config::{AlertConfig, HistoryConfig, RsrcConfig, ServerConfig, ServerConfigBuilder};
 pub use error::{ConfigError, ServerError, ServerResult};
 pub use fault::{FaultPlan, FaultRng, ShardPanicFault};
 pub use incident::{
@@ -99,8 +97,8 @@ pub use router::shard_of;
 pub use server::{RestoreSummary, Server};
 pub use shard::ShardState;
 pub use wire::{
-    AlertsReply, BuildInfo, ErrorCode, HealthReport, Observed, StatsReply, View, PROTO_VERSION,
-    TRACE_DUMP_EVENT_BUDGET,
+    AlertsReply, BuildInfo, ErrorCode, HealthReport, HealthStatus, Observed, StatsReply, View,
+    PROTO_VERSION, TRACE_DUMP_EVENT_BUDGET,
 };
 
 // Observability vocabulary, re-exported so server users need not depend
@@ -108,7 +106,6 @@ pub use wire::{
 pub use richnote_obs::{
     default_rules, derive_trace_id, read_flight_file, AlertEvent, AlertRule, AlertRuleKind,
     AlertSnapshot, AlertState, FlightDump, HistoryQuery, Log2Histogram, MetricsHistory,
-    QueryResult, Registry, RegistrySnapshot, SampleRate, SeriesWindow, SloStatus, SloVerdict,
-    SpanRecord, SpanStage, SpanTree, WatchdogConfig, WatchdogVerdict, WindowQuantiles,
-    DEFAULT_HISTORY_CAPACITY,
+    QueryResult, Registry, RegistrySnapshot, SampleRate, SeriesWindow, SpanRecord, SpanStage,
+    SpanTree, WatchdogConfig, WatchdogVerdict, WindowQuantiles, DEFAULT_HISTORY_CAPACITY,
 };

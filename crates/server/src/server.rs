@@ -11,14 +11,13 @@ use crate::record::RecordSink;
 use crate::router::{PublishOutcome, Router};
 use crate::shard::{ShardMsg, ShardWorker};
 use crate::wire::{
-    AlertsReply, BuildInfo, ErrorCode, HealthReport, Observed, Request, Response, StatsReply, View,
-    PROTO_VERSION, TRACE_DUMP_EVENT_BUDGET,
+    AlertsReply, BuildInfo, ErrorCode, HealthReport, HealthStatus, Observed, Request, Response,
+    StatsReply, View, PROTO_VERSION, TRACE_DUMP_EVENT_BUDGET,
 };
 use richnote_obs::{
-    encode_text, split_above, write_flight_file, AlertEngine, CounterHandle, GaugeHandle,
-    HistogramHandle, HistoryQuery, Log2Histogram, MetricsHistory, QueryResult, Registry,
-    RegistrySnapshot, Ring, ShardProbe, SloEngine, SloReport, SloSpec, SloStatus, SpanRecord,
-    Watchdog, WatchdogVerdict,
+    encode_text, write_flight_file, AlertEngine, CounterHandle, GaugeHandle, HistogramHandle,
+    HistoryQuery, Log2Histogram, MetricsHistory, QueryResult, Registry, RegistrySnapshot, Ring,
+    ShardProbe, SpanRecord, Watchdog, WatchdogVerdict,
 };
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -65,7 +64,7 @@ struct ServerObs {
     stage_match: HistogramHandle,
     stage_serialize: HistogramHandle,
     stage_ack: HistogramHandle,
-    /// When the daemon started serving; uptime and the SLO bucket clock
+    /// When the daemon started serving; uptime and the watchdog's clock
     /// both derive from it.
     started: Instant,
     uptime: GaugeHandle,
@@ -89,16 +88,12 @@ struct ServerObs {
     checkpoint_failed: CounterHandle,
     /// `richnote_faults_injected_total{kind="conn_reset"}`.
     fault_conn_reset: CounterHandle,
-    /// Feeds the SLO engine from stats deltas; one tracker per daemon.
-    slo: Mutex<SloTracker>,
-    /// Exported burn/budget series, indexed like the engine's objectives.
-    slo_handles: Vec<SloHandles>,
     /// Fixed-memory ring of merged registry snapshots sampled at tick
     /// boundaries; answers the `Query` view. `None` when `history.capacity` is 0.
     history: Option<Mutex<MetricsHistory>>,
     /// The alerting plane: rule engine, shard watchdog, and incident
     /// bookkeeping. Lock ordering: never hold this while taking the
-    /// registry, history, or SLO locks (callers snapshot those first).
+    /// registry or history locks (callers snapshot those first).
     alerts: Mutex<AlertRuntime>,
 }
 
@@ -121,29 +116,6 @@ struct AlertRuntime {
     incidents_written: u64,
     /// Path of the most recently written bundle.
     last_incident: Option<String>,
-}
-
-/// Registry handles for one objective's exported series.
-struct SloHandles {
-    fast: GaugeHandle,
-    slow: GaugeHandle,
-    budget: GaugeHandle,
-    good: CounterHandle,
-    bad: CounterHandle,
-}
-
-/// The daemon's SLO state: the engine plus the previous readings its
-/// delta-feeding needs (histograms and counters are cumulative, the
-/// engine wants per-interval events).
-struct SloTracker {
-    engine: SloEngine,
-    round_idx: usize,
-    ack_idx: usize,
-    shed_idx: usize,
-    prev_round: Log2Histogram,
-    prev_ack: Log2Histogram,
-    prev_pubs: u64,
-    prev_dropped: u64,
 }
 
 impl ServerObs {
@@ -212,48 +184,6 @@ impl ServerObs {
             "Injected faults that fired, by kind",
             &[("shard", "server"), ("kind", "conn_reset")],
         );
-        let mut engine = SloEngine::new(cfg.slo.window_secs, cfg.slo.buckets);
-        let mut slo_handles = Vec::new();
-        let mut add = |registry: &mut Registry, engine: &mut SloEngine, name: &str, target| {
-            let idx = engine.objective(SloSpec {
-                name: name.to_string(),
-                target,
-                fast_burn_threshold: cfg.slo.fast_burn_threshold,
-            });
-            let l = &[("shard", "server"), ("slo", name)][..];
-            slo_handles.push(SloHandles {
-                fast: registry.gauge(
-                    "richnote_slo_fast_burn",
-                    "Error-budget burn rate over the fast (newest) sub-window",
-                    l,
-                ),
-                slow: registry.gauge(
-                    "richnote_slo_slow_burn",
-                    "Error-budget burn rate over the whole rolling window",
-                    l,
-                ),
-                budget: registry.gauge(
-                    "richnote_slo_budget_remaining",
-                    "Fraction of the window's error budget left (negative = overdrawn)",
-                    l,
-                ),
-                good: registry.counter(
-                    "richnote_slo_good_total",
-                    "Lifetime events within the objective",
-                    l,
-                ),
-                bad: registry.counter(
-                    "richnote_slo_bad_total",
-                    "Lifetime events violating the objective",
-                    l,
-                ),
-            });
-            idx
-        };
-        let round_idx =
-            add(&mut registry, &mut engine, "round_latency", cfg.slo.round_latency_target);
-        let ack_idx = add(&mut registry, &mut engine, "ack_latency", cfg.slo.ack_latency_target);
-        let shed_idx = add(&mut registry, &mut engine, "shed", cfg.slo.shed_target);
         let history = if cfg.history.capacity > 0 {
             let mut h = MetricsHistory::new(cfg.history.capacity);
             // Seed a t=0 baseline so the very first tick already yields a
@@ -281,17 +211,6 @@ impl ServerObs {
             checkpoint_ok,
             checkpoint_failed,
             fault_conn_reset,
-            slo: Mutex::new(SloTracker {
-                engine,
-                round_idx,
-                ack_idx,
-                shed_idx,
-                prev_round: Log2Histogram::new(),
-                prev_ack: Log2Histogram::new(),
-                prev_pubs: 0,
-                prev_dropped: 0,
-            }),
-            slo_handles,
             history,
             alerts: Mutex::new(AlertRuntime {
                 engine: AlertEngine::new(cfg.alerts.rules.clone()),
@@ -697,16 +616,12 @@ fn record_history(ctx: &ConnCtx, rounds_done: u64) {
     let Some(history) = &ctx.obs.history else { return };
     let snap = merged_stats(ctx);
     let now_secs = rounds_done as f64 * ctx.cfg.round_secs;
-    // A read-only SLO cut for SloBurn rules: `SloEngine::evaluate` does
-    // not advance windows or consume deltas, so health polling keeps
-    // sole ownership of the delta feed.
-    let slo: SloReport = ctx.obs.slo.lock().unwrap().engine.evaluate();
     let newly_firing: Vec<richnote_obs::AlertEvent> = {
         let mut h = history.lock().unwrap();
         h.record(now_secs, snap);
         let mut rt = ctx.obs.alerts.lock().unwrap();
         rt.engine
-            .evaluate(now_secs, &h, Some(&slo))
+            .evaluate(now_secs, &h, None)
             .into_iter()
             .filter(|e| e.to == richnote_obs::AlertState::Firing)
             .collect()
@@ -808,8 +723,7 @@ fn write_incident(ctx: &ConnCtx, trigger: &str, reason: &str, at_secs: f64) {
     use serde::Serialize as _;
     let Some(dir) = ctx.cfg.alerts.incident_dir.as_deref() else { return };
 
-    let (snap, _alive) = collect_stats(ctx);
-    let slo: SloReport = ctx.obs.slo.lock().unwrap().engine.evaluate();
+    let snap = merged_stats(ctx);
 
     // Everything the alert lock guards is cut here, then released before
     // any I/O or history query.
@@ -846,7 +760,6 @@ fn write_incident(ctx: &ConnCtx, trigger: &str, reason: &str, at_secs: f64) {
                         want(per, &[], *window_secs);
                     }
                 }
-                richnote_obs::AlertRuleKind::SloBurn { .. } => {}
             }
         }
         (sequence, alerts_value, watchdog_value, queries)
@@ -878,7 +791,6 @@ fn write_incident(ctx: &ConnCtx, trigger: &str, reason: &str, at_secs: f64) {
         sections: vec![
             ("config".to_string(), cfg.to_value()),
             ("registry".to_string(), snap.to_value()),
-            ("slos".to_string(), slo.verdicts.to_value()),
             ("alerts".to_string(), alerts_value),
             ("watchdog".to_string(), watchdog_value),
             ("history".to_string(), history_value),
@@ -922,79 +834,36 @@ fn parse_query_path(path: &str) -> Result<HistoryQuery, String> {
     Ok(HistoryQuery { family, labels, window_secs })
 }
 
-/// Feeds the SLO engine the deltas since the previous evaluation and
-/// returns the verdict. Burn rates, budgets, and lifetime good/bad
-/// totals are re-exported through the registry on every call, so the
-/// `Stats` view shows the same numbers the `Health` view reports.
+/// The health verdict: a fold over shard liveness, the alert rules'
+/// current states and the watchdog. One dead shard degrades and all
+/// dead violates; any firing alert or watchdog verdict degrades; a shard
+/// wedged past the stall budget violates. The alert rules are evaluated
+/// at tick boundaries, not here, so a poll exports no series beyond the
+/// stats cut every read takes.
 fn evaluate_health(ctx: &ConnCtx) -> HealthReport {
     let (snap, alive) = collect_stats(ctx);
     let shards_total = ctx.router.shards();
-    let mut t = ctx.obs.slo.lock().unwrap();
-    let now_us = ctx.obs.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    t.engine.advance(now_us);
-
-    let round = snap.histogram_merged("richnote_round_duration_us");
-    let (good, bad) = split_above(&t.prev_round, &round, ctx.cfg.slo.round_latency_us);
-    let idx = t.round_idx;
-    t.engine.record(idx, good, bad);
-    t.prev_round = round;
-
-    let ack = snap.histogram_merged_where("richnote_stage_duration_us", "stage", "ack");
-    let (good, bad) = split_above(&t.prev_ack, &ack, ctx.cfg.slo.ack_latency_us);
-    let idx = t.ack_idx;
-    t.engine.record(idx, good, bad);
-    t.prev_ack = ack;
-
-    let pubs = snap.counter_total("richnote_pubs_total");
-    let dropped = snap.counter_total("richnote_queue_dropped_total");
-    let (good, bad) = (pubs.saturating_sub(t.prev_pubs), dropped.saturating_sub(t.prev_dropped));
-    let idx = t.shed_idx;
-    t.engine.record(idx, good, bad);
-    t.prev_pubs = pubs;
-    t.prev_dropped = dropped;
-
-    let report = t.engine.evaluate();
-    {
-        let mut reg = ctx.obs.lock_registry();
-        for (i, (v, h)) in report.verdicts.iter().zip(&ctx.obs.slo_handles).enumerate() {
-            reg.set_gauge(h.fast, v.fast_burn);
-            reg.set_gauge(h.slow, v.slow_burn);
-            reg.set_gauge(h.budget, v.budget_remaining);
-            let (lg, lb) = t.engine.lifetime(i);
-            reg.set_counter(h.good, lg);
-            reg.set_counter(h.bad, lb);
-        }
-    }
-    let mut status = report.status;
-    if alive < shards_total {
-        // Dead shards are a health fact no latency window can see: one
-        // missing degrades, all missing is a violation outright.
-        let liveness = if alive == 0 { SloStatus::Violating } else { SloStatus::Degraded };
-        status = status.max(liveness);
-    }
-    drop(t);
     let watchdog = observe_watchdog(ctx, &snap);
     let alerts_firing = ctx.obs.alerts.lock().unwrap().engine.firing_count();
-    if alerts_firing > 0 {
-        status = status.max(SloStatus::Degraded);
-    }
-    if !watchdog.is_empty() {
-        // A freshly dead shard already degrades via the liveness fold
-        // above; the watchdog escalates only once it has been wedged
-        // past the stall budget, so a just-killed shard still reads
-        // `degraded` (HTTP 200) until the grace period runs out.
-        status = status.max(SloStatus::Degraded);
-        let stall_secs = ctx.cfg.alerts.watchdog.stall_secs;
-        if watchdog.iter().any(|v| v.problem == "wedged" && v.stalled_secs >= stall_secs) {
-            status = status.max(SloStatus::Violating);
-        }
-    }
+    // A freshly dead shard degrades via liveness; the watchdog escalates
+    // only once it has been wedged past the stall budget, so a
+    // just-killed shard still reads `degraded` (HTTP 200) until the grace
+    // period runs out.
+    let stall_secs = ctx.cfg.alerts.watchdog.stall_secs;
+    let status = if alive == 0
+        || watchdog.iter().any(|v| v.problem == "wedged" && v.stalled_secs >= stall_secs)
+    {
+        HealthStatus::Violating
+    } else if alive < shards_total || alerts_firing > 0 || !watchdog.is_empty() {
+        HealthStatus::Degraded
+    } else {
+        HealthStatus::Ok
+    };
     HealthReport {
         status,
         uptime_secs: ctx.obs.uptime_secs(),
         shards_alive: alive,
         shards_total,
-        slos: report.verdicts,
         alerts_firing,
         watchdog,
     }
@@ -1020,7 +889,7 @@ fn drain_traces(ctx: &ConnCtx) -> Observed {
 }
 
 /// The daemon's one read path: answers `view` from the registries, the
-/// history, the SLO and alert engines, and the trace and flight rings.
+/// history, the alert engine and watchdog, and the trace and flight rings.
 /// Connections reach it through `Request::Observe`, the metrics listener
 /// through its HTTP paths.
 fn observe(ctx: &ConnCtx, view: &View) -> Observed {
@@ -1105,7 +974,7 @@ fn serve_scrape(mut stream: TcpStream, ctx: &ConnCtx) -> std::io::Result<()> {
         }
         Ok(observed) => {
             let status = match &observed {
-                Observed::Health(r) if r.status == SloStatus::Violating => {
+                Observed::Health(r) if r.status == HealthStatus::Violating => {
                     "503 Service Unavailable"
                 }
                 _ => "200 OK",

@@ -1,6 +1,6 @@
 //! The wire protocol: versioned, length-prefixed JSON frames over TCP.
 //!
-//! # Frame layout (protocol v4)
+//! # Frame layout (protocol v5)
 //!
 //! ```text
 //! +-------------------+-----------+----------------------+
@@ -59,7 +59,8 @@
 //! draws a typed [`ErrorCode::ProtoMismatch`] at the handshake. v2 had
 //! one request per read-only view (seven of them); v3 folds them into
 //! `Observe`; v4 answers the `Trace` view with spans only
-//! (`Observed::Trace { spans, dropped }`).
+//! (`Observed::Trace { spans, dropped }`); v5 drops the per-objective
+//! `slos` list from the `Health` view.
 //!
 //! The `Hello` exchange also negotiates a *frame codec* (see
 //! [`crate::codec`]): the handshake itself always uses the JSON framing
@@ -70,8 +71,8 @@
 use crate::error::{ServerError, ServerResult};
 use richnote_core::{ContentId, ContentItem, UserId};
 use richnote_obs::{
-    AlertEvent, AlertSnapshot, FlightDump, HistoryQuery, QueryResult, RegistrySnapshot, SloStatus,
-    SloVerdict, SpanRecord, WatchdogVerdict,
+    AlertEvent, AlertSnapshot, FlightDump, HistoryQuery, QueryResult, RegistrySnapshot, SpanRecord,
+    WatchdogVerdict,
 };
 use richnote_pubsub::Topic;
 use serde::{Deserialize, Serialize};
@@ -79,7 +80,7 @@ use std::io::{self, Read, Write};
 
 /// The protocol version this build speaks. Sent in every frame header and
 /// in the [`Request::Hello`] handshake.
-pub const PROTO_VERSION: u32 = 4;
+pub const PROTO_VERSION: u32 = 5;
 
 /// Upper bound on a frame payload; anything larger is a protocol error.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
@@ -182,8 +183,8 @@ pub enum View {
     /// every shard plus the server-side stage timers) with the daemon's
     /// uptime and build identity.
     Stats,
-    /// The SLO engine's verdict: overall status, per-objective burn rates
-    /// and budgets, shard liveness.
+    /// The health verdict folded from shard liveness, firing alerts and
+    /// the watchdog.
     Health,
     /// The alerting plane: every rule's state, the recent transition
     /// timeline, watchdog verdicts, the most recent incident bundle path.
@@ -240,22 +241,66 @@ pub struct StatsReply {
     pub build: BuildInfo,
 }
 
-/// The SLO engine's verdict, answering [`View::Health`]. The same JSON
-/// body is served on the metrics listener's `/healthz` path (HTTP 200
-/// unless violating, then 503).
+/// The health verdict of a [`HealthReport`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HealthStatus {
+    /// Every shard alive, no alert firing, no watchdog verdict.
+    Ok,
+    /// Something is wrong but the daemon still serves: a dead shard, a
+    /// firing alert, or a watchdog verdict.
+    Degraded,
+    /// Every shard dead, or a shard wedged past the stall budget.
+    Violating,
+}
+
+impl HealthStatus {
+    /// Lowercase wire spelling (`ok` / `degraded` / `violating`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            HealthStatus::Ok => "ok",
+            HealthStatus::Degraded => "degraded",
+            HealthStatus::Violating => "violating",
+        }
+    }
+}
+
+impl Serialize for HealthStatus {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::String(self.as_str().to_string())
+    }
+}
+
+impl Deserialize for HealthStatus {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        match v {
+            serde::Value::String(s) => match s.as_str() {
+                "ok" => Ok(HealthStatus::Ok),
+                "degraded" => Ok(HealthStatus::Degraded),
+                "violating" => Ok(HealthStatus::Violating),
+                other => Err(serde::DeError(format!("unknown HealthStatus {other:?}"))),
+            },
+            other => {
+                Err(serde::DeError(format!("expected HealthStatus string, found {}", other.kind())))
+            }
+        }
+    }
+}
+
+/// The daemon's health verdict, answering [`View::Health`]: a fold over
+/// shard liveness, the alert rules and the watchdog. The same JSON body
+/// is served on the metrics listener's `/healthz` path (HTTP 200 unless
+/// violating, then 503).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthReport {
-    /// Worst status across objectives, shard liveness, watchdog verdicts
-    /// and firing alerts.
-    pub status: SloStatus,
+    /// Worst status across shard liveness, firing alerts and watchdog
+    /// verdicts.
+    pub status: HealthStatus,
     /// Seconds since the daemon started serving.
     pub uptime_secs: u64,
     /// Shard workers still alive (a dead shard degrades health).
     pub shards_alive: usize,
     /// Shard workers configured.
     pub shards_total: usize,
-    /// Every objective's burn rates, budget, and firing windows.
-    pub slos: Vec<SloVerdict>,
     /// Alert rules currently firing (each degrades health).
     pub alerts_firing: u64,
     /// Shards the watchdog currently flags; a shard wedged past the
@@ -655,12 +700,25 @@ mod tests {
     fn hello_without_a_codec_field_reads_as_no_offer() {
         // A five-line probe client may leave `codec` out; both directions
         // must parse as "JSON only".
-        let bare = r#"{"Hello":{"proto":4,"session":9}}"#;
+        let bare = r#"{"Hello":{"proto":5,"session":9}}"#;
         let parsed: Request = serde_json::from_str(bare).unwrap();
-        assert_eq!(parsed, Request::Hello { proto: 4, session: 9, codec: None });
-        let bare = r#"{"Hello":{"proto":4,"shards":4,"resume_seq":0}}"#;
+        assert_eq!(parsed, Request::Hello { proto: 5, session: 9, codec: None });
+        let bare = r#"{"Hello":{"proto":5,"shards":4,"resume_seq":0}}"#;
         let parsed: Response = serde_json::from_str(bare).unwrap();
-        assert_eq!(parsed, Response::Hello { proto: 4, shards: 4, resume_seq: 0, codec: None });
+        assert_eq!(parsed, Response::Hello { proto: 5, shards: 4, resume_seq: 0, codec: None });
+    }
+
+    #[test]
+    fn health_status_keeps_its_lowercase_spelling() {
+        for (status, json) in [
+            (HealthStatus::Ok, "\"ok\""),
+            (HealthStatus::Degraded, "\"degraded\""),
+            (HealthStatus::Violating, "\"violating\""),
+        ] {
+            assert_eq!(serde_json::to_string(&status).unwrap(), json);
+            assert_eq!(serde_json::from_str::<HealthStatus>(json).unwrap(), status);
+        }
+        assert!(serde_json::from_str::<HealthStatus>("\"fine\"").is_err());
     }
 
     #[test]
@@ -697,20 +755,10 @@ mod tests {
                 build: BuildInfo::current(),
             })),
             Response::Observed(Observed::Health(HealthReport {
-                status: SloStatus::Degraded,
+                status: HealthStatus::Degraded,
                 uptime_secs: 12,
                 shards_alive: 3,
                 shards_total: 4,
-                slos: vec![SloVerdict {
-                    name: "round_latency".into(),
-                    status: SloStatus::Degraded,
-                    fast_burn: 8.25,
-                    slow_burn: 0.5,
-                    budget_remaining: 0.5,
-                    firing: vec!["fast".into()],
-                    good: 990,
-                    bad: 10,
-                }],
                 alerts_firing: 1,
                 watchdog: vec![richnote_obs::WatchdogVerdict {
                     shard: 2,

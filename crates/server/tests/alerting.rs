@@ -5,8 +5,8 @@
 
 use richnote_obs::frame::crc32;
 use richnote_server::{
-    read_incident_file, AlertRule, AlertRuleKind, AlertState, Client, FaultPlan, Server,
-    ServerConfig, ShardPanicFault, SloStatus, WatchdogConfig,
+    read_incident_file, AlertRule, AlertRuleKind, AlertState, Client, FaultPlan, HealthStatus,
+    Server, ServerConfig, ShardPanicFault, WatchdogConfig,
 };
 use richnote_trace::{TraceConfig, TraceGenerator};
 use std::io::{Read, Write};
@@ -83,7 +83,7 @@ fn alerts_request_reports_quiet_defaults_and_the_http_route_agrees() {
 
     let reply = client.alerts().expect("alerts");
     let names: Vec<&str> = reply.alerts.iter().map(|a| a.rule.as_str()).collect();
-    assert_eq!(names, ["shed_rate", "ack_p99", "queue_contention"]);
+    assert_eq!(names, ["shed_rate", "ack_p99", "queue_contention", "round_p99"]);
     assert_eq!(reply.firing, 0);
     assert_eq!(reply.pending, 0);
     assert!(reply.timeline.is_empty(), "no transitions on an idle daemon: {:?}", reply.timeline);
@@ -97,7 +97,7 @@ fn alerts_request_reports_quiet_defaults_and_the_http_route_agrees() {
     let (head, body) = response.split_once("\r\n\r\n").expect("HTTP head/body split");
     assert!(head.starts_with("HTTP/1.0 200 OK"), "unexpected status in {head:?}");
     assert!(head.contains("application/json"), "alerts must answer JSON");
-    for rule in ["shed_rate", "ack_p99", "queue_contention"] {
+    for rule in ["shed_rate", "ack_p99", "queue_contention", "round_p99"] {
         assert!(body.contains(rule), "rule {rule} missing from {body}");
     }
 
@@ -143,7 +143,7 @@ fn a_firing_alert_is_deterministic_and_writes_a_verifiable_bundle() {
         // A firing alert degrades health without taking the daemon out
         // of rotation: /healthz stays 200.
         let report = client.health().expect("health");
-        assert_eq!(report.status, SloStatus::Degraded);
+        assert_eq!(report.status, HealthStatus::Degraded);
         assert_eq!(report.alerts_firing, 1);
         let response = scrape(metrics, "/healthz");
         let (head, body) = response.split_once("\r\n\r\n").expect("HTTP head/body split");
@@ -166,9 +166,10 @@ fn a_firing_alert_is_deterministic_and_writes_a_verifiable_bundle() {
     let bundle = read_incident_file(&bundle_a).expect("read bundle");
     assert_eq!(bundle.meta.trigger, "alert:pubs_active");
     assert!(bundle.meta.reason.contains("pubs_active"), "reason: {}", bundle.meta.reason);
-    for section in ["config", "registry", "slos", "alerts", "watchdog", "history", "flights"] {
+    for section in ["config", "registry", "alerts", "watchdog", "history", "flights"] {
         assert!(bundle.section(section).is_some(), "bundle missing section {section}");
     }
+    assert!(bundle.section("slos").is_none(), "the retired slos section is gone");
 
     // The offline reader agrees: verification passes (exit 0), and a
     // tampered copy is rejected (exit 2) even with its CRC re-stamped.

@@ -565,10 +565,10 @@ fn proto_mismatch_is_rejected_with_a_typed_error() {
     drop(writer);
     drop(reader);
 
-    // A real protocol-v2 or -v3 peer also stamps its version into the
-    // frame header; it is turned away on that byte, before its payload is
-    // even parsed.
-    for theirs in [2u8, 3] {
+    // A real protocol-v2, -v3 or -v4 peer also stamps its version into
+    // the frame header; it is turned away on that byte, before its
+    // payload is even parsed.
+    for theirs in [2u8, 3, 4] {
         let mut stream = TcpStream::connect(addr).expect("raw connect");
         let hello = format!(r#"{{"Hello":{{"proto":{theirs},"session":0}}}}"#);
         stream.write_all(&(hello.len() as u32).to_le_bytes()).expect("length");

@@ -7,8 +7,8 @@ use richnote_core::content::{ContentFeatures, ContentKind, Interaction, SocialTi
 use richnote_core::{AlbumId, ArtistId, ContentId, ContentItem, TrackId, UserId};
 use richnote_pubsub::Topic;
 use richnote_server::{
-    derive_trace_id, Client, FaultPlan, HistoryQuery, SampleRate, Server, ServerConfig,
-    ShardPanicFault, SloStatus, SpanStage, SpanTree, TRACE_DUMP_EVENT_BUDGET,
+    derive_trace_id, Client, FaultPlan, HealthStatus, HistoryQuery, SampleRate, Server,
+    ServerConfig, ShardPanicFault, SpanStage, SpanTree, TRACE_DUMP_EVENT_BUDGET,
 };
 use richnote_trace::{TraceConfig, TraceGenerator};
 use std::io::{Read, Write};
@@ -405,26 +405,19 @@ fn stats_carries_build_identity_and_uptime() {
 }
 
 #[test]
-fn health_reports_ok_with_three_slos_when_nothing_is_wrong() {
+fn health_reports_ok_over_the_four_stock_rules_when_nothing_is_wrong() {
     let (addr, _metrics, handle) = spawn_observable(0);
     let mut client = Client::builder(addr).connect().expect("connect");
     warm_up(&mut client);
 
     let report = client.health().expect("health");
+    assert_eq!(report.status, HealthStatus::Ok, "a tiny healthy workload is ok: {report:?}");
+    assert_eq!(report.alerts_firing, 0);
     assert_eq!(report.shards_alive, 2);
     assert_eq!(report.shards_total, 2);
-    let names: Vec<&str> = report.slos.iter().map(|v| v.name.as_str()).collect();
-    assert_eq!(names, ["round_latency", "ack_latency", "shed"]);
-    assert_eq!(
-        report.status,
-        SloStatus::Ok,
-        "a tiny healthy workload must not burn budget: {:?}",
-        report.slos
-    );
-    for v in &report.slos {
-        assert!((0.0..=1.0).contains(&v.budget_remaining), "budget_remaining out of range: {v:?}");
-        assert!(v.fast_burn >= 0.0 && v.slow_burn >= 0.0, "burn rates are ratios: {v:?}");
-    }
+    let alerts = client.alerts().expect("alerts");
+    let rules: Vec<&str> = alerts.alerts.iter().map(|a| a.rule.as_str()).collect();
+    assert_eq!(rules, ["shed_rate", "ack_p99", "queue_contention", "round_p99"]);
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
@@ -474,7 +467,7 @@ fn healthz_flips_to_degraded_when_a_shard_dies() {
 
     // The wire-level Health request agrees with the HTTP endpoint.
     let report = client.health().expect("health");
-    assert_eq!(report.status, SloStatus::Degraded);
+    assert_eq!(report.status, HealthStatus::Degraded);
     assert_eq!(report.shards_alive, 1);
     assert_eq!(report.shards_total, 2);
 
@@ -483,7 +476,7 @@ fn healthz_flips_to_degraded_when_a_shard_dies() {
 }
 
 #[test]
-fn scrape_exports_cost_and_slo_families() {
+fn scrape_exports_cost_and_alert_families() {
     let (addr, metrics, handle) = spawn_observable(0);
     let mut client = Client::builder(addr).connect().expect("connect");
     warm_up(&mut client);
@@ -497,16 +490,13 @@ fn scrape_exports_cost_and_slo_families() {
         "richnote_alloc_bytes_total",
         "richnote_queue_contended_total",
         "richnote_registry_contended_total",
-        "richnote_slo_fast_burn",
-        "richnote_slo_slow_burn",
-        "richnote_slo_budget_remaining",
-        "richnote_slo_good_total",
-        "richnote_slo_bad_total",
+        "richnote_alert_state",
         "richnote_build_info",
         "richnote_uptime_secs",
     ] {
         assert!(body.contains(&format!("# TYPE {name}")), "missing TYPE line for {name}");
     }
+    assert!(body.contains("richnote_alert_state{rule=\"round_p99\"}"), "round_p99 state in {body}");
     // Real rounds ran on a real clock: the shards spent measurable CPU.
     let cpu: f64 = body
         .lines()

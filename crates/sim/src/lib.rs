@@ -51,7 +51,7 @@ pub mod user;
 pub use alerts::{alert_timeline, timeline_json};
 pub use cost::EnergyCost;
 pub use metrics::{AggregateMetrics, UserMetrics};
-pub use obs::{evaluate_slos, export_registry, exposition, SimSloPolicy};
+pub use obs::{export_registry, exposition};
 pub use scenarios::{run_all, run_scenario, ScenarioReport, ScenarioSpec, SCENARIO_NAMES};
 pub use simulator::{NetworkKind, PolicyKind, PopulationSim, SimulationConfig};
 pub use spans::{dump_json_lines, simulate_user_spans, SpanHarness};

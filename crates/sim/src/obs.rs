@@ -13,15 +13,11 @@
 //! deterministic: same trace + same seed → byte-identical exposition.
 
 use crate::metrics::AggregateMetrics;
-use richnote_core::paper;
 use richnote_core::quality::{
     DELIVERED_BYTES_FAMILY, DELIVERED_BYTES_HELP, SUPPRESSED_FAMILY, SUPPRESSED_HELP,
     UTILITY_FAMILY, UTILITY_HELP,
 };
-use richnote_obs::{
-    encode_text, split_above, Log2Histogram, Registry, RegistrySnapshot, SloEngine, SloReport,
-    SloSpec,
-};
+use richnote_obs::{encode_text, Registry, RegistrySnapshot};
 
 /// Exports one finished run into the shared registry vocabulary.
 ///
@@ -79,72 +75,6 @@ pub fn export_registry(agg: &AggregateMetrics, rounds: u64) -> RegistrySnapshot 
 /// serves on `--metrics-addr`.
 pub fn exposition(agg: &AggregateMetrics, rounds: u64) -> String {
     encode_text(&export_registry(agg, rounds))
-}
-
-/// SLO policy applied to a finished simulation run, in virtual time.
-///
-/// The daemon's engine watches wall-clock windows; the simulator instead
-/// grades the whole run at once, so the policy is just the two budgets
-/// and the thresholds that define "bad".
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimSloPolicy {
-    /// Queuing delays strictly beyond this many virtual microseconds
-    /// count against the latency budget (bucketed at log2 granularity,
-    /// like the daemon's `split_above`).
-    pub delay_threshold_us: u64,
-    /// Budgeted fraction of deliveries allowed past the threshold.
-    pub delay_target: f64,
-    /// Budgeted fraction of arrivals the run may shed (neither delivered
-    /// nor still queued at the end).
-    pub shed_target: f64,
-    /// Fast-window burn threshold, shared by both objectives.
-    pub fast_burn_threshold: f64,
-}
-
-impl Default for SimSloPolicy {
-    fn default() -> Self {
-        SimSloPolicy {
-            // Six selection rounds: under hourly rounds a notification
-            // queued most of a workday has lost its freshness value.
-            delay_threshold_us: (6.0 * paper::ROUND_SECS * 1e6) as u64,
-            delay_target: 0.10,
-            shed_target: 0.05,
-            fast_burn_threshold: 8.0,
-        }
-    }
-}
-
-/// Grades one finished run against `policy`, deterministically: same
-/// aggregate → identical [`SloReport`].
-///
-/// The whole run lands in the engine's open bucket (virtual time is
-/// anchored at zero and never advanced), so fast and slow burn rates
-/// coincide — what matters here is the verdict and remaining budget,
-/// not windowing.
-pub fn evaluate_slos(agg: &AggregateMetrics, policy: &SimSloPolicy) -> SloReport {
-    let mut engine = SloEngine::new(60, 12);
-    let delay = engine.objective(SloSpec {
-        name: "delivery_delay".to_string(),
-        target: policy.delay_target,
-        fast_burn_threshold: policy.fast_burn_threshold,
-    });
-    let shed = engine.objective(SloSpec {
-        name: "shed".to_string(),
-        target: policy.shed_target,
-        fast_burn_threshold: policy.fast_burn_threshold,
-    });
-    engine.advance(0);
-
-    let (good, bad) =
-        split_above(&Log2Histogram::new(), &agg.delay_histogram, policy.delay_threshold_us);
-    engine.record(delay, good, bad);
-
-    let arrived = agg.arrived as u64;
-    let retained = (agg.delivered + agg.final_backlog) as u64;
-    let shed_count = arrived.saturating_sub(retained);
-    engine.record(shed, arrived - shed_count, shed_count);
-
-    engine.evaluate()
 }
 
 #[cfg(test)]
@@ -232,60 +162,6 @@ mod tests {
             exposition(&b, 48),
             "same-seed analytics exposition must be byte-identical"
         );
-    }
-
-    #[test]
-    fn slo_report_is_deterministic_across_runs() {
-        let trace = Arc::new(TraceGenerator::new(TraceConfig::small(9)).generate());
-        let users = trace.top_users(6);
-        let cfg = SimulationConfig { rounds: 24, ..SimulationConfig::default() };
-        let sim = PopulationSim::new(trace, constant_utility(0.5), cfg);
-        let (a, _) = sim.run(&users);
-        let (b, _) = sim.run(&users);
-        let policy = SimSloPolicy::default();
-        let ra = evaluate_slos(&a, &policy);
-        let rb = evaluate_slos(&b, &policy);
-        assert_eq!(ra, rb);
-        let names: Vec<&str> = ra.verdicts.iter().map(|v| v.name.as_str()).collect();
-        assert_eq!(names, ["delivery_delay", "shed"]);
-    }
-
-    #[test]
-    fn slo_verdicts_track_the_aggregate() {
-        use richnote_obs::SloStatus;
-        // A calm run: everything delivered promptly, nothing shed.
-        let mut agg = AggregateMetrics::from_users(&[]);
-        agg.arrived = 1000;
-        agg.delivered = 990;
-        agg.final_backlog = 10;
-        for _ in 0..990 {
-            agg.delay_histogram.record_us(1_000_000); // 1 virtual second
-        }
-        let report = evaluate_slos(&agg, &SimSloPolicy::default());
-        assert_eq!(report.status, SloStatus::Ok, "calm run must grade Ok: {report:?}");
-        for v in &report.verdicts {
-            assert!(v.budget_remaining > 0.9, "{}: budget {}", v.name, v.budget_remaining);
-        }
-
-        // The same run shedding half its arrivals blows the shed budget.
-        agg.arrived = 2000;
-        let report = evaluate_slos(&agg, &SimSloPolicy::default());
-        let shed = report.verdicts.iter().find(|v| v.name == "shed").expect("shed verdict");
-        assert!(shed.status > SloStatus::Ok, "shedding half must fire: {shed:?}");
-        assert!(report.status > SloStatus::Ok);
-
-        // And a run whose deliveries all straggle past the threshold
-        // blows the delay budget instead.
-        let mut late = AggregateMetrics::from_users(&[]);
-        late.arrived = 100;
-        late.delivered = 100;
-        for _ in 0..100 {
-            late.delay_histogram.record_us(48 * 3_600_000_000); // two virtual days
-        }
-        let report = evaluate_slos(&late, &SimSloPolicy::default());
-        let delay =
-            report.verdicts.iter().find(|v| v.name == "delivery_delay").expect("delay verdict");
-        assert!(delay.status > SloStatus::Ok, "all-late run must fire: {delay:?}");
     }
 
     #[test]
