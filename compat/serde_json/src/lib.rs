@@ -6,7 +6,10 @@
 //! * floats print via Rust's shortest-roundtrip `Display`, so
 //!   serialize → parse → serialize reaches a fixpoint;
 //! * non-finite floats serialize as `null` (as real serde_json does);
-//! * `to_string_pretty` indents with two spaces.
+//! * `to_string_pretty` indents with two spaces;
+//! * parsing stops with an error past 128 nested arrays/objects (as real
+//!   serde_json's `recursion_limit` does), so hostile input cannot
+//!   overflow the stack.
 
 pub use serde::Value;
 use serde::{DeError, Deserialize, Serialize};
@@ -90,7 +93,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 ///
 /// Returns an error on malformed JSON.
 pub fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -190,9 +193,14 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of arrays/objects the parser accepts.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -234,8 +242,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == RECURSION_LIMIT {
+                    return Err(self.err("recursion limit exceeded"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -452,6 +467,28 @@ mod tests {
     fn errors_carry_position() {
         let err = parse_value("[1, ").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_is_limited_to_the_recursion_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nested(RECURSION_LIMIT)).is_ok());
+        let err = parse_value(&nested(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let over = RECURSION_LIMIT + 1;
+        let objects = format!("{}1{}", "{\"a\":".repeat(over), "}".repeat(over));
+        assert!(parse_value(&objects).is_err());
+
+        // A hostile depth fails with an error, not a stack overflow, even
+        // on a small stack.
+        let hostile = "[".repeat(100_000);
+        let result = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse_value(&hostile).map(|_| ()))
+            .unwrap()
+            .join()
+            .expect("parser thread must not overflow its stack");
+        assert!(result.unwrap_err().to_string().contains("recursion limit"));
     }
 
     #[test]

@@ -49,26 +49,6 @@ impl Table {
     pub fn cell(&self, row: usize, col: usize) -> Option<&str> {
         self.rows.get(row).and_then(|r| r.get(col)).map(String::as_str)
     }
-
-    /// Renders the table as CSV (RFC-4180-style quoting for cells
-    /// containing commas or quotes), ready for plotting tools.
-    pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&self.header.iter().map(|h| field(h)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| field(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -166,18 +146,6 @@ mod tests {
         assert_eq!(f3(0.12349), "0.123");
         assert_eq!(f1(12.34), "12.3");
         assert_eq!(mb(2_500_000), "2.50");
-    }
-
-    #[test]
-    fn csv_export_quotes_when_needed() {
-        let mut t = Table::new("demo", &["name", "value"]);
-        t.push_row(vec!["plain".into(), "1".into()]);
-        t.push_row(vec!["with, comma".into(), "quo\"te".into()]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with, comma\",\"quo\"\"te\"");
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn spec(name: &str) -> Option<ScenarioSpec> {
 
 /// Environment scale for a scenario run. Quick mode trades cohort size
 /// and horizon for runtime and is what CI smoke uses.
-pub fn env_config(quick: bool) -> EnvConfig {
+fn env_config(quick: bool) -> EnvConfig {
     if quick {
         EnvConfig {
             seed: 2015,
@@ -112,7 +112,7 @@ pub fn env_config(quick: bool) -> EnvConfig {
 }
 
 /// Builds the [`SimulationConfig`] for a scenario/policy pair.
-pub fn simulation_config(s: &ScenarioSpec, policy: PolicyKind, quick: bool) -> SimulationConfig {
+fn simulation_config(s: &ScenarioSpec, policy: PolicyKind, quick: bool) -> SimulationConfig {
     let env = env_config(quick);
     SimulationConfig {
         policy,
@@ -183,7 +183,7 @@ pub struct CohortReport {
 
 impl ScenarioReport {
     /// Derives a report from aggregate metrics.
-    pub fn from_aggregate(
+    fn from_aggregate(
         scenario: &str,
         policy: &PolicyKind,
         quick: bool,

@@ -1,18 +1,19 @@
 //! The single-user round loop: Algorithm 2 driven end-to-end for one user
-//! over the evaluation horizon.
+//! over the evaluation horizon, as a merge walk of the user's
+//! arrival-sorted items with the round ticks. For one user those are the
+//! only events, so no event queue is needed.
 
 use crate::cost::EnergyCost;
-use crate::events::EventQueue;
 use crate::metrics::{UserMetrics, MAX_LEVEL};
 use crate::simulator::{NetworkKind, SimulationConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use richnote_core::content::ContentItem;
 use richnote_core::ids::{ContentId, UserId};
-use richnote_core::policy::{AdaptiveDecision, NoopObserver, SelectDecision, SelectionObserver};
-use richnote_core::quality::{CohortLedger, QualitySample};
+use richnote_core::quality::CohortLedger;
 use richnote_core::scheduler::{NetSignal, QueuedNotification, RoundContext};
 use richnote_core::utility::DurationUtility;
+use richnote_core::Policy;
 use richnote_energy::battery::{energy_grant, BatteryTrace, BatteryTraceConfig};
 use richnote_energy::model::NetworkEnergyModel;
 use richnote_net::connectivity::{CellOnly, ConnectivitySchedule};
@@ -20,64 +21,23 @@ use richnote_net::diurnal::DiurnalConfig;
 use richnote_net::markov::{MarkovConnectivity, NetworkState};
 use std::collections::HashMap;
 
-/// Forwards every observation to the caller's observer while also
-/// accumulating the per-cohort quality ledger that lands in
-/// [`UserMetrics::quality`]. The sim builds round contexts with a real
-/// [`NetSignal`], so cohorts here carry true connectivity states rather
-/// than the daemon's `unknown`.
-struct QualityTee<'a> {
-    inner: &'a mut dyn SelectionObserver,
-    ledger: CohortLedger,
-}
-
-impl SelectionObserver for QualityTee<'_> {
-    fn on_select(&mut self, round: u64, content: ContentId, decision: &SelectDecision) {
-        self.inner.on_select(round, content, decision);
-    }
-
-    fn on_adapt(&mut self, round: u64, decision: &AdaptiveDecision) {
-        self.inner.on_adapt(round, decision);
-    }
-
-    fn on_quality(&mut self, round: u64, sample: &QualitySample<'_>) {
-        self.ledger.record(sample);
-        self.inner.on_quality(round, sample);
-    }
-}
-
-/// Events of the per-user simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum UserEvent {
-    /// A notification arrives at the broker (index into the item slice).
-    Arrival(usize),
-    /// A scheduling round fires.
-    Round(u64),
-}
-
 /// Simulates one user through all rounds and returns their metrics.
 ///
-/// `items` must all belong to `user` and be sorted by arrival time;
-/// `content_utility` supplies `Uc(i)` (e.g. a trained random forest).
-pub fn simulate_user(
+/// `items` must all belong to `user` and be sorted by arrival time (as
+/// [`richnote_trace::generator::Trace::items`] is); `content_utility`
+/// supplies `Uc(i)` (e.g. a trained random forest). The user's
+/// [`CohortLedger`] observes every round and lands in
+/// [`UserMetrics::quality`].
+pub(crate) fn simulate_user(
     user: UserId,
     items: &[&ContentItem],
     content_utility: &(dyn Fn(&ContentItem) -> f64 + Sync),
     cfg: &SimulationConfig,
 ) -> UserMetrics {
-    simulate_user_observed(user, items, content_utility, cfg, &mut NoopObserver)
-}
-
-/// [`simulate_user`] with a live [`SelectionObserver`]: every selection
-/// decision (chosen level, utility, winning gradient, budget remaining)
-/// is reported as it is made, which is how the span harness in
-/// [`crate::spans`] captures deterministic per-publication traces.
-pub fn simulate_user_observed(
-    user: UserId,
-    items: &[&ContentItem],
-    content_utility: &(dyn Fn(&ContentItem) -> f64 + Sync),
-    cfg: &SimulationConfig,
-    obs: &mut dyn SelectionObserver,
-) -> UserMetrics {
+    debug_assert!(
+        items.windows(2).all(|w| w[0].arrival <= w[1].arrival),
+        "simulate_user needs items sorted by arrival"
+    );
     let mut metrics = UserMetrics::new(user);
     metrics.arrived = items.len();
     metrics.clicked_total = items.iter().filter(|i| i.interaction.is_click()).count();
@@ -146,93 +106,88 @@ pub fn simulate_user_observed(
     let click_time: HashMap<ContentId, f64> =
         items.iter().filter_map(|i| i.interaction.click_time().map(|t| (i.id, t))).collect();
 
-    let mut obs = QualityTee { inner: obs, ledger: CohortLedger::new() };
+    let enqueue = |scheduler: &mut dyn Policy, item: &ContentItem| {
+        let uc = content_utility(item).clamp(0.0, 1.0);
+        scheduler.enqueue(QueuedNotification {
+            item: item.clone(),
+            ladder: ladder.clone(),
+            content_utility: uc,
+            enqueued_at: item.arrival,
+        });
+    };
 
-    // Build the event timeline: arrivals interleaved with round ticks.
-    let mut queue: EventQueue<UserEvent> = EventQueue::new();
-    for (idx, item) in items.iter().enumerate() {
-        queue.schedule(item.arrival, UserEvent::Arrival(idx));
-    }
+    // Round r fires at the *end* of its window, `(r + 1) · round_secs`,
+    // and every item that has arrived by then, the closing instant
+    // included, is queued before it selects.
+    let mut ledger = CohortLedger::new();
+    let mut pending = items.iter().peekable();
     for round in 0..cfg.rounds {
-        // Rounds fire at the *end* of their hour so items arriving during
-        // round r are scheduled at its closing tick.
-        queue.schedule((round + 1) as f64 * cfg.round_secs, UserEvent::Round(round));
-    }
-
-    while let Some(scheduled) = queue.pop() {
-        match scheduled.event {
-            UserEvent::Arrival(idx) => {
-                let item = items[idx];
-                let uc = content_utility(item).clamp(0.0, 1.0);
-                scheduler.enqueue(QueuedNotification {
-                    item: item.clone(),
-                    ladder: ladder.clone(),
-                    content_utility: uc,
-                    enqueued_at: item.arrival,
-                });
+        let now = (round + 1) as f64 * cfg.round_secs;
+        while let Some(item) = pending.next_if(|i| i.arrival <= now) {
+            enqueue(&mut *scheduler, item);
+        }
+        let state = match cfg.network {
+            NetworkKind::Markov => markov.state_for_round(round, &mut rng),
+            NetworkKind::Diurnal => diurnal.state_for_round(round, &mut rng),
+            NetworkKind::CommuteFlaky | NetworkKind::EveningWifi | NetworkKind::MassEvent => {
+                scenario
+                    .as_mut()
+                    .expect("scenario trace synthesized for its kind")
+                    .state_for_round(round, &mut rng)
             }
-            UserEvent::Round(round) => {
-                let now = scheduled.time;
-                let state = match cfg.network {
-                    NetworkKind::Markov => markov.state_for_round(round, &mut rng),
-                    NetworkKind::Diurnal => diurnal.state_for_round(round, &mut rng),
-                    NetworkKind::CommuteFlaky
-                    | NetworkKind::EveningWifi
-                    | NetworkKind::MassEvent => scenario
-                        .as_mut()
-                        .expect("scenario trace synthesized for its kind")
-                        .state_for_round(round, &mut rng),
-                    _ => cell_only.state_for_round(round, &mut rng),
-                };
-                let model = match state {
-                    NetworkState::Wifi => NetworkEnergyModel::wifi(),
-                    _ => NetworkEnergyModel::cellular(),
-                };
-                let cost = EnergyCost(model);
-                let grant = energy_grant(battery.fraction_at(round), cfg.kappa);
-                let link_capacity = cfg.link.capacity(state, cfg.round_secs);
-                let ctx = RoundContext::builder(&cost)
-                    .round(round)
-                    .now(now)
-                    .round_secs(cfg.round_secs)
-                    .online(state.is_online())
-                    .link_capacity(link_capacity)
-                    .data_grant(cfg.theta_bytes)
-                    .energy_grant(grant)
-                    .net(NetSignal::observed(state))
-                    .build();
-                let delivered = scheduler.select_round(&ctx, &mut obs);
+            _ => cell_only.state_for_round(round, &mut rng),
+        };
+        let model = match state {
+            NetworkState::Wifi => NetworkEnergyModel::wifi(),
+            _ => NetworkEnergyModel::cellular(),
+        };
+        let cost = EnergyCost(model);
+        let grant = energy_grant(battery.fraction_at(round), cfg.kappa);
+        let link_capacity = cfg.link.capacity(state, cfg.round_secs);
+        let ctx = RoundContext::builder(&cost)
+            .round(round)
+            .now(now)
+            .round_secs(cfg.round_secs)
+            .online(state.is_online())
+            .link_capacity(link_capacity)
+            .data_grant(cfg.theta_bytes)
+            .energy_grant(grant)
+            .net(NetSignal::observed(state))
+            .build();
+        let delivered = scheduler.select_round(&ctx, &mut ledger);
 
-                let mut round_bytes = 0u64;
-                for d in &delivered {
-                    metrics.delivered += 1;
-                    metrics.bytes_delivered += d.size;
-                    round_bytes += d.size;
-                    metrics.total_utility += d.utility;
-                    metrics.energy_joules += d.energy;
-                    let delay = d.queuing_delay();
-                    metrics.delay_sum_secs += delay;
-                    metrics.delay_histogram.record_us((delay * 1e6) as u64);
-                    let lvl = (d.level as usize).min(MAX_LEVEL - 1);
-                    metrics.level_histogram[lvl] += 1;
-                    if let Some(&t) = click_time.get(&d.content) {
-                        metrics.clicked_utility += d.utility;
-                        if d.delivered_at <= t {
-                            metrics.delivered_before_click += 1;
-                        }
-                    }
-                }
-                metrics.session_energy_joules += model.session_energy(round_bytes);
-                if cfg.record_backlog {
-                    metrics.backlog_series.push(scheduler.backlog());
+        let mut round_bytes = 0u64;
+        for d in &delivered {
+            metrics.delivered += 1;
+            metrics.bytes_delivered += d.size;
+            round_bytes += d.size;
+            metrics.total_utility += d.utility;
+            metrics.energy_joules += d.energy;
+            let delay = d.queuing_delay();
+            metrics.delay_sum_secs += delay;
+            metrics.delay_histogram.record_us((delay * 1e6) as u64);
+            let lvl = (d.level as usize).min(MAX_LEVEL - 1);
+            metrics.level_histogram[lvl] += 1;
+            if let Some(&t) = click_time.get(&d.content) {
+                metrics.clicked_utility += d.utility;
+                if d.delivered_at <= t {
+                    metrics.delivered_before_click += 1;
                 }
             }
         }
+        metrics.session_energy_joules += model.session_energy(round_bytes);
+        if cfg.record_backlog {
+            metrics.backlog_series.push(scheduler.backlog());
+        }
+    }
+    // Items arriving after the last round stay queued as backlog.
+    for item in pending {
+        enqueue(&mut *scheduler, item);
     }
 
     metrics.final_backlog = scheduler.backlog();
     metrics.level_histogram[0] = metrics.arrived.saturating_sub(metrics.delivered);
-    metrics.quality = obs.ledger;
+    metrics.quality = ledger;
     metrics
 }
 
@@ -394,5 +349,44 @@ mod tests {
         let m = simulate_user(UserId::new(1), &refs, &uc, &cfg);
         assert!(m.delivered > 0);
         assert!(m.session_energy_joules <= m.energy_joules + 1e-9);
+    }
+
+    #[test]
+    fn arrival_at_the_closing_instant_makes_the_round() {
+        let cfg = base_cfg(PolicyKind::Fifo { level: 1 });
+        let items = [item(0, cfg.round_secs, false)];
+        let refs: Vec<&ContentItem> = items.iter().collect();
+        let uc = |_: &ContentItem| 0.5;
+        let m = simulate_user(UserId::new(1), &refs, &uc, &cfg);
+        assert_eq!(m.delivered, 1);
+        // Round 0 closes at `round_secs` and delivers it at once; round 1
+        // would have added a whole round of queuing delay.
+        assert!(m.mean_delay_secs() < 1.0, "{}", m.mean_delay_secs());
+    }
+
+    #[test]
+    fn arrivals_after_the_last_round_are_backlog() {
+        let cfg = base_cfg(PolicyKind::richnote_default());
+        let horizon = cfg.rounds as f64 * cfg.round_secs;
+        let items = [item(0, 10.0, false), item(1, horizon + 1.0, false)];
+        let refs: Vec<&ContentItem> = items.iter().collect();
+        let uc = |_: &ContentItem| 0.8;
+        let m = simulate_user(UserId::new(1), &refs, &uc, &cfg);
+        assert_eq!(m.arrived, 2);
+        assert_eq!(m.delivered, 1);
+        assert_eq!(m.final_backlog, 1);
+        assert_eq!(m.level_histogram[0], 1);
+    }
+
+    #[test]
+    fn zero_rounds_leave_everything_queued() {
+        let items: Vec<ContentItem> = (0..4).map(|i| item(i, i as f64 * 10.0, false)).collect();
+        let refs: Vec<&ContentItem> = items.iter().collect();
+        let cfg = SimulationConfig { rounds: 0, ..base_cfg(PolicyKind::richnote_default()) };
+        let uc = |_: &ContentItem| 0.8;
+        let m = simulate_user(UserId::new(1), &refs, &uc, &cfg);
+        assert_eq!(m.delivered, 0);
+        assert_eq!(m.final_backlog, 4);
+        assert_eq!(m.level_histogram[0], 4);
     }
 }

@@ -2,13 +2,18 @@
 //! [`richnote::Server`] configured with each [`PolicyName`] takes
 //! subscriptions and publications from a [`richnote::Client`], selects
 //! under that policy, checkpoints, and comes back from the checkpoint
-//! under the same policy where it left off.
+//! under the same policy where it left off. A hostile frame draws a typed
+//! error and leaves the daemon serving.
 
 use richnote::core::{PolicyName, UserId};
 use richnote::pubsub::Topic;
+use richnote::server::wire::{read_frame, Response};
+use richnote::server::{ErrorCode, PROTO_VERSION};
 use richnote::trace::generator::{TraceConfig, TraceGenerator};
 use richnote::{Client, Server, ServerConfig};
 use std::collections::BTreeSet;
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 
 #[test]
 fn every_policy_serves_checkpoints_and_restarts() {
@@ -70,4 +75,35 @@ fn serve_checkpoint_restart(policy: PolicyName) {
     client.shutdown().unwrap();
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// 100 000 nested `[` sent before `Hello` used to recurse the JSON parser
+/// off the end of the connection thread's stack and abort the whole
+/// daemon. It must draw `BadFrame` and leave the daemon serving.
+#[test]
+fn deeply_nested_frame_is_a_bad_frame_not_a_crash() {
+    let cfg = ServerConfig::builder().addr("127.0.0.1:0").shards(1).build().unwrap();
+    let (addr, handle) = Server::spawn(cfg).expect("spawn");
+
+    let mut stream = TcpStream::connect(addr).expect("raw connect");
+    let payload = vec![b'['; 100_000];
+    stream.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
+    stream.write_all(&[PROTO_VERSION as u8]).unwrap();
+    stream.write_all(&payload).unwrap();
+    match read_frame::<_, Response>(&mut BufReader::new(stream)).expect("response") {
+        Some(Response::Error { code: ErrorCode::BadFrame, .. }) => {}
+        other => panic!("expected a BadFrame rejection, got {other:?}"),
+    }
+
+    let items = TraceGenerator::new(TraceConfig::small(11)).generate().items;
+    let item = items[0].clone();
+    let user = item.recipient;
+    let mut client = Client::builder(addr).connect().expect("the daemon still serves");
+    client.subscribe(user, Topic::FriendFeed(user)).unwrap();
+    client.publish(Topic::FriendFeed(user), item).unwrap();
+    client.sync().unwrap();
+    let (_, deliveries) = client.tick_report(1).unwrap();
+    assert_eq!(deliveries.len(), 1, "{deliveries:?}");
+    client.shutdown().unwrap();
+    handle.join().unwrap();
 }
