@@ -117,12 +117,12 @@ pub struct ContentFeatures {
 }
 
 impl ContentFeatures {
-    /// Flattens the features into the numeric vector fed to the classifier.
+    /// The numeric feature row fed to the classifier.
     ///
     /// Order: tie strength, track/album/artist popularity (rescaled to
     /// `[0,1]`), weekend flag, night flag.
-    pub fn to_vec(&self) -> Vec<f64> {
-        vec![
+    pub fn to_array(&self) -> [f64; 6] {
+        [
             self.tie.strength(),
             self.track_popularity / 100.0,
             self.album_popularity / 100.0,
@@ -132,7 +132,12 @@ impl ContentFeatures {
         ]
     }
 
-    /// Names of the feature columns, aligned with [`Self::to_vec`].
+    /// [`Self::to_array`] as a `Vec`, for building training rows.
+    pub fn to_vec(&self) -> Vec<f64> {
+        self.to_array().to_vec()
+    }
+
+    /// Names of the feature columns, aligned with [`Self::to_array`].
     pub fn feature_names() -> &'static [&'static str] {
         &[
             "social_tie",

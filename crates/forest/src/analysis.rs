@@ -47,7 +47,7 @@ pub fn roc_curve(scores: &[f64], labels: &[bool]) -> RocCurve {
     while i < order.len() {
         let threshold = scores[order[i]];
         // Consume all samples tied at this score before emitting a point.
-        while i < order.len() && scores[order[i]] == threshold {
+        while i < order.len() && scores[order[i]].total_cmp(&threshold).is_eq() {
             if labels[order[i]] {
                 tp += 1;
             } else {
@@ -171,6 +171,19 @@ mod tests {
         let last = roc.points.last().unwrap();
         assert_eq!((first.fpr, first.tpr), (0.0, 0.0));
         assert_eq!((last.fpr, last.tpr), (1.0, 1.0));
+    }
+
+    #[test]
+    fn nan_score_gives_a_finite_curve_between_the_corners() {
+        let scores = [0.9, f64::NAN, 0.4, 0.1, f64::NAN];
+        let labels = [true, false, true, false, true];
+        let roc = roc_curve(&scores, &labels);
+        assert!(roc.points.len() <= scores.len() + 1);
+        let first = roc.points.first().unwrap();
+        let last = roc.points.last().unwrap();
+        assert_eq!((first.fpr, first.tpr), (0.0, 0.0));
+        assert_eq!((last.fpr, last.tpr), (1.0, 1.0));
+        assert!(roc.auc.is_finite());
     }
 
     #[test]

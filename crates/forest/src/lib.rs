@@ -8,10 +8,12 @@
 //!
 //! * [`dataset::Dataset`] — a dense feature matrix with binary labels;
 //! * [`tree::DecisionTree`] — CART trees with Gini-impurity splits,
-//!   depth/size regularization and per-split feature subsampling;
+//!   depth/size regularization and per-split feature subsampling, each
+//!   stored flat as one preorder `Vec` of nodes;
 //! * [`forest::RandomForest`] — bootstrap-aggregated trees whose vote
 //!   fraction doubles as the confidence score `Pr(x_i)` that becomes the
-//!   content utility `Uc(i)`;
+//!   content utility `Uc(i)`; it walks eight trees in lockstep without
+//!   data-dependent branches, bit-identical to walking them one by one;
 //! * [`metrics`] — confusion matrices, precision/recall/accuracy/F1;
 //! * [`cv`] — k-fold cross-validation, mirroring the paper's five-fold
 //!   protocol (reported: precision 0.700, accuracy 0.689).

@@ -6,6 +6,14 @@
 //! rows, and the split minimizing weighted Gini impurity is applied. Leaves
 //! store the positive-class fraction, so a single tree already produces
 //! probabilities.
+//!
+//! A grown tree is stored flat: its nodes sit in one `Vec` in preorder, so
+//! a split's left child is the node right after it and only the right
+//! child needs an index. A leaf points its right child at itself and has a
+//! NaN threshold; `x <= NaN` is false for every `x`, so one more step of a
+//! walk from a leaf stays on it. That lets
+//! [`RandomForest`](crate::forest::RandomForest) walk several trees in
+//! lockstep for a fixed number of steps, without testing for leaves.
 
 use crate::dataset::Dataset;
 use rand::seq::SliceRandom;
@@ -43,26 +51,36 @@ impl Default for TreeConfig {
     }
 }
 
-/// A grown tree node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
-    Leaf {
-        /// Fraction of positive training rows that reached this leaf.
-        prob: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        /// Rows with `x[feature] <= threshold` go left.
-        left: Box<Node>,
-        right: Box<Node>,
-    },
+/// A node of a flat tree. Rows with `x[feature] <= threshold` go to the
+/// next node (the left child); all others, NaN included, go to `right`.
+/// A leaf has `right` equal to its own index and a NaN threshold.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    feature: u32,
+    right: u32,
+    threshold: f64,
+}
+
+/// Thresholds compare by bits, so a leaf's NaN equals itself.
+impl PartialEq for Node {
+    fn eq(&self, other: &Self) -> bool {
+        self.feature == other.feature
+            && self.right == other.right
+            && self.threshold.to_bits() == other.threshold.to_bits()
+    }
 }
 
 /// A single CART decision tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
-    root: Node,
+    /// Nodes in preorder; the root is node 0.
+    nodes: Vec<Node>,
+    /// Weighted positive-class fraction of the training rows that reached
+    /// each node, indexed like `nodes`; a walk reads it at its leaf.
+    probs: Vec<f64>,
+    /// Deepest leaf (root = depth 0): the steps a walk needs to reach any
+    /// leaf.
+    depth: usize,
     n_features: usize,
 }
 
@@ -80,6 +98,14 @@ struct Grower<'a, R: Rng> {
     cfg: &'a TreeConfig,
     rng: &'a mut R,
     n_feature_candidates: usize,
+    nodes: Vec<Node>,
+    probs: Vec<f64>,
+    depth: usize,
+}
+
+/// A node or feature index as a `Node` stores it.
+fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("node and feature indices fit in u32")
 }
 
 impl<R: Rng> Grower<'_, R> {
@@ -92,31 +118,38 @@ impl<R: Rng> Grower<'_, R> {
         }
     }
 
-    fn grow(&mut self, indices: &mut [usize], depth: usize) -> Node {
+    /// Grows the subtree over `indices` at `depth`, appending its nodes in
+    /// preorder.
+    fn grow(&mut self, indices: &mut [usize], depth: usize) {
         let n = indices.len();
         let pos = indices.iter().filter(|&&i| self.data.label(i)).count();
         let pos_w = pos as f64 * self.cfg.positive_weight;
         let total_w = pos_w + (n - pos) as f64;
         let prob = if total_w == 0.0 { 0.0 } else { pos_w / total_w };
+        let at = self.nodes.len();
+        self.probs.push(prob);
 
         let pure = pos == 0 || pos == n;
-        if pure || depth >= self.cfg.max_depth || n < self.cfg.min_samples_split {
-            return Node::Leaf { prob };
-        }
-
-        match self.best_split(indices) {
-            Some((feature, threshold, split_at)) => {
-                // Partition indices in place: left = rows <= threshold.
-                indices.sort_unstable_by(|&a, &b| {
-                    self.data.row(a)[feature].total_cmp(&self.data.row(b)[feature])
-                });
-                let (left_idx, right_idx) = indices.split_at_mut(split_at);
-                let left = self.grow(left_idx, depth + 1);
-                let right = self.grow(right_idx, depth + 1);
-                Node::Split { feature, threshold, left: Box::new(left), right: Box::new(right) }
-            }
-            None => Node::Leaf { prob },
-        }
+        let split = if pure || depth >= self.cfg.max_depth || n < self.cfg.min_samples_split {
+            None
+        } else {
+            self.best_split(indices)
+        };
+        let Some((feature, threshold, split_at)) = split else {
+            self.nodes.push(Node { feature: 0, right: index_u32(at), threshold: f64::NAN });
+            self.depth = self.depth.max(depth);
+            return;
+        };
+        // `right` is known once the left subtree is grown.
+        self.nodes.push(Node { feature: index_u32(feature), right: 0, threshold });
+        // Partition indices in place: left = rows <= threshold.
+        indices.sort_unstable_by(|&a, &b| {
+            self.data.row(a)[feature].total_cmp(&self.data.row(b)[feature])
+        });
+        let (left_idx, right_idx) = indices.split_at_mut(split_at);
+        self.grow(left_idx, depth + 1);
+        self.nodes[at].right = index_u32(self.nodes.len());
+        self.grow(right_idx, depth + 1);
     }
 
     /// Finds the impurity-minimizing `(feature, threshold, left_count)`
@@ -183,27 +216,58 @@ impl DecisionTree {
         let candidates =
             cfg.max_features.unwrap_or_else(|| (d as f64).sqrt().ceil() as usize).clamp(1, d);
         let mut indices: Vec<usize> = (0..data.len()).collect();
-        let mut grower = Grower { data, cfg, rng, n_feature_candidates: candidates };
-        let root = grower.grow(&mut indices, 0);
-        Self { root, n_features: d }
+        let mut grower = Grower {
+            data,
+            cfg,
+            rng,
+            n_feature_candidates: candidates,
+            nodes: Vec::new(),
+            probs: Vec::new(),
+            depth: 0,
+        };
+        grower.grow(&mut indices, 0);
+        let Grower { nodes, probs, depth, .. } = grower;
+        Self { nodes, probs, depth, n_features: d }
     }
 
-    /// Probability of the positive class for a feature vector.
+    /// Probability of the positive class for a feature vector, walking
+    /// from the root until a leaf.
     ///
     /// # Panics
     ///
     /// Panics if `features.len()` differs from the training feature count.
     pub fn predict_proba(&self, features: &[f64]) -> f64 {
         assert_eq!(features.len(), self.n_features, "feature vector length mismatch");
-        let mut node = &self.root;
+        let mut at = 0;
         loop {
-            match node {
-                Node::Leaf { prob } => return *prob,
-                Node::Split { feature, threshold, left, right } => {
-                    node = if features[*feature] <= *threshold { left } else { right };
-                }
+            let node = self.nodes[at];
+            if node.right as usize == at {
+                return self.probs[at];
             }
+            at = if features[node.feature as usize] <= node.threshold {
+                at + 1
+            } else {
+                node.right as usize
+            };
         }
+    }
+
+    /// One step of a walk for `features`: the node after `at`. A leaf
+    /// steps to itself, so [`Self::depth`] steps from the root reach the
+    /// leaf [`Self::predict_proba`] stops at, whatever the input.
+    #[inline(always)]
+    pub(crate) fn step(&self, at: usize, features: &[f64]) -> usize {
+        let node = self.nodes[at];
+        std::hint::select_unpredictable(
+            features[node.feature as usize] <= node.threshold,
+            at + 1,
+            node.right as usize,
+        )
+    }
+
+    /// The probability stored at node `at`; a leaf's is its prediction.
+    pub(crate) fn prob(&self, at: usize) -> f64 {
+        self.probs[at]
     }
 
     /// Hard classification at the 0.5 threshold.
@@ -213,24 +277,12 @@ impl DecisionTree {
 
     /// Number of leaves (model-size diagnostic).
     pub fn n_leaves(&self) -> usize {
-        fn count(node: &Node) -> usize {
-            match node {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => count(left) + count(right),
-            }
-        }
-        count(&self.root)
+        (0..self.nodes.len()).filter(|&at| self.nodes[at].right as usize == at).count()
     }
 
-    /// Maximum depth actually reached.
+    /// Maximum depth actually reached (root = depth 0).
     pub fn depth(&self) -> usize {
-        fn depth(node: &Node) -> usize {
-            match node {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + depth(left).max(depth(right)),
-            }
-        }
-        depth(&self.root)
+        self.depth
     }
 }
 

@@ -380,7 +380,7 @@ fn run(a: &Args) -> ServerResult<()> {
                     let (_, deliveries) = c.tick_report(1)?;
                     absorb_deliveries(&deliveries, &publish_at, &client_lat);
                     ticks += 1;
-                    if ticks % stats_every == 0 {
+                    if ticks.is_multiple_of(stats_every) {
                         let server =
                             c.stats()?.snapshot.histogram_merged("richnote_selection_latency_us");
                         let client = client_lat.lock().unwrap().clone();

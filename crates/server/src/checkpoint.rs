@@ -165,7 +165,7 @@ impl CheckpointStore {
     pub fn save(&self, ck: &ServerCheckpoint) -> ServerResult<()> {
         let nth = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
         let path = self.file_for(ck.round);
-        if self.fail_every > 0 && nth % self.fail_every == 0 {
+        if self.fail_every > 0 && nth.is_multiple_of(self.fail_every) {
             return Err(ServerError::Checkpoint {
                 path: path.display().to_string(),
                 detail: format!("injected write failure (save #{nth})"),

@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn overflow_drops_oldest_droppable() {
         // Odd values are protected, even values droppable.
-        let q = BoundedQueue::new(3, |v: &u32| v % 2 == 0);
+        let q = BoundedQueue::new(3, |v: &u32| v.is_multiple_of(2));
         q.push(1);
         q.push(2);
         q.push(4);
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn draining_refuses_droppable_only() {
         // Odd values are protected, even values droppable.
-        let q = BoundedQueue::new(4, |v: &u32| v % 2 == 0);
+        let q = BoundedQueue::new(4, |v: &u32| v.is_multiple_of(2));
         q.set_draining(true);
         assert_eq!(q.push(2), PushOutcome::Refused);
         assert_eq!(q.push(1), PushOutcome::Accepted);
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn push_evicting_returns_the_casualty() {
         // Odd values are protected, even values droppable.
-        let q = BoundedQueue::new(2, |v: &u32| v % 2 == 0);
+        let q = BoundedQueue::new(2, |v: &u32| v.is_multiple_of(2));
         assert_eq!(q.push_evicting(2), (PushOutcome::Accepted, None));
         assert_eq!(q.push_evicting(4), (PushOutcome::Accepted, None));
         assert_eq!(q.push_evicting(6), (PushOutcome::DroppedOldest, Some(2)));

@@ -636,7 +636,7 @@ pub fn record_golden_with_policy(
         let tid = derive_trace_id(seed, 0, item.id.value());
         client.publish_traced(Topic::FriendFeed(item.recipient), item.clone(), Some(tid))?;
         pubs += 1;
-        if pubs % 64 == 0 {
+        if pubs.is_multiple_of(64) {
             client.tick(1)?;
         }
     }

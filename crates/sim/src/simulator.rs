@@ -189,14 +189,21 @@ pub type UtilityFn = Arc<dyn Fn(&ContentItem) -> f64 + Send + Sync>;
 /// A population simulation bound to a trace and a utility model.
 pub struct PopulationSim {
     trace: Arc<Trace>,
+    /// Each recipient's indices into `trace.items`, in arrival order.
+    by_user: HashMap<UserId, Vec<usize>>,
     utility: UtilityFn,
     cfg: SimulationConfig,
 }
 
 impl PopulationSim {
-    /// Creates a simulation over `trace` using `utility` for `Uc(i)`.
+    /// Creates a simulation over `trace` using `utility` for `Uc(i)`, and
+    /// indexes the trace's items by recipient once for every [`Self::run`].
     pub fn new(trace: Arc<Trace>, utility: UtilityFn, cfg: SimulationConfig) -> Self {
-        Self { trace, utility, cfg }
+        let mut by_user: HashMap<UserId, Vec<usize>> = HashMap::new();
+        for (i, item) in trace.items.iter().enumerate() {
+            by_user.entry(item.recipient).or_default().push(i);
+        }
+        Self { trace, by_user, utility, cfg }
     }
 
     /// The simulation configuration.
@@ -207,12 +214,6 @@ impl PopulationSim {
     /// Runs the simulation for the given users in parallel and returns
     /// aggregate plus per-user metrics (per-user results in input order).
     pub fn run(&self, users: &[UserId]) -> (AggregateMetrics, Vec<UserMetrics>) {
-        // Group items by recipient once.
-        let mut by_user: HashMap<UserId, Vec<&ContentItem>> = HashMap::new();
-        for item in &self.trace.items {
-            by_user.entry(item.recipient).or_default().push(item);
-        }
-
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         let chunk = users.len().div_ceil(threads.max(1)).max(1);
         let cfg = &self.cfg;
@@ -222,14 +223,15 @@ impl PopulationSim {
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for batch in users.chunks(chunk) {
-                let by_user = &by_user;
                 handles.push(scope.spawn(move || {
                     batch
                         .iter()
                         .map(|&u| {
-                            let empty: Vec<&ContentItem> = Vec::new();
-                            let items = by_user.get(&u).unwrap_or(&empty);
-                            simulate_user(u, items, &**utility, cfg)
+                            let items: Vec<&ContentItem> =
+                                self.by_user.get(&u).map_or_else(Vec::new, |idx| {
+                                    idx.iter().map(|&i| &self.trace.items[i]).collect()
+                                });
+                            simulate_user(u, &items, &**utility, cfg)
                         })
                         .collect::<Vec<UserMetrics>>()
                 }));
@@ -246,7 +248,7 @@ impl PopulationSim {
 /// Builds a utility function from a trained random forest over the paper's
 /// feature vector.
 pub fn forest_utility(forest: Arc<richnote_forest::forest::RandomForest>) -> UtilityFn {
-    Arc::new(move |item: &ContentItem| forest.content_utility(&item.features.to_vec()))
+    Arc::new(move |item: &ContentItem| forest.content_utility(&item.features.to_array()))
 }
 
 /// A constant-utility function (null model).
