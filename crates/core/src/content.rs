@@ -191,18 +191,6 @@ pub struct ContentItem {
     pub interaction: Interaction,
 }
 
-impl ContentItem {
-    /// Round index this item arrives in, for a given round length.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `round_secs` is not positive.
-    pub fn arrival_round(&self, round_secs: f64) -> u64 {
-        debug_assert!(round_secs > 0.0, "round length must be positive");
-        (self.arrival / round_secs).floor() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,12 +209,6 @@ mod tests {
             features: ContentFeatures::default(),
             interaction: Interaction::Clicked { at: 9000.0 },
         }
-    }
-
-    #[test]
-    fn arrival_round_floors() {
-        let item = sample_item();
-        assert_eq!(item.arrival_round(3600.0), 2);
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl Battery {
     pub fn recharge(&mut self, joules: f64) {
         self.charge = (self.charge + joules.max(0.0)).min(self.capacity);
     }
-
-    /// Sets the charge fraction directly (used when replaying traces).
-    pub fn set_fraction(&mut self, fraction: f64) {
-        self.charge = self.capacity * fraction.clamp(0.0, 1.0);
-    }
 }
 
 impl Default for Battery {

@@ -29,11 +29,6 @@ impl CrossValidation {
     pub fn mean_accuracy(&self) -> f64 {
         mean(self.folds.iter().map(|f| f.accuracy))
     }
-
-    /// Mean per-fold recall.
-    pub fn mean_recall(&self) -> f64 {
-        mean(self.folds.iter().map(|f| f.recall))
-    }
 }
 
 fn mean(values: impl Iterator<Item = f64>) -> f64 {

@@ -1,6 +1,6 @@
 //! Shared CRC-framed file encoding: the one implementation behind
-//! checkpoint files (`.rnck`), flight-recorder dumps (`.rnfl`), wire
-//! captures (`.rncap`), and incident bundles (`.rnincident`).
+//! checkpoint files (`.rnck`), wire captures (`.rncap`), and incident
+//! bundles (`.rnincident`).
 //!
 //! Two shapes live here:
 //!
@@ -10,9 +10,8 @@
 //!   | magic: 8 bytes | crc32: u32 LE | len: u64 LE | body: len bytes |
 //!   ```
 //!
-//!   ([`encode_blob`], [`write_blob_file`], [`decode_blob`]). The writer
-//!   fsyncs before returning so a blob written on a panic path survives
-//!   the process dying right after.
+//!   ([`encode_blob`], [`decode_blob`]); the caller writes the encoded
+//!   blob (checkpoints write it to a temporary file and rename it).
 //!
 //! * **Streaming record files** — a magic followed by any number of
 //!   framed records:
@@ -27,11 +26,10 @@
 //!
 //! Errors are typed ([`BlobError`], [`RecordError`]) so each caller can
 //! keep its own diagnostic vocabulary — checkpoint loads say
-//! `"CRC mismatch"`, flight dumps say `"crc mismatch (want …, got …)"` —
-//! while sharing one decoder.
+//! `"CRC mismatch"`, captures name the record index — while sharing one
+//! decoder.
 
 use std::io::{Read, Write};
-use std::path::Path;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), bit-at-a-time.
 ///
@@ -88,14 +86,6 @@ pub fn encode_blob(magic: &[u8; 8], body: &[u8]) -> Vec<u8> {
     blob.extend_from_slice(&(body.len() as u64).to_le_bytes());
     blob.extend_from_slice(body);
     blob
-}
-
-/// Writes `body` behind `magic` to `path`, fsyncing before returning.
-pub fn write_blob_file(path: &Path, magic: &[u8; 8], body: &[u8]) -> std::io::Result<()> {
-    let blob = encode_blob(magic, body);
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&blob)?;
-    f.sync_all()
 }
 
 /// Validates a single-blob file image and returns its body.
@@ -266,17 +256,6 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         assert!(matches!(decode_blob(&flipped, MAGIC), Err(BlobError::Crc { .. })));
-    }
-
-    #[test]
-    fn blob_file_roundtrips_on_disk() {
-        let dir = std::env::temp_dir().join(format!("rnframe-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("blob.bin");
-        write_blob_file(&path, MAGIC, b"persisted body").unwrap();
-        let blob = std::fs::read(&path).unwrap();
-        assert_eq!(decode_blob(&blob, MAGIC).unwrap(), b"persisted body");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

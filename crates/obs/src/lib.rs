@@ -31,9 +31,8 @@
 //! * [`Ring`] — the one bounded evict-oldest ring with drop accounting:
 //!   `Ring<SpanRecord>` is a trace ring (drained by reading),
 //!   `Ring<SpanTree>` the flight recorder, cut non-destructively into a
-//!   [`FlightDump`] and written as a CRC-framed file
-//!   ([`write_flight_file`]) on shard panic, checkpoint failure or
-//!   injected fault.
+//!   [`FlightDump`] for the `Flight` view and for the `flights` section
+//!   of every incident bundle (the daemon's one post-mortem file).
 //! * [`rsrc`] — resource accounting: per-thread CPU time behind the
 //!   [`CpuClock`] trait (raw `clock_gettime` syscall; deterministic
 //!   substitutes for sim and tests) and the opt-in [`CountingAlloc`]
@@ -52,7 +51,7 @@
 //!   and the simulator, so a seeded run yields a byte-identical alert
 //!   timeline.
 //! * [`frame`] — the shared `magic | len | crc32` binary framing used by
-//!   flight-recorder dumps and incident bundles: whole-file blobs
+//!   checkpoints, wire captures and incident bundles: whole-file blobs
 //!   ([`frame::encode_blob`]), streamed records ([`frame::write_record`]
 //!   / [`frame::read_record`]) and the tamper-evident hash chain
 //!   ([`chain_seed`], [`chain_next`]).
@@ -75,10 +74,8 @@ pub use alert::{
     ShardProbe, Watchdog, WatchdogConfig, WatchdogVerdict,
 };
 pub use expo::encode_text;
-pub use flight::{
-    crc32, read_flight_file, write_flight_file, FlightDump, FLIGHT_CAPACITY, FLIGHT_MAGIC,
-};
-pub use frame::{chain_next, chain_seed, BlobError, RecordError};
+pub use flight::{FlightDump, FLIGHT_CAPACITY};
+pub use frame::{chain_next, chain_seed, crc32, BlobError, RecordError};
 pub use hist::{Log2Histogram, BUCKETS};
 pub use history::{
     HistoryQuery, MetricsHistory, QueryResult, SeriesWindow, WindowQuantiles,

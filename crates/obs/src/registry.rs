@@ -169,11 +169,6 @@ impl Registry {
         self.histograms[h.0].1.merge(other);
     }
 
-    /// Read access to a histogram series (for in-process reporting).
-    pub fn histogram_value(&self, h: HistogramHandle) -> &Log2Histogram {
-        &self.histograms[h.0].1
-    }
-
     /// A serializable cut of every series, with families sorted by name
     /// and series sorted by labels — deterministic regardless of
     /// registration order.

@@ -232,19 +232,6 @@ impl SpanTree {
             s.stage == SpanStage::Drop || s.decision.as_ref().is_some_and(|d| d.level <= 1)
         })
     }
-
-    /// Renders the tree as JSON lines, one span per line, in pipeline
-    /// order — the byte format compared across seeded runs.
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for span in &self.spans {
-            if let Ok(line) = serde_json::to_string(span) {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        out
-    }
 }
 
 /// Derives a deterministic nonzero 64-bit trace id from logical

@@ -219,13 +219,12 @@ fn is_state_bearing(frame: &str) -> bool {
 }
 
 /// Strips host-coupled fields from a captured config so a replay daemon
-/// can run anywhere: ephemeral listen port, no checkpointing, no flight
-/// spill, no metrics listener, and — critically — no `--record`, so a
-/// replay never clobbers the capture it is replaying.
+/// can run anywhere: ephemeral listen port, no checkpointing, no metrics
+/// listener, and — critically — no `--record`, so a replay never clobbers
+/// the capture it is replaying.
 pub fn sanitize_config(mut cfg: ServerConfig) -> ServerConfig {
     cfg.addr = "127.0.0.1:0".to_string();
     cfg.checkpoint_dir = None;
-    cfg.flight_dir = None;
     cfg.metrics_addr = None;
     cfg.record = None;
     cfg

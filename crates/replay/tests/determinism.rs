@@ -166,10 +166,10 @@ fn committed_capture_replays_to_the_committed_snapshot() {
     let golden = goldens_dir().join("golden-snapshot.json");
     let capture = capture.to_string_lossy().into_owned();
 
-    // The committed capture's config header carries three retired
+    // The committed capture's config header carries four retired
     // `ServerConfig` fields (the metrics switch, the flight recorder's
-    // size and the SLO thresholds), so loading it also pins that unknown
-    // fields are ignored.
+    // size and dump directory, and the SLO thresholds), so loading it
+    // also pins that unknown fields are ignored.
     let outcome = replay_spawned(&capture, fast(), |_| {}).expect("replaying the committed golden");
     let committed = CanonicalSnapshot::from_json(
         &std::fs::read_to_string(&golden).expect("reading the committed snapshot"),

@@ -7,7 +7,6 @@
 //!                 [--metrics-addr HOST:PORT]
 //!                 [--history-capacity SNAPSHOTS]
 //!                 [--trace-capacity SPANS] [--trace-sample 1/N]
-//!                 [--flight-dir DIR]
 //!                 [--record PATH] [--codec json|binary]
 //!                 [--policy richnote|fifo|util|adaptive]
 //!                 [--no-rsrc]
@@ -26,10 +25,9 @@
 //! per tick batch; `0` disables history and `/query` answers empty).
 //! `--trace-capacity` enables the per-shard span rings drained by the
 //! wire-level `Trace` view, and with them the per-shard flight recorder
-//! of finished span trees. `--trace-sample 1/N` head-samples
-//! per-publication span traces (anomalies are always kept; `0` disables
-//! spans), and `--flight-dir` makes shard panics and checkpoint failures
-//! dump the flight recorder to CRC-framed `flight-shard-N.rnfl` files.
+//! of finished span trees, which outlives a shard that dies.
+//! `--trace-sample 1/N` head-samples per-publication span traces
+//! (anomalies are always kept; `0` disables spans).
 //! `--record PATH` captures every inbound post-handshake request frame to
 //! a CRC-framed, hash-chained capture file for `richnote-replay` (see
 //! `richnote_server::record`); capture writes happen off the hot path and
@@ -46,11 +44,12 @@
 //! `/healthz` and the wire `Health` view fold shard liveness, the alert
 //! rules and the watchdog into one verdict. `--alert-rules` loads a JSON
 //! array of [`richnote_server::AlertRule`] definitions replacing the
-//! built-in defaults, `--incident-dir` makes every newly-firing alert and
-//! every watchdog trip write a CRC-framed `.rnincident` forensic bundle
-//! there (read with `richnote-incident print`), and `--stall-secs` sets
-//! the per-shard watchdog's stall budget before a wedged shard flips
-//! `/healthz` to `violating`. `--faults` takes the spec grammar of
+//! built-in defaults, `--incident-dir` makes every newly-firing alert,
+//! watchdog trip and failed checkpoint write a `.rnincident` bundle there,
+//! the one post-mortem file, with every shard's flight-recorder trees, a
+//! dead one's included (read with `richnote-incident print`), and
+//! `--stall-secs` sets the per-shard watchdog's stall budget before a
+//! wedged shard flips `/healthz` to `violating`. `--faults` takes the spec grammar of
 //! [`richnote_server::FaultPlan::parse`], e.g.
 //! `reset=0.02,short-read=7,panic=1@3,ckfail=2,seed=9` (testing only).
 
@@ -75,7 +74,7 @@ fn usage() -> ! {
          [--checkpoint-dir DIR] [--checkpoint-every ROUNDS] \
          [--metrics-addr HOST:PORT] \
          [--history-capacity SNAPSHOTS] [--trace-capacity SPANS] \
-         [--trace-sample 1/N] [--flight-dir DIR] \
+         [--trace-sample 1/N] \
          [--record PATH] [--codec json|binary] \
          [--policy richnote|fifo|util|adaptive] \
          [--no-rsrc] [--alert-rules PATH] [--incident-dir DIR] [--stall-secs S] \
@@ -123,7 +122,6 @@ fn parse_args() -> ServerConfigBuilder {
                     }
                 }
             }
-            "--flight-dir" => builder.flight_dir(value("--flight-dir")),
             "--record" => builder.record(value("--record")),
             "--codec" => builder.codec(parse::<CodecKind>(&value("--codec"), "--codec")),
             "--policy" => builder.policy(parse::<PolicyName>(&value("--policy"), "--policy")),

@@ -644,10 +644,10 @@ impl Client {
         }
     }
 
-    /// Fetches every live shard's flight-recorder contents (bounded rings
-    /// of finished span trees), ordered by shard index. Non-destructive:
-    /// the recorders keep their trees. Empty when the server runs with
-    /// `trace_capacity = 0`.
+    /// Fetches every shard's flight-recorder contents (bounded rings of
+    /// finished span trees), a dead shard's included, ordered by shard
+    /// index. Non-destructive: the recorders keep their trees. Every dump
+    /// is empty when the server runs with `trace_capacity = 0`.
     ///
     /// # Errors
     ///

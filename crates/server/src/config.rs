@@ -59,10 +59,6 @@ pub struct ServerConfig {
     /// selections — are always kept). `SampleRate::OFF` records no spans
     /// even when the trace ring is on.
     pub trace_sample: SampleRate,
-    /// Directory for flight-recorder dump files, written when a shard
-    /// panics or a coordinated checkpoint fails. `None` (the default)
-    /// keeps the recorder query-only (the `Flight` view still works).
-    pub flight_dir: Option<String>,
     /// Resource accounting (per-thread CPU sampling, allocation counter
     /// export, contention counters). On by default; absent in older
     /// config JSON, which deserializes to the default.
@@ -244,7 +240,6 @@ impl Default for ServerConfig {
             metrics_addr: None,
             trace_capacity: 0,
             trace_sample: SampleRate::ALL,
-            flight_dir: None,
             rsrc: RsrcConfig::default(),
             record: None,
             codec: CodecKind::Binary,
@@ -398,14 +393,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Directory for flight-recorder dump files written on shard panic or
-    /// checkpoint failure.
-    #[must_use]
-    pub fn flight_dir(mut self, dir: impl Into<String>) -> Self {
-        self.cfg.flight_dir = Some(dir.into());
-        self
-    }
-
     /// Turns resource accounting (CPU sampling, allocation/contention
     /// export) on or off (on by default).
     #[must_use]
@@ -538,20 +525,16 @@ mod tests {
             .metrics_addr("127.0.0.1:0")
             .trace_capacity(512)
             .trace_sample(SampleRate::one_in(8))
-            .flight_dir("/tmp/flight")
             .build()
             .unwrap();
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(cfg.trace_capacity, 512);
         assert_eq!(cfg.trace_sample, SampleRate::one_in(8));
-        assert_eq!(cfg.flight_dir.as_deref(), Some("/tmp/flight"));
-        // Defaults: tracing off, no listener, sample-all, flight file
-        // dumps off.
+        // Defaults: tracing off, no listener, sample-all.
         let d = ServerConfig::default();
         assert_eq!(d.trace_capacity, 0);
         assert!(d.metrics_addr.is_none());
         assert_eq!(d.trace_sample, SampleRate::ALL);
-        assert!(d.flight_dir.is_none());
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the plan injects anything at all.
-    pub fn is_noop(&self) -> bool {
-        self == &FaultPlan::none()
-    }
-
     /// Whether every probability is inside `[0, 1]` (and not NaN);
     /// [`crate::ServerConfig::validate`] maps a `false` to
     /// [`crate::ConfigError::BadFaultRate`].
@@ -225,7 +220,6 @@ mod tests {
         assert_eq!(plan.shard_panic, Some(ShardPanicFault { shard: 1, round: 3 }));
         assert_eq!(plan.checkpoint_fail_every, 2);
         assert_eq!(plan.seed, 9);
-        assert!(!plan.is_noop());
     }
 
     #[test]
@@ -233,7 +227,7 @@ mod tests {
         assert!(FaultPlan::parse("reset").is_err());
         assert!(FaultPlan::parse("panic=3").is_err());
         assert!(FaultPlan::parse("bogus=1").is_err());
-        assert!(FaultPlan::parse("").unwrap().is_noop());
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
     }
 
     #[test]

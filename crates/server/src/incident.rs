@@ -1,5 +1,6 @@
 //! Incident forensic bundles: everything the daemon knew when an alert
-//! fired or the watchdog tripped, in one CRC-framed, hash-chained file.
+//! fired, the watchdog tripped or a checkpoint write failed, in one
+//! CRC-framed, hash-chained file — the daemon's only post-mortem format.
 //!
 //! A bundle is written best-effort at the moment of detection so the
 //! evidence survives the process: the merged registry snapshot, the
@@ -41,7 +42,8 @@ const MAX_SECTION_BYTES: u32 = 16 * 1024 * 1024;
 /// Typed header of a bundle: why it exists and who wrote it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IncidentMeta {
-    /// What tripped: `alert:NAME` or `watchdog:shard-N:PROBLEM`.
+    /// What tripped: `alert:NAME`, `watchdog:shard-N:PROBLEM` or
+    /// `checkpoint_failure`.
     pub trigger: String,
     /// Human-readable one-liner for the incident.
     pub reason: String,

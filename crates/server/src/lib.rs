@@ -104,8 +104,8 @@ pub use wire::{
 // Observability vocabulary, re-exported so server users need not depend
 // on `richnote-obs` directly.
 pub use richnote_obs::{
-    default_rules, derive_trace_id, read_flight_file, AlertEvent, AlertRule, AlertRuleKind,
-    AlertSnapshot, AlertState, FlightDump, HistoryQuery, Log2Histogram, MetricsHistory,
-    QueryResult, Registry, RegistrySnapshot, SampleRate, SeriesWindow, SpanRecord, SpanStage,
-    SpanTree, WatchdogConfig, WatchdogVerdict, WindowQuantiles, DEFAULT_HISTORY_CAPACITY,
+    default_rules, derive_trace_id, AlertEvent, AlertRule, AlertRuleKind, AlertSnapshot,
+    AlertState, FlightDump, HistoryQuery, Log2Histogram, MetricsHistory, QueryResult, Registry,
+    RegistrySnapshot, SampleRate, SeriesWindow, SpanRecord, SpanStage, SpanTree, WatchdogConfig,
+    WatchdogVerdict, WindowQuantiles, DEFAULT_HISTORY_CAPACITY,
 };

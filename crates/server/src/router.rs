@@ -176,11 +176,6 @@ impl Router {
         }
     }
 
-    /// Whether the drain gate is on.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
     /// Publications refused because of draining, across the router gate
     /// and every shard queue.
     pub fn dropped_on_drain(&self) -> u64 {
@@ -323,7 +318,6 @@ mod tests {
         let user = UserId::new(1);
         r.subscribe(user, Topic::FriendFeed(user));
         r.set_draining(true);
-        assert!(r.is_draining());
         assert_eq!(
             r.apply_publish(5, 1, Topic::FriendFeed(user), item(1, 1), Instant::now()),
             PublishOutcome::Draining

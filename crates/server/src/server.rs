@@ -9,13 +9,13 @@ use crate::fault::ShortReader;
 use crate::incident::{incident_file_name, write_incident_file, IncidentBundle, IncidentMeta};
 use crate::record::RecordSink;
 use crate::router::{PublishOutcome, Router};
-use crate::shard::{ShardMsg, ShardWorker};
+use crate::shard::{FlightRecorder, ShardMsg, ShardWorker};
 use crate::wire::{
     AlertsReply, BuildInfo, ErrorCode, HealthReport, HealthStatus, Observed, Request, Response,
     StatsReply, View, PROTO_VERSION, TRACE_DUMP_EVENT_BUDGET,
 };
 use richnote_obs::{
-    encode_text, write_flight_file, AlertEngine, CounterHandle, GaugeHandle, HistogramHandle,
+    encode_text, AlertEngine, CounterHandle, FlightDump, GaugeHandle, HistogramHandle,
     HistoryQuery, Log2Histogram, MetricsHistory, QueryResult, Registry, RegistrySnapshot, Ring,
     ShardProbe, SpanRecord, Watchdog, WatchdogVerdict,
 };
@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, TryLockError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 /// A bound, not-yet-running daemon. Call [`Server::run`] to serve.
@@ -316,6 +316,9 @@ impl ConnStages {
 /// State shared by every connection thread.
 struct ConnCtx {
     router: Arc<Router>,
+    /// Every shard's flight recorder, by shard index; a dead worker's
+    /// stays readable here.
+    flights: Vec<FlightRecorder>,
     stop: AtomicBool,
     store: Option<CheckpointStore>,
     cfg: ServerConfig,
@@ -434,6 +437,7 @@ impl Server {
             .map(|(s, ck)| ShardWorker::spawn(s, cfg.clone(), ck))
             .collect();
         let queues = workers.iter().map(|w| Arc::clone(&w.queue)).collect();
+        let flights = workers.iter().map(|w| Arc::clone(&w.flight)).collect();
         let router = Arc::new(Router::new(queues));
         router.restore(&sessions, &subscriptions);
         let obs = ServerObs::new(&cfg);
@@ -451,6 +455,7 @@ impl Server {
             workers,
             ctx: Arc::new(ConnCtx {
                 router,
+                flights,
                 stop: AtomicBool::new(false),
                 store,
                 cfg,
@@ -672,6 +677,13 @@ fn shard_probes(ctx: &ConnCtx, snap: &RegistrySnapshot) -> Vec<ShardProbe> {
         .collect()
 }
 
+/// The virtual time incident bundles are stamped with: the furthest live
+/// shard's completed rounds × round length, the clock `record_history`
+/// samples alert bundles at.
+fn virtual_secs(ctx: &ConnCtx, probes: &[ShardProbe]) -> f64 {
+    probes.first().map_or(0, |p| p.rounds_expected) as f64 * ctx.cfg.round_secs
+}
+
 /// Feeds the watchdog one wallclock observation derived from `snap` and
 /// returns every shard currently in trouble. When the flagged set gains a
 /// member an incident bundle is written; re-observing an already-flagged
@@ -693,7 +705,7 @@ fn observe_watchdog(ctx: &ConnCtx, snap: &RegistrySnapshot) -> Vec<WatchdogVerdi
             "shard {} {} ({}/{} rounds done, {:.1}s without progress)",
             v.shard, v.problem, v.rounds_done, v.rounds_expected, v.stalled_secs
         );
-        write_incident(ctx, &trigger, &reason, now_secs);
+        write_incident(ctx, &trigger, &reason, virtual_secs(ctx, &probes));
     }
     verdicts
 }
@@ -772,7 +784,7 @@ fn write_incident(ctx: &ConnCtx, trigger: &str, reason: &str, at_secs: f64) {
         }
         None => serde_json::Value::Array(Vec::new()),
     };
-    let flights = broadcast(&ctx.router, |reply| ShardMsg::FlightDump { reply }).to_value();
+    let flights = flight_dumps(ctx, trigger).to_value();
 
     // Sanitized config: the capture path is runtime-local detail (and the
     // record_golden fixtures demand a stable `record: null`).
@@ -903,13 +915,19 @@ fn observe(ctx: &ConnCtx, view: &View) -> Observed {
         View::Alerts => Observed::Alerts(alerts_reply(ctx)),
         View::Query(q) => Observed::Query(run_query(ctx, q)),
         View::Trace => drain_traces(ctx),
-        // Permissive about dead shards: a dead worker's queue is closed,
-        // so its dump is simply absent (its on-disk flight file from the
-        // panic path is the record for that shard).
-        View::Flight => Observed::Flight {
-            dumps: broadcast(&ctx.router, |reply| ShardMsg::FlightDump { reply }),
-        },
+        View::Flight => Observed::Flight { dumps: flight_dumps(ctx, "request") },
     }
+}
+
+/// Cuts every shard's flight recorder under `reason`, dead shards'
+/// included, in shard order. A worker that panicked holding a recorder's
+/// lock poisoned it; every push leaves the ring valid, so it is read as
+/// it stands.
+fn flight_dumps(ctx: &ConnCtx, reason: &str) -> Vec<FlightDump> {
+    let cut = |(shard, ring): (usize, &FlightRecorder)| {
+        FlightDump::cut(&ring.lock().unwrap_or_else(PoisonError::into_inner), shard, reason)
+    };
+    ctx.flights.iter().enumerate().map(cut).collect()
 }
 
 /// Extracts the path from an HTTP request line; `/` when unparseable.
@@ -997,6 +1015,7 @@ fn collect_and_save(ctx: &ConnCtx, store: &CheckpointStore) -> ServerResult<Serv
     let _guard = ctx.ckpt_lock.lock().unwrap();
     let shards = broadcast(&ctx.router, |reply| ShardMsg::Checkpoint { reply });
     if shards.len() != ctx.router.shards() {
+        observe_watchdog(ctx, &merged_stats(ctx));
         return Err(ServerError::Checkpoint {
             path: store.dir().display().to_string(),
             detail: format!(
@@ -1033,16 +1052,11 @@ fn save_checkpoint(
     saved.map(|()| ck)
 }
 
-/// Writes every live shard's flight-recorder contents to the configured
-/// `flight_dir` under `reason`, best effort (a postmortem must never turn
-/// an already-failing operation into a second failure).
-fn dump_flights(ctx: &ConnCtx, reason: &str) {
-    let Some(dir) = ctx.cfg.flight_dir.as_deref() else { return };
-    for mut dump in broadcast(&ctx.router, |reply| ShardMsg::FlightDump { reply }) {
-        dump.reason = reason.to_string();
-        let path = std::path::Path::new(dir).join(format!("flight-shard-{}.rnfl", dump.shard));
-        let _ = write_flight_file(&path, &dump);
-    }
+/// Writes a `checkpoint_failure` incident bundle for `e`, stamped with
+/// the same virtual clock as the watchdog's.
+fn checkpoint_failed(ctx: &ConnCtx, e: &ServerError) {
+    let at_secs = virtual_secs(ctx, &shard_probes(ctx, &merged_stats(ctx)));
+    write_incident(ctx, "checkpoint_failure", &e.to_string(), at_secs);
 }
 
 /// How many traced-but-unacked publishes one connection remembers for Ack
@@ -1104,6 +1118,7 @@ fn error(code: ErrorCode, message: impl Into<String>) -> Response {
 fn tick(ctx: &ConnCtx, rounds: u32, collect: bool) -> Response {
     let replies = broadcast(&ctx.router, |reply| ShardMsg::Tick { rounds, collect, reply });
     if replies.len() != ctx.router.shards() {
+        observe_watchdog(ctx, &merged_stats(ctx));
         return error(
             ErrorCode::Internal,
             format!(
@@ -1122,7 +1137,7 @@ fn tick(ctx: &ConnCtx, rounds: u32, collect: bool) -> Response {
         let every = ctx.cfg.checkpoint_every_rounds;
         if every > 0 && rounds_done % every == 0 {
             if let Err(e) = collect_and_save(ctx, store) {
-                dump_flights(ctx, "checkpoint_failure");
+                checkpoint_failed(ctx, &e);
                 eprintln!("richnote-server: periodic checkpoint failed: {e}");
             }
         }
@@ -1145,7 +1160,7 @@ fn checkpoint(ctx: &ConnCtx) -> Response {
     match collect_and_save(ctx, store) {
         Ok(ck) => Response::Checkpointed { users: ck.users(), round: ck.round },
         Err(e) => {
-            dump_flights(ctx, "checkpoint_failure");
+            checkpoint_failed(ctx, &e);
             error(ErrorCode::CheckpointFailed, e.to_string())
         }
     }
@@ -1159,6 +1174,7 @@ fn drain(ctx: &ConnCtx) -> Response {
     let replies = broadcast(&ctx.router, |reply| ShardMsg::Drain { reply });
     if replies.len() != ctx.router.shards() {
         ctx.router.set_draining(false);
+        observe_watchdog(ctx, &merged_stats(ctx));
         return error(
             ErrorCode::Internal,
             format!(
@@ -1182,7 +1198,7 @@ fn drain(ctx: &ConnCtx) -> Response {
         // A drain that cannot persist must not pretend it did: report,
         // reopen ingest, keep running.
         Err(e) => {
-            dump_flights(ctx, "checkpoint_failure");
+            checkpoint_failed(ctx, &e);
             ctx.router.set_draining(false);
             error(ErrorCode::CheckpointFailed, e.to_string())
         }
@@ -1275,7 +1291,6 @@ fn handle_connection(stream: TcpStream, conn: u64, ctx: &ConnCtx) -> ServerResul
         // processing the frame, like a mobile link dying mid-request.
         if faults.reset_now() {
             ctx.obs.lock_registry().inc(ctx.obs.fault_conn_reset, 1);
-            dump_flights(ctx, "fault_injected");
             break;
         }
         // Wire capture: every post-handshake frame that will be processed

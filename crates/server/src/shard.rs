@@ -34,6 +34,9 @@
 //! The dying worker closes and drains its queue first, so a requester
 //! blocked on a reply channel sees a disconnect immediately instead of
 //! deadlocking, and the server surfaces the failure as a typed error.
+//! The shard's flight recorder is a [`FlightRecorder`] the worker shares
+//! with the server, so its last span trees outlive the worker and land in
+//! the incident bundle the failed request writes.
 
 use crate::checkpoint::{ShardCheckpoint, UserCheckpoint};
 use crate::config::ServerConfig;
@@ -52,15 +55,14 @@ use richnote_core::{
 };
 use richnote_obs::rsrc::alloc_counting_active;
 use richnote_obs::{
-    alloc_counts, write_flight_file, AllocCounts, CounterHandle, CpuClock, FlightDump, GaugeHandle,
-    HistogramHandle, NullCpuClock, Registry, RegistrySnapshot, Ring, SampleRate, SpanDecision,
-    SpanRecord, SpanStager, SpanTree, ThreadCpuClock, FLIGHT_CAPACITY,
+    alloc_counts, AllocCounts, CounterHandle, CpuClock, GaugeHandle, HistogramHandle, NullCpuClock,
+    Registry, RegistrySnapshot, Ring, SampleRate, SpanDecision, SpanRecord, SpanStager, SpanTree,
+    ThreadCpuClock, FLIGHT_CAPACITY,
 };
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -68,10 +70,29 @@ use std::time::Instant;
 /// blend standing in for the paper's trained random-forest model (the
 /// daemon ships no training data; weights follow the feature importance
 /// ordering reported in the paper's Table III).
+///
+/// A NaN blend (the binary codec carries any f64) scores 0.0: `clamp` keeps
+/// NaN, which would outrank every real gradient and poison utility sums.
 pub fn content_utility(item: &ContentItem) -> f64 {
     let f = &item.features;
-    (0.5 * f.track_popularity + 0.3 * f.artist_popularity + 0.2 * f.album_popularity)
-        .clamp(0.0, 1.0)
+    let u = 0.5 * f.track_popularity + 0.3 * f.artist_popularity + 0.2 * f.album_popularity;
+    if u.is_nan() {
+        0.0
+    } else {
+        u.clamp(0.0, 1.0)
+    }
+}
+
+/// A shard's flight recorder: the ring of its last span trees, shared by
+/// the worker that fills it and the server that reads it, so the trees
+/// outlive a worker that dies.
+pub type FlightRecorder = Arc<Mutex<Ring<SpanTree>>>;
+
+/// A recorder holding [`FLIGHT_CAPACITY`] trees when tracing is on, a
+/// disabled ring otherwise.
+fn flight_recorder(trace_capacity: usize) -> FlightRecorder {
+    let ring = if trace_capacity > 0 { Ring::new(FLIGHT_CAPACITY) } else { Ring::disabled() };
+    Arc::new(Mutex::new(ring))
 }
 
 /// Highest deliverable presentation level in the paper's audio ladder
@@ -120,12 +141,13 @@ impl QualityGrid {
 /// delivers them. At that point the trace *finishes*: the stager rules
 /// on it (head sampling, anomalies always kept), and a kept trace emits
 /// its spans into the trace ring and its [`SpanTree`] into the flight
-/// recorder. Staging overflow is counted in `richnote_trace_shed_total`.
+/// recorder — the one lock a kept trace takes, shared with the server's
+/// readers. Staging overflow is counted in `richnote_trace_shed_total`.
 pub struct ShardObs {
     shard: usize,
     registry: Registry,
     ring: Ring<SpanRecord>,
-    flight: Ring<SpanTree>,
+    flight: FlightRecorder,
     stager: SpanStager,
     pubs: CounterHandle,
     queue_dropped: CounterHandle,
@@ -304,7 +326,7 @@ impl ShardObs {
             shard,
             registry,
             ring: if tracing { Ring::new(trace_capacity) } else { Ring::disabled() },
-            flight: if tracing { Ring::new(FLIGHT_CAPACITY) } else { Ring::disabled() },
+            flight: flight_recorder(trace_capacity),
             stager: SpanStager::new(
                 shard,
                 if tracing { sample } else { SampleRate::OFF },
@@ -417,12 +439,7 @@ impl ShardObs {
         for s in &tree.spans {
             self.ring.push(s.clone());
         }
-        self.flight.push(tree);
-    }
-
-    /// The flight recorder's current contents, non-destructively.
-    pub fn flight_dump(&self, reason: &str) -> FlightDump {
-        FlightDump::cut(&self.flight, self.shard, reason)
+        self.flight.lock().unwrap_or_else(PoisonError::into_inner).push(tree);
     }
 
     /// Bumps the per-level delivery counter.
@@ -949,11 +966,6 @@ pub enum ShardMsg {
         /// Reply channel carrying `(spans, evicted-count)`.
         reply: mpsc::Sender<(Vec<SpanRecord>, u64)>,
     },
-    /// Report the flight recorder's span trees, non-destructively.
-    FlightDump {
-        /// Reply channel.
-        reply: mpsc::Sender<FlightDump>,
-    },
     /// Report this shard's checkpoint at the current round boundary.
     Checkpoint {
         /// Reply channel.
@@ -977,10 +989,13 @@ impl ShardMsg {
     }
 }
 
-/// A running shard worker: its ingest queue plus the thread driving it.
+/// A running shard worker: its ingest queue, its flight recorder and the
+/// thread driving it.
 pub struct ShardWorker {
     /// Bounded ingest queue, shared with connection threads.
     pub queue: Arc<BoundedQueue<ShardMsg>>,
+    /// The shard's flight recorder, readable after the worker died.
+    pub flight: FlightRecorder,
     handle: JoinHandle<()>,
 }
 
@@ -1024,9 +1039,6 @@ fn handle_msg(state: &mut ShardState, msg: ShardMsg) -> Flow {
         ShardMsg::TraceDump { max, reply } => {
             let _ = reply.send(state.obs_mut().drain_spans(max));
         }
-        ShardMsg::FlightDump { reply } => {
-            let _ = reply.send(state.obs_mut().flight_dump("request"));
-        }
         ShardMsg::Checkpoint { reply } => {
             let _ = reply.send(state.checkpoint());
         }
@@ -1045,6 +1057,8 @@ impl ShardWorker {
     pub fn spawn(shard: usize, cfg: ServerConfig, restored: Option<ShardCheckpoint>) -> Self {
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity, ShardMsg::droppable));
         let q = Arc::clone(&queue);
+        let flight = flight_recorder(cfg.trace_capacity);
+        let recorder = Arc::clone(&flight);
         let handle = std::thread::Builder::new()
             .name(format!("richnote-shard-{shard}"))
             .spawn(move || {
@@ -1054,6 +1068,7 @@ impl ShardWorker {
                     }
                     None => ShardState::new(shard, cfg),
                 };
+                state.obs.flight = recorder;
                 while let Some(msg) = q.pop() {
                     // The queue's drop counter lives outside the state;
                     // fold it in before handling so the dropped counter
@@ -1064,19 +1079,11 @@ impl ShardWorker {
                         Ok(Flow::Continue) => {}
                         Ok(Flow::Stop) => break,
                         Err(_) => {
-                            // Black-box dump first: the flight recorder's
-                            // span trees are the postmortem record of what
-                            // the shard was doing when it died.
-                            if let Some(dir) = state.cfg.flight_dir.clone() {
-                                let dump = state.obs_mut().flight_dump("shard_panic");
-                                let path = std::path::Path::new(&dir)
-                                    .join(format!("flight-shard-{shard}.rnfl"));
-                                let _ = write_flight_file(&path, &dump);
-                            }
                             // Contain the panic to this shard: close the
                             // queue and drop everything still queued, so
                             // requesters blocked on reply channels see a
-                            // disconnect instead of deadlocking.
+                            // disconnect instead of deadlocking. The flight
+                            // recorder stays with the server.
                             q.close();
                             while q.pop().is_some() {}
                             break;
@@ -1085,7 +1092,7 @@ impl ShardWorker {
                 }
             })
             .expect("spawn shard worker");
-        ShardWorker { queue, handle }
+        ShardWorker { queue, flight, handle }
     }
 
     /// Whether the worker thread has exited (e.g. died to a contained
@@ -1132,6 +1139,10 @@ mod tests {
             },
             interaction: Interaction::NoActivity,
         }
+    }
+
+    fn trees(recorder: &FlightRecorder) -> Vec<SpanTree> {
+        recorder.lock().unwrap().iter().cloned().collect()
     }
 
     fn tick(worker: &ShardWorker, rounds: u32) -> TickDone {
@@ -1427,10 +1438,7 @@ mod tests {
         assert_eq!((sel.shard, sel.user), (Some(2), Some(9)));
         // Ring is reset after a drain; the flight recorder is not.
         assert!(shard.obs_mut().drain_spans(usize::MAX).0.is_empty());
-        let dump = shard.obs_mut().flight_dump("request");
-        assert_eq!((dump.shard, dump.reason.as_str()), (2, "request"));
-        assert_eq!(dump.trees.len(), 1);
-        assert_eq!(dump.trees[0].trace, 0xABCD);
+        assert_eq!(trees(&shard.obs.flight).iter().map(|t| t.trace).collect::<Vec<_>>(), [0xABCD]);
     }
 
     /// One publication matched to two subscribers on the same shard arrives
@@ -1453,8 +1461,8 @@ mod tests {
         let (spans, _) = shard.obs_mut().drain_spans(usize::MAX);
         assert_eq!(select_users(&spans), vec![Some(9), Some(10)]);
         assert_eq!(spans.iter().filter(|s| s.stage == SpanStage::Serialize).count(), 2);
-        let dump = shard.obs_mut().flight_dump("request");
-        let flight: Vec<SpanRecord> = dump.trees.into_iter().flat_map(|t| t.spans).collect();
+        let flight: Vec<SpanRecord> =
+            trees(&shard.obs.flight).into_iter().flat_map(|t| t.spans).collect();
         assert_eq!(select_users(&flight), vec![Some(9), Some(10)]);
     }
 
@@ -1474,32 +1482,28 @@ mod tests {
             shard.ingest(UserId::new(1), item(1, 1, 0.0), Instant::now(), Some(unlucky));
             let level = shard.run_round().selected[0].2;
             let (spans, dropped) = shard.obs_mut().drain_spans(usize::MAX);
-            (level, spans, dropped, shard.obs_mut().flight_dump("request"))
+            (level, spans, dropped, trees(&shard.obs.flight))
         };
         // Roomy budget → a high level → a normal trace → sampled away.
-        let (level, spans, dropped, dump) = run(400_000);
+        let (level, spans, dropped, flight) = run(400_000);
         assert!(level > 1);
         assert!(spans.is_empty(), "a sampled-out normal trace must leave no spans");
-        assert_eq!((dropped, dump.trees.len()), (0, 0));
+        assert_eq!((dropped, flight.len()), (0, 0));
         // Starvation budget (metadata fits, no preview) → level 1 →
         // anomalous → kept in ring and flight despite the rate.
-        let (level, spans, _, dump) = run(300);
+        let (level, spans, _, flight) = run(300);
         let stages: Vec<_> = spans.iter().map(|s| s.stage).collect();
         assert_eq!(stages, vec![SpanStage::Queue, SpanStage::Select, SpanStage::Serialize]);
         assert!(spans.iter().all(|s| s.trace == unlucky));
         assert_eq!((level, spans[1].decision.as_ref().map(|d| d.level)), (1, Some(1)));
-        assert_eq!(dump.trees.len(), 1);
-        assert!(dump.trees[0].is_anomalous());
+        assert_eq!(flight.len(), 1);
+        assert!(flight[0].is_anomalous());
     }
 
     #[test]
-    fn worker_panic_writes_crc_valid_flight_file() {
-        let dir =
-            std::env::temp_dir().join(format!("richnote-shard-flight-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn flight_recorder_outlives_a_panicked_worker() {
         let cfg = ServerConfig {
             trace_capacity: 64,
-            flight_dir: Some(dir.to_string_lossy().into_owned()),
             faults: FaultPlan {
                 shard_panic: Some(ShardPanicFault { shard: 0, round: 1 }),
                 ..FaultPlan::none()
@@ -1514,9 +1518,7 @@ mod tests {
             trace: Some(77),
         });
         // Round 0 completes the trace; round 1 trips the injected panic.
-        let (tx, rx) = mpsc::channel();
-        worker.queue.push(ShardMsg::Tick { rounds: 1, collect: false, reply: tx });
-        rx.recv().unwrap();
+        tick(&worker, 1);
         let (tx, rx) = mpsc::channel();
         worker.queue.push(ShardMsg::Tick { rounds: 1, collect: false, reply: tx });
         assert!(rx.recv().is_err(), "the panicking tick never replies");
@@ -1527,13 +1529,24 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         assert!(worker.is_dead());
-        let path = dir.join("flight-shard-0.rnfl");
-        let dump = richnote_obs::read_flight_file(&path).expect("flight file must be CRC-valid");
-        assert_eq!(dump.shard, 0);
-        assert_eq!(dump.reason, "shard_panic");
-        assert_eq!(dump.trees.len(), 1);
-        assert_eq!(dump.trees[0].trace, 77);
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(trees(&worker.flight).iter().map(|t| t.trace).collect::<Vec<_>>(), [77]);
+    }
+
+    /// A NaN popularity (the binary codec carries any bit pattern) must
+    /// neither outrank a real item nor poison the utility sum.
+    #[test]
+    fn nan_popularity_scores_zero() {
+        let cfg = ServerConfig { data_grant: 300, ..ServerConfig::default() };
+        let mut shard = ShardState::new(0, cfg);
+        let mut nan = item(2, 1, 0.0);
+        nan.features.track_popularity = f64::NAN;
+        assert_eq!(content_utility(&nan), 0.0);
+        shard.ingest(UserId::new(1), item(1, 1, 0.0), Instant::now(), None);
+        shard.ingest(UserId::new(1), nan, Instant::now(), None);
+        let out = shard.run_round();
+        let picked: Vec<u64> = out.selected.iter().map(|&(_, c, _)| c.value()).collect();
+        assert_eq!(picked, vec![1], "the finite item wins the one slot");
+        assert!(shard.stats().gauge_total("richnote_utility_total").is_finite());
     }
 
     #[test]

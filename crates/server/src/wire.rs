@@ -198,8 +198,8 @@ pub enum View {
     /// nothing happened.
     Trace,
     /// Every shard's flight recorder (bounded ring of retained span
-    /// trees). Non-destructive, so a live poller does not race the
-    /// panic-path post-mortem dump.
+    /// trees), a dead shard's included. Non-destructive, so a live poller
+    /// does not race the incident bundle that copies the same rings.
     Flight,
 }
 
@@ -432,7 +432,7 @@ pub enum Observed {
     },
     /// Answers [`View::Flight`], ordered by shard index.
     Flight {
-        /// One dump per live shard (a dead shard contributes nothing).
+        /// One dump per shard; a dead shard's keeps its last trees.
         dumps: Vec<FlightDump>,
     },
 }

@@ -263,3 +263,34 @@ fn a_wedged_shard_escalates_healthz_to_violating_after_the_stall_budget() {
     handle.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A watchdog bundle is stamped in virtual time, like an alert bundle:
+/// shard 1 dies entering its first round, while shard 0 completes it, so
+/// the bundle the failed tick writes reads one default 3600 s round.
+#[test]
+fn a_watchdog_bundle_is_stamped_on_the_round_clock() {
+    let dir = scratch_dir("wedged-clock");
+    let cfg = ServerConfig::builder()
+        .addr("127.0.0.1:0")
+        .shards(2)
+        .faults(FaultPlan {
+            shard_panic: Some(ShardPanicFault { shard: 1, round: 0 }),
+            ..FaultPlan::none()
+        })
+        .incident_dir(dir.display().to_string())
+        .build()
+        .expect("config");
+    let (addr, handle) = Server::spawn(cfg).expect("spawn");
+    let mut client = Client::builder(addr).connect().expect("connect");
+    assert!(client.tick(1).is_err(), "the injected panic fails the tick");
+
+    let reply = client.alerts().expect("alerts");
+    let incident = reply.last_incident.expect("the failed tick wrote a bundle");
+    let bundle = read_incident_file(PathBuf::from(&incident).as_path()).expect("read bundle");
+    assert_eq!(bundle.meta.trigger, "watchdog:shard-1:wedged");
+    assert_eq!(bundle.meta.at_secs, 3_600.0, "virtual time, not uptime");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}

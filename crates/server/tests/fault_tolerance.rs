@@ -8,10 +8,12 @@ use richnote_pubsub::Topic;
 use richnote_server::shard::content_utility;
 use richnote_server::wire::{read_frame, write_frame, ErrorCode, Request, Response};
 use richnote_server::{
-    read_flight_file, shard_of, CaptureReader, Client, CodecKind, FaultPlan, FaultRng, Server,
-    ServerConfig, ServerError, ShardPanicFault, SpanStage, PROTO_VERSION,
+    read_incident_file, shard_of, CaptureReader, Client, CodecKind, FaultPlan, FaultRng,
+    FlightDump, IncidentBundle, Server, ServerConfig, ServerError, ShardPanicFault, SpanStage,
+    PROTO_VERSION,
 };
 use richnote_trace::{TraceConfig, TraceGenerator};
+use serde::Deserialize;
 use std::collections::BTreeSet;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -308,10 +310,20 @@ fn shard_panic_is_contained() {
     handle.join().expect("server thread");
 }
 
-/// An injected shard panic dumps the dead shard's flight recorder to a
-/// CRC-framed `flight-shard-N.rnfl` file, and the file verifies and
-/// still contains the span tree of a publication traced through the
-/// shard before it died.
+/// Every incident bundle in `dir`, verified, in file-name (sequence) order.
+fn incident_bundles(dir: &std::path::Path) -> Vec<IncidentBundle> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("list incident dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    paths.sort();
+    paths.iter().map(|p| read_incident_file(p).expect("bundle must verify")).collect()
+}
+
+/// An injected shard panic leaves one post-mortem: the `tick` that finds
+/// the worker dead writes the wedged-shard incident bundle before it
+/// answers, and the bundle carries the dead shard's flight-recorder
+/// trees, which also stay readable over the wire.
 #[test]
 fn shard_panic_writes_crc_valid_flight_dump() {
     let dir = scratch_dir("flight-panic");
@@ -323,7 +335,7 @@ fn shard_panic_writes_crc_valid_flight_dump() {
         .addr("127.0.0.1:0")
         .shards(2)
         .trace_capacity(1024)
-        .flight_dir(dir.to_str().unwrap())
+        .incident_dir(dir.to_str().unwrap())
         .faults(faults)
         .build()
         .expect("config");
@@ -346,26 +358,67 @@ fn shard_panic_writes_crc_valid_flight_dump() {
         other => panic!("expected the injected panic, got {other:?}"),
     }
 
-    // The dump is written on the worker's panic path, concurrently with
-    // the tick error propagating back; give it a moment to land.
-    let path = dir.join("flight-shard-1.rnfl");
-    let mut dump = None;
-    for _ in 0..100 {
-        if let Ok(d) = read_flight_file(&path) {
-            dump = Some(d);
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-    let dump = dump.expect("panic must leave a CRC-valid flight file");
-    assert_eq!(dump.shard, 1);
-    assert_eq!(dump.reason, "shard_panic");
-    let tree = dump.trees.iter().find(|t| t.trace == TRACE).expect("traced publication retained");
+    // No waiting: the failed tick wrote the bundle before answering.
+    let bundles = incident_bundles(&dir);
+    assert_eq!(bundles.len(), 1, "one post-mortem per dead shard");
+    assert_eq!(bundles[0].meta.trigger, "watchdog:shard-1:wedged");
+    let flights = bundles[0].section("flights").expect("bundle carries the flight recorders");
+    let dumps = Vec::<FlightDump>::from_value(flights).expect("flights section decodes");
+    let dead = dumps.iter().find(|d| d.shard == 1).expect("the dead shard's recorder");
+    let tree = dead.trees.iter().find(|t| t.trace == TRACE).expect("traced publication retained");
     assert!(tree.stage(SpanStage::Select).is_some(), "tree carries the selection span");
+
+    // The dead shard's recorder stays readable over the wire too.
+    let dumps = client.flight_dump().expect("flight view");
+    assert_eq!(dumps.len(), 2, "one dump per shard, the dead one included");
+    assert!(dumps[1].trees.iter().any(|t| t.trace == TRACE), "dead shard's tree still served");
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every failed checkpoint write — explicit, drain-time and periodic —
+/// leaves one verified `checkpoint_failure` incident bundle.
+#[test]
+fn every_failed_checkpoint_write_leaves_one_incident_bundle() {
+    let ckpt = scratch_dir("ckfail-bundle-ckpt");
+    let dir = scratch_dir("ckfail-bundle");
+    let cfg = ServerConfig::builder()
+        .addr("127.0.0.1:0")
+        .shards(2)
+        .checkpoint_dir(ckpt.to_str().unwrap())
+        .checkpoint_every_rounds(1)
+        .incident_dir(dir.to_str().unwrap())
+        .faults(FaultPlan { checkpoint_fail_every: 1, ..FaultPlan::none() })
+        .build()
+        .expect("config");
+    let (addr, handle) = Server::spawn(cfg).expect("spawn");
+    let mut client = Client::builder(addr).connect().expect("connect");
+
+    assert!(client.checkpoint().is_err(), "explicit checkpoint fails");
+    assert!(client.drain().is_err(), "drain-time checkpoint fails");
+    client.tick(1).expect("a failed periodic checkpoint does not fail the tick");
+
+    let stats = client.stats().expect("stats");
+    let failed = stats.snapshot.value_where("richnote_checkpoint_writes_total", "result", "failed");
+    assert_eq!(failed, Some(3.0), "three failed checkpoint writes");
+    let bundles = incident_bundles(&dir);
+    assert_eq!(bundles.len(), 3, "one bundle per failed write");
+    for b in &bundles {
+        assert_eq!(b.meta.trigger, "checkpoint_failure");
+        assert!(b.meta.reason.contains("injected write failure"), "reason: {}", b.meta.reason);
+        assert!(b.section("registry").is_some() && b.section("flights").is_some());
+    }
+    // Stamped in virtual time: nothing ran before the drain's one round,
+    // and the tick's periodic checkpoint fell after its round.
+    let at: Vec<f64> = bundles.iter().map(|b| b.meta.at_secs).collect();
+    assert_eq!(at, vec![0.0, 3_600.0, 7_200.0]);
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ckpt);
 }
 
 /// Injected checkpoint-write failures surface as typed CheckpointFailed

@@ -150,11 +150,6 @@ impl SocialGraph {
         &self.favorites[user.value() as usize]
     }
 
-    /// Out-degree (follow count) of every user.
-    pub fn out_degrees(&self) -> Vec<usize> {
-        self.follows.iter().map(|f| f.len()).collect()
-    }
-
     /// In-degree (follower count) of every user.
     pub fn in_degrees(&self) -> Vec<usize> {
         let mut degrees = vec![0usize; self.follows.len()];
