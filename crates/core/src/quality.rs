@@ -12,8 +12,10 @@
 //!   of suppressed notifications), reported by every policy through the
 //!   defaulted [`SelectionObserver::on_quality`] hook;
 //! * [`CohortLedger`] — a fixed-size accumulator of samples keyed by
-//!   `{policy, connectivity, level}`, used directly by the simulator (the
-//!   daemon streams samples into its metrics registry instead).
+//!   `{policy, connectivity, level}`: the one tally of the simulator and
+//!   the daemon alike. The simulator folds per-user ledgers into its
+//!   aggregate; each daemon shard keeps one and writes its cells into the
+//!   metrics registry at every stats cut.
 //!
 //! The exported metric families are named here once — [`UTILITY_FAMILY`],
 //! [`DELIVERED_BYTES_FAMILY`], [`SUPPRESSED_FAMILY`] — so the live daemon

@@ -6,9 +6,8 @@
 //! number measured client-side can be compared bucket-for-bucket with the
 //! same number measured server-side.
 //!
-//! * [`Log2Histogram`] — power-of-two-bucketed latency histogram
-//!   (generalizing the server's former `LatencyHistogram`); constant
-//!   space, one increment per sample.
+//! * [`Log2Histogram`] — power-of-two-bucketed latency histogram;
+//!   constant space, one increment per sample.
 //! * [`Registry`] — a registry of counters, gauges and histograms with
 //!   labeled families. Recording goes through pre-registered integer
 //!   handles ([`CounterHandle`], [`GaugeHandle`], [`HistogramHandle`]),
@@ -34,8 +33,8 @@
 //!   [`FlightDump`] for the `Flight` view and for the `flights` section
 //!   of every incident bundle (the daemon's one post-mortem file).
 //! * [`rsrc`] — resource accounting: per-thread CPU time behind the
-//!   [`CpuClock`] trait (raw `clock_gettime` syscall; deterministic
-//!   substitutes for sim and tests) and the opt-in [`CountingAlloc`]
+//!   [`CpuClock`] trait (raw `clock_gettime` syscall; a scripted
+//!   substitute for tests) and the opt-in [`CountingAlloc`]
 //!   global-allocator wrapper with per-thread allocation counters.
 //! * [`history`] — a fixed-memory ring of registry snapshots sampled at
 //!   tick boundaries (caller-supplied time, so replays stay
@@ -47,9 +46,9 @@
 //!   [`AlertEngine`]) evaluated in caller-supplied virtual time over the
 //!   metrics history (threshold and windowed-rate rules with a
 //!   pending → firing → resolved state machine), plus the per-shard
-//!   stall [`Watchdog`]; the same rules run identically in the daemon
-//!   and the simulator, so a seeded run yields a byte-identical alert
-//!   timeline.
+//!   stall [`Watchdog`]. The daemon evaluates the rules at tick
+//!   boundaries, so a replayed capture yields the same alert timeline as
+//!   the live run.
 //! * [`frame`] — the shared `magic | len | crc32` binary framing used by
 //!   checkpoints, wire captures and incident bundles: whole-file blobs
 //!   ([`frame::encode_blob`]), streamed records ([`frame::write_record`]
@@ -88,7 +87,7 @@ pub use registry::{
 pub use ring::Ring;
 pub use rsrc::{
     alloc_counts, thread_cpu_time_us, AllocCounts, CountingAlloc, CpuClock, ManualCpuClock,
-    NullCpuClock, ThreadCpuClock,
+    ThreadCpuClock,
 };
 pub use sampler::SampleRate;
 pub use span::{derive_trace_id, SpanDecision, SpanRecord, SpanStage, SpanTree};

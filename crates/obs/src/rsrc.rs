@@ -5,9 +5,9 @@
 //!
 //! * [`CpuClock`] reads the calling thread's consumed CPU time
 //!   (`clock_gettime(CLOCK_THREAD_CPUTIME_ID)` via a raw syscall — the
-//!   workspace vendors no libc). It is a trait so the simulator and tests
-//!   can substitute a deterministic clock ([`NullCpuClock`],
-//!   [`ManualCpuClock`]) and stay reproducible.
+//!   workspace vendors no libc) on 64-bit Linux and reads nothing
+//!   elsewhere. It is a trait so tests can script the readings with
+//!   [`ManualCpuClock`] and stay reproducible.
 //! * [`CountingAlloc`] is an opt-in `#[global_allocator]` wrapper over the
 //!   system allocator keeping *per-thread* allocation and byte counters,
 //!   read with [`alloc_counts`]. Per-thread counters mean a shard worker's
@@ -41,17 +41,6 @@ pub struct ThreadCpuClock;
 impl CpuClock for ThreadCpuClock {
     fn thread_cpu_us(&self) -> Option<u64> {
         thread_cpu_time_us()
-    }
-}
-
-/// A clock that never reads: cost accounting records nothing, and
-/// sim/test runs stay bit-for-bit deterministic.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullCpuClock;
-
-impl CpuClock for NullCpuClock {
-    fn thread_cpu_us(&self) -> Option<u64> {
-        None
     }
 }
 
@@ -270,11 +259,6 @@ mod tests {
         assert!(x != 1, "keep the loop");
         let b = clock.thread_cpu_us().expect("clock read twice");
         assert!(b >= a, "thread CPU time went backwards: {a} -> {b}");
-    }
-
-    #[test]
-    fn null_clock_reads_nothing() {
-        assert_eq!(NullCpuClock.thread_cpu_us(), None);
     }
 
     #[test]

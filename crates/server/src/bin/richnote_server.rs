@@ -5,11 +5,9 @@
 //!                 [--round-secs S] [--data-grant BYTES]
 //!                 [--checkpoint-dir DIR] [--checkpoint-every ROUNDS]
 //!                 [--metrics-addr HOST:PORT]
-//!                 [--history-capacity SNAPSHOTS]
 //!                 [--trace-capacity SPANS] [--trace-sample 1/N]
 //!                 [--record PATH] [--codec json|binary]
 //!                 [--policy richnote|fifo|util|adaptive]
-//!                 [--no-rsrc]
 //!                 [--alert-rules PATH] [--incident-dir DIR]
 //!                 [--stall-secs S]
 //!                 [--faults SPEC]
@@ -20,9 +18,9 @@
 //! `--checkpoint-every N` for periodic checkpoints at tick boundaries.
 //! `--metrics-addr` serves the Prometheus text exposition over plain HTTP
 //! (try `curl http://HOST:PORT/metrics`) and the windowed analytics
-//! `/query` endpoint next to it; `--history-capacity` bounds the
-//! metrics-history ring those windows are answered from (snapshots, one
-//! per tick batch; `0` disables history and `/query` answers empty).
+//! `/query` endpoint next to it, answered from a metrics-history ring of
+//! the last [`richnote_server::DEFAULT_HISTORY_CAPACITY`] tick-boundary
+//! snapshots.
 //! `--trace-capacity` enables the per-shard span rings drained by the
 //! wire-level `Trace` view, and with them the per-shard flight recorder
 //! of finished span trees, which outlives a shard that dies.
@@ -39,8 +37,8 @@
 //! `richnote`; `adaptive` adds connectivity-aware grant scaling and
 //! ladder capping). Checkpoints record their policy, and restoring under
 //! a different one fails loudly.
-//! `--no-rsrc` turns off per-thread CPU/allocation cost accounting
-//! (for overhead A/B runs; the counters export as zero).
+//! Every shard accounts for its own cost: thread CPU time (on 64-bit
+//! Linux), allocations and queue contention are always exported.
 //! `/healthz` and the wire `Health` view fold shard liveness, the alert
 //! rules and the watchdog into one verdict. `--alert-rules` loads a JSON
 //! array of [`richnote_server::AlertRule`] definitions replacing the
@@ -61,9 +59,9 @@ use richnote_server::{
 use std::process::ExitCode;
 use std::time::Instant;
 
-/// The daemon runs under the counting allocator so the allocs-per-
-/// publication cost metric is real in production, not just in the
-/// perf harness; `--no-rsrc` gates it back to a plain passthrough.
+/// The daemon runs under the counting allocator, counting from start-up,
+/// so `richnote_allocs_total` and `richnote_alloc_bytes_total` are real
+/// in production.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
@@ -72,12 +70,10 @@ fn usage() -> ! {
         "usage: richnote-server [--addr HOST:PORT] [--shards N] \
          [--queue-capacity N] [--round-secs S] [--data-grant BYTES] \
          [--checkpoint-dir DIR] [--checkpoint-every ROUNDS] \
-         [--metrics-addr HOST:PORT] \
-         [--history-capacity SNAPSHOTS] [--trace-capacity SPANS] \
-         [--trace-sample 1/N] \
-         [--record PATH] [--codec json|binary] \
+         [--metrics-addr HOST:PORT] [--trace-capacity SPANS] \
+         [--trace-sample 1/N] [--record PATH] [--codec json|binary] \
          [--policy richnote|fifo|util|adaptive] \
-         [--no-rsrc] [--alert-rules PATH] [--incident-dir DIR] [--stall-secs S] \
+         [--alert-rules PATH] [--incident-dir DIR] [--stall-secs S] \
          [--faults SPEC]"
     );
     std::process::exit(2)
@@ -106,9 +102,6 @@ fn parse_args() -> ServerConfigBuilder {
             "--checkpoint-every" => builder
                 .checkpoint_every_rounds(parse(&value("--checkpoint-every"), "--checkpoint-every")),
             "--metrics-addr" => builder.metrics_addr(value("--metrics-addr")),
-            "--history-capacity" => {
-                builder.history_capacity(parse(&value("--history-capacity"), "--history-capacity"))
-            }
             "--trace-capacity" => {
                 builder.trace_capacity(parse(&value("--trace-capacity"), "--trace-capacity"))
             }
@@ -125,7 +118,6 @@ fn parse_args() -> ServerConfigBuilder {
             "--record" => builder.record(value("--record")),
             "--codec" => builder.codec(parse::<CodecKind>(&value("--codec"), "--codec")),
             "--policy" => builder.policy(parse::<PolicyName>(&value("--policy"), "--policy")),
-            "--no-rsrc" => builder.rsrc_enabled(false),
             "--alert-rules" => {
                 let path = value("--alert-rules");
                 match load_alert_rules(&path) {
@@ -185,7 +177,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    set_alloc_counting(cfg.rsrc.enabled);
+    set_alloc_counting(true);
     let bind_started = Instant::now();
     let server = match Server::bind(cfg.clone()) {
         Ok(s) => s,

@@ -59,10 +59,6 @@ pub struct ServerConfig {
     /// selections — are always kept). `SampleRate::OFF` records no spans
     /// even when the trace ring is on.
     pub trace_sample: SampleRate,
-    /// Resource accounting (per-thread CPU sampling, allocation counter
-    /// export, contention counters). On by default; absent in older
-    /// config JSON, which deserializes to the default.
-    pub rsrc: RsrcConfig,
     /// Path of the wire-level capture file. `Some` records every inbound
     /// post-handshake request frame (see `crate::record`); `None` (the
     /// default, and what older config JSON deserializes to) disables
@@ -81,10 +77,6 @@ pub struct ServerConfig {
     /// record the policy that wrote them; restoring under a different
     /// policy is rejected.
     pub policy: PolicyName,
-    /// Embedded metrics-history ring answering the `Query` view and the
-    /// metrics listener's `/query` path. Absent in older config JSON,
-    /// which deserializes to the default.
-    pub history: HistoryConfig,
     /// Alert rules, watchdog thresholds, and the incident-bundle
     /// directory. Absent in older config JSON, which deserializes to the
     /// default (stock rules, no bundle directory).
@@ -161,67 +153,6 @@ impl AlertConfig {
     }
 }
 
-/// Analytics-history knobs.
-///
-/// The server samples a merged registry snapshot into a fixed-memory
-/// ring at every tick boundary (virtual time, so replays stay
-/// deterministic) and answers windowed delta/rate/quantile queries from
-/// it (see [`richnote_obs::MetricsHistory`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct HistoryConfig {
-    /// Registry snapshots retained in the ring; `0` disables tick-boundary
-    /// sampling entirely (queries answer an empty series).
-    pub capacity: usize,
-}
-
-impl Default for HistoryConfig {
-    fn default() -> Self {
-        HistoryConfig { capacity: richnote_obs::DEFAULT_HISTORY_CAPACITY }
-    }
-}
-
-// Manual impl so configs written before this field existed still load.
-impl serde::Deserialize for HistoryConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(HistoryConfig { capacity: serde::field(v, "capacity")? })
-    }
-
-    fn if_missing() -> Option<Self> {
-        Some(HistoryConfig::default())
-    }
-}
-
-/// Resource-accounting switches.
-///
-/// With `enabled` off the shard loops neither read the per-thread CPU
-/// clock nor export allocation/contention counters, so overhead A/B runs
-/// have a true baseline. The counting *allocator* is a link-time choice
-/// of the binary (see `richnote_obs::rsrc::CountingAlloc`); this knob
-/// additionally gates its runtime counting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct RsrcConfig {
-    /// Master switch for cost accounting (default on).
-    pub enabled: bool,
-}
-
-impl Default for RsrcConfig {
-    fn default() -> Self {
-        RsrcConfig { enabled: true }
-    }
-}
-
-// Manual impl so configs written before this field existed still load
-// (the vendored serde derive has no `#[serde(default)]`).
-impl serde::Deserialize for RsrcConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(RsrcConfig { enabled: serde::field(v, "enabled")? })
-    }
-
-    fn if_missing() -> Option<Self> {
-        Some(RsrcConfig::default())
-    }
-}
-
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
@@ -240,11 +171,9 @@ impl Default for ServerConfig {
             metrics_addr: None,
             trace_capacity: 0,
             trace_sample: SampleRate::ALL,
-            rsrc: RsrcConfig::default(),
             record: None,
             codec: CodecKind::Binary,
             policy: PolicyName::RichNote,
-            history: HistoryConfig::default(),
             alerts: AlertConfig::default(),
         }
     }
@@ -393,14 +322,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Turns resource accounting (CPU sampling, allocation/contention
-    /// export) on or off (on by default).
-    #[must_use]
-    pub fn rsrc_enabled(mut self, enabled: bool) -> Self {
-        self.cfg.rsrc.enabled = enabled;
-        self
-    }
-
     /// Path of the wire-level capture file; enables frame recording.
     #[must_use]
     pub fn record(mut self, path: impl Into<String>) -> Self {
@@ -419,14 +340,6 @@ impl ServerConfigBuilder {
     #[must_use]
     pub fn policy(mut self, policy: PolicyName) -> Self {
         self.cfg.policy = policy;
-        self
-    }
-
-    /// Analytics-history ring capacity in registry snapshots (0 disables
-    /// tick-boundary sampling).
-    #[must_use]
-    pub fn history_capacity(mut self, snapshots: usize) -> Self {
-        self.cfg.history.capacity = snapshots;
         self
     }
 
@@ -546,17 +459,16 @@ mod tests {
     }
 
     #[test]
-    fn pre_rsrc_config_json_still_loads() {
-        // A config serialized before the rsrc field existed must
-        // deserialize with its default filled in (rolling upgrades
-        // replay old checkpoint configs).
+    fn retired_rsrc_and_history_keys_still_load() {
+        // Configs and capture headers written while cost accounting and
+        // the history ring had switches carry `rsrc` and `history` keys;
+        // they load as the default config, switches ignored.
         let mut v = ServerConfig::default().to_value();
         if let serde_json::Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "rsrc");
+            fields.push(("rsrc".into(), serde_json::parse_value(r#"{"enabled":false}"#).unwrap()));
+            fields.push(("history".into(), serde_json::parse_value(r#"{"capacity":0}"#).unwrap()));
         }
-        let back = ServerConfig::from_value(&v).unwrap();
-        assert_eq!(back.rsrc, RsrcConfig::default());
-        assert_eq!(back, ServerConfig::default());
+        assert_eq!(ServerConfig::from_value(&v).unwrap(), ServerConfig::default());
     }
 
     #[test]
@@ -623,26 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_history_config_json_still_loads() {
-        // Configs serialized before the analytics layer have no `history`
-        // field; they must load with the default ring capacity.
-        let mut v = ServerConfig::default().to_value();
-        if let serde_json::Value::Object(fields) = &mut v {
-            fields.retain(|(k, _)| k != "history");
-        }
-        let back = ServerConfig::from_value(&v).unwrap();
-        assert_eq!(back.history, HistoryConfig::default());
-        assert_eq!(back, ServerConfig::default());
-        // The builder knob sets (and 0 disables) the ring.
-        let cfg = ServerConfig::builder().history_capacity(0).build().unwrap();
-        assert_eq!(cfg.history.capacity, 0);
-        assert_eq!(
-            ServerConfig::default().history.capacity,
-            richnote_obs::DEFAULT_HISTORY_CAPACITY
-        );
-    }
-
-    #[test]
     fn pre_alert_config_json_still_loads() {
         // Configs serialized before the alerting layer have no `alerts`
         // field; they must load with the stock rules and no incident dir.
@@ -698,11 +590,5 @@ mod tests {
             .watchdog(WatchdogConfig { stall_secs: f64::INFINITY, min_cpu_delta_us: 1 })
             .build();
         assert!(matches!(cfg, Err(ConfigError::BadAlert(_))));
-    }
-
-    #[test]
-    fn rsrc_toggle_alone_cannot_invalidate_a_config() {
-        let cfg = ServerConfig::builder().rsrc_enabled(false).build().unwrap();
-        assert!(!cfg.rsrc.enabled);
     }
 }

@@ -79,7 +79,7 @@ pub mod wire;
 pub use checkpoint::{CheckpointStore, ServerCheckpoint, ShardCheckpoint};
 pub use client::{Client, ClientBuilder, RetryPolicy};
 pub use codec::{codec_for, negotiate, BinaryCodec, CodecKind, FrameCodec, JsonCodec};
-pub use config::{AlertConfig, HistoryConfig, RsrcConfig, ServerConfig, ServerConfigBuilder};
+pub use config::{AlertConfig, ServerConfig, ServerConfigBuilder};
 pub use error::{ConfigError, ServerError, ServerResult};
 pub use fault::{FaultPlan, FaultRng, ShardPanicFault};
 pub use incident::{

@@ -17,7 +17,7 @@ use crate::wire::{
 use richnote_obs::{
     encode_text, AlertEngine, CounterHandle, FlightDump, GaugeHandle, HistogramHandle,
     HistoryQuery, Log2Histogram, MetricsHistory, QueryResult, Registry, RegistrySnapshot, Ring,
-    ShardProbe, SpanRecord, Watchdog, WatchdogVerdict,
+    ShardProbe, SpanRecord, Watchdog, WatchdogVerdict, DEFAULT_HISTORY_CAPACITY,
 };
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -89,8 +89,8 @@ struct ServerObs {
     /// `richnote_faults_injected_total{kind="conn_reset"}`.
     fault_conn_reset: CounterHandle,
     /// Fixed-memory ring of merged registry snapshots sampled at tick
-    /// boundaries; answers the `Query` view. `None` when `history.capacity` is 0.
-    history: Option<Mutex<MetricsHistory>>,
+    /// boundaries; answers the `Query` view.
+    history: Mutex<MetricsHistory>,
     /// The alerting plane: rule engine, shard watchdog, and incident
     /// bookkeeping. Lock ordering: never hold this while taking the
     /// registry or history locks (callers snapshot those first).
@@ -184,16 +184,11 @@ impl ServerObs {
             "Injected faults that fired, by kind",
             &[("shard", "server"), ("kind", "conn_reset")],
         );
-        let history = if cfg.history.capacity > 0 {
-            let mut h = MetricsHistory::new(cfg.history.capacity);
-            // Seed a t=0 baseline so the very first tick already yields a
-            // window with a delta (consumers like richnote-top get real
-            // rates on their first query, not an empty series).
-            h.record(0.0, registry.snapshot());
-            Some(Mutex::new(h))
-        } else {
-            None
-        };
+        let mut history = MetricsHistory::new(DEFAULT_HISTORY_CAPACITY);
+        // Seed a t=0 baseline so the very first tick already yields a
+        // window with a delta (consumers like richnote-top get real rates
+        // on their first query, not an empty series).
+        history.record(0.0, registry.snapshot());
         ServerObs {
             registry: Mutex::new(registry),
             ring: (cfg.trace_capacity > 0).then(|| Mutex::new(Ring::new(cfg.trace_capacity))),
@@ -211,7 +206,7 @@ impl ServerObs {
             checkpoint_ok,
             checkpoint_failed,
             fault_conn_reset,
-            history,
+            history: Mutex::new(history),
             alerts: Mutex::new(AlertRuntime {
                 engine: AlertEngine::new(cfg.alerts.rules.clone()),
                 watchdog: Watchdog::new(cfg.shards, cfg.alerts.watchdog),
@@ -618,11 +613,10 @@ fn merged_stats(ctx: &ConnCtx) -> RegistrySnapshot {
 /// length), so the same capture replayed as fast as possible records the
 /// same history a live run would.
 fn record_history(ctx: &ConnCtx, rounds_done: u64) {
-    let Some(history) = &ctx.obs.history else { return };
     let snap = merged_stats(ctx);
     let now_secs = rounds_done as f64 * ctx.cfg.round_secs;
     let newly_firing: Vec<richnote_obs::AlertEvent> = {
-        let mut h = history.lock().unwrap();
+        let mut h = ctx.obs.history.lock().unwrap();
         h.record(now_secs, snap);
         let mut rt = ctx.obs.alerts.lock().unwrap();
         rt.engine
@@ -641,14 +635,9 @@ fn record_history(ctx: &ConnCtx, rounds_done: u64) {
     }
 }
 
-/// Answers a windowed analytics query from the embedded history. With
-/// the ring disabled (`history.capacity = 0`) every query answers an
-/// empty series rather than an error, so dashboards degrade gracefully.
+/// Answers a windowed analytics query from the embedded history.
 fn run_query(ctx: &ConnCtx, q: &HistoryQuery) -> QueryResult {
-    match &ctx.obs.history {
-        Some(history) => history.lock().unwrap().query(q),
-        None => MetricsHistory::new(2).query(q),
-    }
+    ctx.obs.history.lock().unwrap().query(q)
 }
 
 /// Builds one [`ShardProbe`] per configured shard from a merged registry
@@ -670,8 +659,9 @@ fn shard_probes(ctx: &ConnCtx, snap: &RegistrySnapshot) -> Vec<ShardProbe> {
             alive: rounds[i].is_some(),
             rounds_done: rounds[i].unwrap_or(0),
             rounds_expected: expected,
-            // Zero when rsrc accounting is off; the watchdog then calls a
-            // stall "starved", which is the honest reading of no data.
+            // Zero where the platform has no thread CPU clock; the
+            // watchdog then calls a stall "starved", the honest reading
+            // of no data.
             cpu_us: per_shard_counter("richnote_cpu_us_total", i).unwrap_or(0),
         })
         .collect()
@@ -777,12 +767,9 @@ fn write_incident(ctx: &ConnCtx, trigger: &str, reason: &str, at_secs: f64) {
         (sequence, alerts_value, watchdog_value, queries)
     };
 
-    let history_value = match &ctx.obs.history {
-        Some(history) => {
-            let h = history.lock().unwrap();
-            queries.iter().map(|q| h.query(q)).collect::<Vec<_>>().to_value()
-        }
-        None => serde_json::Value::Array(Vec::new()),
+    let history_value = {
+        let h = ctx.obs.history.lock().unwrap();
+        queries.iter().map(|q| h.query(q)).collect::<Vec<_>>().to_value()
     };
     let flights = flight_dumps(ctx, trigger).to_value();
 

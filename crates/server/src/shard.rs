@@ -18,11 +18,12 @@
 //!
 //! # Observability
 //!
-//! Every shard owns a [`ShardObs`]: a metric [`Registry`] (counters,
-//! gauges, log2 histograms, all labeled with the shard index) plus a
-//! bounded [`Ring`] of [`SpanRecord`]s. Recording is a plain field
-//! increment — no locks, no hashing — because the registry is owned by
-//! the shard thread and only *snapshots* cross threads (via
+//! Every shard owns its observability state: a metric [`Registry`]
+//! (counters, gauges, log2 histograms, all labeled with the shard index),
+//! a bounded [`Ring`] of [`SpanRecord`]s, and the delivery-quality
+//! [`CohortLedger`] the simulator keeps too. Recording is a plain field
+//! increment — no locks, no hashing — because all of it is owned by the
+//! shard thread and only *snapshots* cross threads (via
 //! [`ShardMsg::Stats`]). Spans carry only logical fields (rounds, ids,
 //! levels, gradients), so a seeded run produces an identical trace
 //! across machines; wall-clock numbers go to histograms instead.
@@ -45,8 +46,8 @@ use crate::queue::BoundedQueue;
 use crate::wire::Delivery;
 use richnote_core::presentation::AudioPresentationSpec;
 use richnote_core::quality::{
-    QualitySample, COHORTS, DELIVERED_BYTES_FAMILY, DELIVERED_BYTES_HELP, QUALITY_LEVELS,
-    SUPPRESSED_FAMILY, SUPPRESSED_HELP, UTILITY_FAMILY, UTILITY_HELP,
+    CohortLedger, QualitySample, DELIVERED_BYTES_FAMILY, DELIVERED_BYTES_HELP, SUPPRESSED_FAMILY,
+    SUPPRESSED_HELP, UTILITY_FAMILY, UTILITY_HELP,
 };
 use richnote_core::scheduler::{QueuedNotification, RoundContext};
 use richnote_core::{
@@ -55,8 +56,8 @@ use richnote_core::{
 };
 use richnote_obs::rsrc::alloc_counting_active;
 use richnote_obs::{
-    alloc_counts, AllocCounts, CounterHandle, CpuClock, GaugeHandle, HistogramHandle, NullCpuClock,
-    Registry, RegistrySnapshot, Ring, SampleRate, SpanDecision, SpanRecord, SpanStager, SpanTree,
+    alloc_counts, AllocCounts, CounterHandle, CpuClock, GaugeHandle, HistogramHandle, Registry,
+    RegistrySnapshot, Ring, SampleRate, SpanDecision, SpanRecord, SpanStager, SpanTree,
     ThreadCpuClock, FLIGHT_CAPACITY,
 };
 use std::collections::btree_map::Entry;
@@ -99,40 +100,9 @@ fn flight_recorder(trace_capacity: usize) -> FlightRecorder {
 /// (metadata + five preview durations); level 0 means "not delivered".
 const MAX_LEVEL: u8 = 6;
 
-/// One lazily-registered delivery-quality cell: the gauge handle for the
-/// cohort's utility accumulator (gauges have no add, so the running f64
-/// sum lives here and is re-exported with `set_gauge` on every sample)
-/// plus the delivered-bytes counter.
-struct QualityCell {
-    utility: GaugeHandle,
-    utility_sum: f64,
-    bytes: CounterHandle,
-}
-
-/// Per-policy grid of delivery-quality series, indexed
-/// `cohort × QUALITY_LEVELS + level`. A shard runs one policy, so the
-/// outer per-policy vector has one entry in practice; cells register on
-/// first touch and are plain array indexing afterwards — zero
-/// steady-state allocation once every active cohort has been seen.
-struct QualityGrid {
-    policy: String,
-    cells: Vec<Option<QualityCell>>,
-    /// Suppression counters, one per connectivity cohort.
-    suppressed: Vec<Option<CounterHandle>>,
-}
-
-impl QualityGrid {
-    fn new(policy: &str) -> Self {
-        QualityGrid {
-            policy: policy.to_string(),
-            cells: (0..COHORTS * QUALITY_LEVELS).map(|_| None).collect(),
-            suppressed: vec![None; COHORTS],
-        }
-    }
-}
-
-/// Per-shard observability: a metric registry plus a span ring, both
-/// owned by the shard thread (lock-free recording).
+/// Per-shard observability: a metric registry, a span ring and a
+/// delivery-quality ledger, all owned by the shard thread (lock-free
+/// recording).
 ///
 /// # Causal spans
 ///
@@ -143,7 +113,14 @@ impl QualityGrid {
 /// its spans into the trace ring and its [`SpanTree`] into the flight
 /// recorder — the one lock a kept trace takes, shared with the server's
 /// readers. Staging overflow is counted in `richnote_trace_shed_total`.
-pub struct ShardObs {
+///
+/// # Delivery quality
+///
+/// Quality samples fold into a [`CohortLedger`], the simulator's tally:
+/// a delivery costs an index computation and three adds. A stats cut
+/// writes the ledger's non-empty cells into the registry as the
+/// `{connectivity, level, policy, shard}` cohort families.
+struct ShardObs {
     shard: usize,
     registry: Registry,
     ring: Ring<SpanRecord>,
@@ -179,9 +156,7 @@ pub struct ShardObs {
     selection_latency: HistogramHandle,
     stage_dequeue: HistogramHandle,
     stage_select: HistogramHandle,
-    /// Whether resource accounting (CPU, allocations, contention) runs.
-    rsrc: bool,
-    /// Per-thread CPU clock; [`NullCpuClock`] when accounting is off.
+    /// Per-thread CPU clock.
     clock: Box<dyn CpuClock>,
     /// Thread allocation counters at first sample, so the export reflects
     /// this shard's work rather than whatever the thread did before.
@@ -194,15 +169,14 @@ pub struct ShardObs {
     /// Last queue-contention total seen, for monotone export.
     last_contended: u64,
     /// Delivery-quality accounting by `{policy, connectivity, level}`.
-    quality: Vec<QualityGrid>,
+    quality: CohortLedger,
 }
 
 impl ShardObs {
     /// Registers the shard's metric vocabulary. `trace_capacity = 0`
     /// disables the span ring, span staging, and the flight recorder;
-    /// `sample` gates which completed traces are kept; and `rsrc` turns
-    /// cost accounting (CPU, allocations, contention) on.
-    pub fn new(shard: usize, trace_capacity: usize, sample: SampleRate, rsrc: bool) -> Self {
+    /// `sample` gates which completed traces are kept.
+    fn new(shard: usize, trace_capacity: usize, sample: SampleRate) -> Self {
         let mut registry = Registry::new();
         let s = shard.to_string();
         let l = &[("shard", s.as_str())][..];
@@ -353,8 +327,7 @@ impl ShardObs {
             selection_latency,
             stage_dequeue,
             stage_select,
-            rsrc,
-            clock: if rsrc { Box::new(ThreadCpuClock) } else { Box::new(NullCpuClock) },
+            clock: Box::new(ThreadCpuClock),
             alloc_base: None,
             cpu_us,
             round_cpu,
@@ -362,24 +335,20 @@ impl ShardObs {
             alloc_bytes,
             queue_contended,
             last_contended: 0,
-            quality: Vec::new(),
+            quality: CohortLedger::new(),
         }
     }
 
-    /// Replaces the CPU clock (tests inject a
-    /// [`richnote_obs::ManualCpuClock`] for determinism).
-    pub fn set_clock(&mut self, clock: Box<dyn CpuClock>) {
+    /// Replaces the CPU clock with a scripted one, for determinism.
+    #[cfg(test)]
+    fn set_clock(&mut self, clock: Box<dyn CpuClock>) {
         self.clock = clock;
     }
 
-    /// CPU reading at round start; `None` when accounting is off or the
-    /// platform clock is unavailable.
+    /// CPU reading at round start; `None` when the platform clock is
+    /// unavailable.
     fn cpu_begin(&self) -> Option<u64> {
-        if self.rsrc {
-            self.clock.thread_cpu_us()
-        } else {
-            None
-        }
+        self.clock.thread_cpu_us()
     }
 
     /// Folds the round's CPU delta into the histogram and refreshes the
@@ -395,7 +364,7 @@ impl ShardObs {
     /// Refreshes the allocation counters from this thread's counting-
     /// allocator tallies (no-op unless the binary installed one).
     fn sample_allocs(&mut self) {
-        if !self.rsrc || !alloc_counting_active() {
+        if !alloc_counting_active() {
             return;
         }
         let now = alloc_counts();
@@ -408,9 +377,6 @@ impl ShardObs {
     /// Refreshes the absolute CPU counter outside the round loop (stats
     /// replies between rounds should not report stale CPU).
     fn sample_cpu(&mut self) {
-        if !self.rsrc {
-            return;
-        }
         if let Some(now) = self.clock.thread_cpu_us() {
             self.registry.set_counter(self.cpu_us, now);
         }
@@ -419,7 +385,7 @@ impl ShardObs {
     /// Drains up to `max` spans from the trace ring (oldest first) plus
     /// the evicted count; the remainder stays buffered for the next dump
     /// so no single reply outgrows a wire frame.
-    pub fn drain_spans(&mut self, max: usize) -> (Vec<SpanRecord>, u64) {
+    fn drain_spans(&mut self, max: usize) -> (Vec<SpanRecord>, u64) {
         self.ring.drain_up_to(max)
     }
 
@@ -449,65 +415,34 @@ impl ShardObs {
         }
     }
 
-    /// Folds one delivery-quality sample into the per-cohort
-    /// `richnote_utility_total` / `richnote_delivered_bytes_total` /
-    /// `richnote_suppressed_total` families. Label keys are registered in
-    /// a fixed order (`connectivity`, `level`, `policy`, `shard`) so the
-    /// daemon's vocabulary matches the simulator's byte for byte.
-    fn record_quality(&mut self, sample: &QualitySample<'_>) {
-        let gi = match self.quality.iter().position(|g| g.policy == sample.policy) {
-            Some(i) => i,
-            None => {
-                self.quality.push(QualityGrid::new(sample.policy));
-                self.quality.len() - 1
-            }
-        };
-        let grid = &mut self.quality[gi];
-        let cohort = sample.connectivity;
-        if sample.bytes > 0 || sample.utility != 0.0 {
-            let level = usize::from(sample.level).min(QUALITY_LEVELS - 1);
-            let slot = cohort.index() * QUALITY_LEVELS + level;
-            if grid.cells[slot].is_none() {
-                let s = self.shard.to_string();
-                let lv = level.to_string();
-                let labels = [
-                    ("connectivity", cohort.as_str()),
-                    ("level", lv.as_str()),
-                    ("policy", grid.policy.as_str()),
-                    ("shard", s.as_str()),
-                ];
-                grid.cells[slot] = Some(QualityCell {
-                    utility: self.registry.gauge(UTILITY_FAMILY, UTILITY_HELP, &labels),
-                    utility_sum: 0.0,
-                    bytes: self.registry.counter(
-                        DELIVERED_BYTES_FAMILY,
-                        DELIVERED_BYTES_HELP,
-                        &labels,
-                    ),
-                });
-            }
-            let cell = grid.cells[slot].as_mut().expect("cell registered above");
-            cell.utility_sum += sample.utility;
-            self.registry.set_gauge(cell.utility, cell.utility_sum);
-            self.registry.inc(cell.bytes, sample.bytes);
+    /// Writes the quality ledger into the registry: one
+    /// `richnote_utility_total` gauge and `richnote_delivered_bytes_total`
+    /// counter per non-empty `{connectivity, level}` cell, one
+    /// `richnote_suppressed_total` counter per cohort that withheld
+    /// anything. Label keys are registered in a fixed order
+    /// (`connectivity`, `level`, `policy`, `shard`) so the daemon's
+    /// vocabulary matches the simulator's byte for byte; registering an
+    /// existing series returns its handle.
+    fn export_quality(&mut self) {
+        let s = self.shard.to_string();
+        let policy = self.quality.policy();
+        for cell in self.quality.cells() {
+            let lv = cell.level.to_string();
+            let labels = [
+                ("connectivity", cell.connectivity.as_str()),
+                ("level", lv.as_str()),
+                ("policy", policy),
+                ("shard", s.as_str()),
+            ];
+            let u = self.registry.gauge(UTILITY_FAMILY, UTILITY_HELP, &labels);
+            self.registry.set_gauge(u, cell.utility);
+            let b = self.registry.counter(DELIVERED_BYTES_FAMILY, DELIVERED_BYTES_HELP, &labels);
+            self.registry.set_counter(b, cell.bytes);
         }
-        if sample.suppressed > 0 {
-            let ci = cohort.index();
-            let h = match grid.suppressed[ci] {
-                Some(h) => h,
-                None => {
-                    let s = self.shard.to_string();
-                    let labels = [
-                        ("connectivity", cohort.as_str()),
-                        ("policy", grid.policy.as_str()),
-                        ("shard", s.as_str()),
-                    ];
-                    let h = self.registry.counter(SUPPRESSED_FAMILY, SUPPRESSED_HELP, &labels);
-                    grid.suppressed[ci] = Some(h);
-                    h
-                }
-            };
-            self.registry.inc(h, sample.suppressed);
+        for (cohort, count) in self.quality.suppressed_cells() {
+            let labels = [("connectivity", cohort.as_str()), ("policy", policy), ("shard", &s)];
+            let h = self.registry.counter(SUPPRESSED_FAMILY, SUPPRESSED_HELP, &labels);
+            self.registry.set_counter(h, count);
         }
     }
 
@@ -545,7 +480,7 @@ impl SelectionObserver for SelectObserver<'_> {
     }
 
     fn on_quality(&mut self, _round: u64, sample: &QualitySample<'_>) {
-        self.obs.record_quality(sample);
+        self.obs.quality.record(sample);
     }
 }
 
@@ -651,7 +586,7 @@ impl ShardState {
         cfg: ServerConfig,
         factory: fn() -> Box<dyn Policy + Send>,
     ) -> Self {
-        let obs = ShardObs::new(shard, cfg.trace_capacity, cfg.trace_sample, cfg.rsrc.enabled);
+        let obs = ShardObs::new(shard, cfg.trace_capacity, cfg.trace_sample);
         ShardState {
             shard,
             cfg,
@@ -890,13 +825,13 @@ impl ShardState {
 
     /// Folds the ingest queue's drop total into the registry (the queue
     /// owns the atomic; the shard owns the metric).
-    pub fn sync_dropped(&mut self, total: u64) {
+    fn sync_dropped(&mut self, total: u64) {
         self.obs.registry.set_counter(self.obs.queue_dropped, total);
     }
 
     /// Folds the ingest queue's contention total into the registry (the
     /// queue owns the atomic; the shard owns the metric).
-    pub fn sync_contended(&mut self, total: u64) {
+    fn sync_contended(&mut self, total: u64) {
         if total > self.obs.last_contended {
             self.obs.last_contended = total;
             self.obs.registry.set_counter(self.obs.queue_contended, total);
@@ -909,13 +844,14 @@ impl ShardState {
         self.obs.registry.set_gauge(self.obs.users, self.slots.len() as f64);
         self.obs.registry.set_gauge(self.obs.active_users, self.active.len() as f64);
         self.obs.registry.set_counter(self.obs.trace_shed, self.obs.stager.shed());
+        self.obs.export_quality();
         self.obs.sample_cpu();
         self.obs.sample_allocs();
         self.obs.registry.snapshot()
     }
 
     /// The shard's observability state (trace ring + registry).
-    pub fn obs_mut(&mut self) -> &mut ShardObs {
+    fn obs_mut(&mut self) -> &mut ShardObs {
         &mut self.obs
     }
 }
@@ -1006,7 +942,6 @@ enum Flow {
 }
 
 fn handle_msg(state: &mut ShardState, msg: ShardMsg) -> Flow {
-    let faults = state.cfg.faults.clone();
     match msg {
         ShardMsg::Ingest { user, item, received, trace } => {
             state.ingest(user, item, received, trace);
@@ -1014,7 +949,7 @@ fn handle_msg(state: &mut ShardState, msg: ShardMsg) -> Flow {
         ShardMsg::Tick { rounds, collect, reply } => {
             let mut done = TickDone { rounds: 0, selected: 0, deliveries: Vec::new() };
             for _ in 0..rounds {
-                if faults.should_panic(state.shard, state.rounds()) {
+                if state.cfg.faults.should_panic(state.shard, state.rounds()) {
                     panic!(
                         "injected shard panic: shard {} at round {}",
                         state.shard,
@@ -1097,7 +1032,8 @@ impl ShardWorker {
 
     /// Whether the worker thread has exited (e.g. died to a contained
     /// panic).
-    pub fn is_dead(&self) -> bool {
+    #[cfg(test)]
+    fn is_dead(&self) -> bool {
         self.handle.is_finished()
     }
 
@@ -1206,6 +1142,80 @@ mod tests {
         assert_eq!(stats.counter_total("richnote_delivered_bytes_total"), out.bytes);
     }
 
+    /// Every series of `family` as `labels → value`: a gauge's value is its
+    /// `to_bits()`, so a comparison is bit for bit.
+    fn series_bits(stats: &RegistrySnapshot, family: &str) -> Vec<(String, u64)> {
+        let Some(fam) = stats.family(family) else { return Vec::new() };
+        fam.series
+            .iter()
+            .map(|s| {
+                let labels: Vec<String> =
+                    s.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                let value = match &s.value {
+                    richnote_obs::MetricValue::Counter(c) => *c,
+                    richnote_obs::MetricValue::Gauge(g) => g.to_bits(),
+                    richnote_obs::MetricValue::Histogram(h) => h.count(),
+                };
+                (labels.join(","), value)
+            })
+            .collect()
+    }
+
+    /// The quality families of a seeded run under a binding grant, pinned
+    /// bit for bit: several presentation levels, suppressions, idle users
+    /// settled at their next ingest, and utility sums in sample order.
+    #[test]
+    fn quality_series_are_pinned_bit_for_bit() {
+        let cfg = ServerConfig { data_grant: 3_000, ..ServerConfig::default() };
+        let mut shard = ShardState::new(3, cfg);
+        let mut seed = 0x5EED_u64;
+        let mut next = move || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut content = 0u64;
+        for round in 0..240u64 {
+            // Sparse bursts: a user idle for a while has banked enough
+            // budget for a preview, and a burst past the round's budget
+            // leaves notifications suppressed.
+            if next() % 12 == 0 {
+                let user = 1 + next() % 6;
+                for _ in 0..1 + next() % 25 {
+                    content += 1;
+                    let mut it = item(content, user, round as f64);
+                    it.features.track_popularity = (next() % 1000) as f64 / 1000.0;
+                    it.features.album_popularity = (next() % 1000) as f64 / 1000.0;
+                    it.features.artist_popularity = (next() % 1000) as f64 / 1000.0;
+                    shard.ingest(UserId::new(user), it, Instant::now(), None);
+                }
+            }
+            shard.run_round();
+        }
+        let stats = shard.stats();
+        let cell = |level: u8, value: u64| {
+            (format!("connectivity=unknown,level={level},policy=RichNote,shard=3"), value)
+        };
+        assert_eq!(
+            series_bits(&stats, "richnote_utility_total"),
+            [
+                cell(1, 4_608_928_644_519_534_046),
+                cell(2, 4_610_823_270_455_623_285),
+                cell(3, 4_608_894_546_717_214_905),
+            ]
+        );
+        assert_eq!(
+            series_bits(&stats, "richnote_delivered_bytes_total"),
+            [cell(1, 59_600), cell(2, 1_002_000), cell(3, 800_800)]
+        );
+        assert_eq!(
+            series_bits(&stats, "richnote_suppressed_total"),
+            [("connectivity=unknown,policy=RichNote,shard=3".to_string(), 12)]
+        );
+    }
+
     #[test]
     fn starved_rounds_count_suppressions() {
         // A grant below the metadata size delivers nothing, so every
@@ -1243,22 +1253,6 @@ mod tests {
         shard.sync_contended(3);
         let again = shard.stats();
         assert_eq!(again.counter_total("richnote_queue_contended_total"), 7);
-    }
-
-    #[test]
-    fn disabled_rsrc_records_no_cost_metrics() {
-        let cfg = ServerConfig::builder().rsrc_enabled(false).build().unwrap();
-        let mut shard = ShardState::new(0, cfg);
-        // Even with a live clock injected, the rsrc gate wins.
-        shard.obs_mut().set_clock(Box::new(richnote_obs::ManualCpuClock::new(vec![1, 2, 3])));
-        shard.ingest(UserId::new(1), item(1, 1, 0.0), Instant::now(), None);
-        shard.run_round();
-        let stats = shard.stats();
-        assert_eq!(stats.histogram_merged("richnote_round_cpu_us").count(), 0);
-        assert_eq!(stats.counter_total("richnote_cpu_us_total"), 0);
-        assert_eq!(stats.counter_total("richnote_allocs_total"), 0);
-        // The ordinary round metrics are unaffected by the rsrc switch.
-        assert_eq!(stats.counter_total("richnote_rounds_total"), 1);
     }
 
     #[test]

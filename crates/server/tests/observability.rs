@@ -592,13 +592,10 @@ fn query_serves_utility_per_mb_on_first_attach() {
 /// body a wire client gets for the same view.
 #[test]
 fn http_paths_serve_what_observe_answers() {
-    // Cost accounting off: a shard's CPU counter is re-read at every
-    // `Stats` cut, which would be the one honest difference between two.
     let cfg = ServerConfig::builder()
         .addr("127.0.0.1:0")
         .shards(2)
         .metrics_addr("127.0.0.1:0")
-        .rsrc_enabled(false)
         .build()
         .expect("config");
     let server = Server::bind(cfg).expect("bind");
@@ -638,46 +635,18 @@ fn http_paths_serve_what_observe_answers() {
         serde_json::to_string(&wire).unwrap()
     );
 
+    // Uptime and each shard's CPU counter are re-read at every `Stats`
+    // cut: the one honest difference between two cuts.
     let wire = richnote_obs::encode_text(&client.stats().expect("stats").snapshot);
-    let sans_uptime = |text: &str| {
+    let sans_clocks = |text: &str| {
         text.lines()
-            .filter(|l| !l.starts_with("richnote_uptime_secs"))
+            .filter(|l| {
+                !l.starts_with("richnote_uptime_secs") && !l.starts_with("richnote_cpu_us_total")
+            })
             .collect::<Vec<_>>()
             .join("\n")
     };
-    assert_eq!(sans_uptime(&body_of("/metrics")), sans_uptime(&wire));
-
-    client.shutdown().expect("shutdown");
-    handle.join().expect("server thread");
-}
-
-/// `history.capacity = 0` disables sampling: queries still answer, with
-/// an empty series, and the tick path must not pay for snapshots.
-#[test]
-fn disabled_history_answers_empty_series() {
-    let cfg = ServerConfig::builder()
-        .addr("127.0.0.1:0")
-        .shards(2)
-        .history_capacity(0)
-        .build()
-        .expect("config");
-    let server = Server::bind(cfg).expect("bind");
-    let addr = server.local_addr();
-    let handle = std::thread::spawn(move || {
-        let _ = server.run();
-    });
-    let mut client = Client::builder(addr).connect().expect("connect");
-    warm_up(&mut client);
-
-    let result = client
-        .query(HistoryQuery {
-            family: "richnote_utility_total".to_string(),
-            labels: Vec::new(),
-            window_secs: f64::MAX,
-        })
-        .expect("query against disabled history");
-    assert_eq!(result.samples, 0, "no ring, no samples");
-    assert!(result.series.is_empty(), "no ring, no series");
+    assert_eq!(sans_clocks(&body_of("/metrics")), sans_clocks(&wire));
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
