@@ -38,12 +38,14 @@
 //!    +------------- cond false (one step later) ----------------+
 //! ```
 //!
-//! Every transition is an [`AlertEvent`] in the bounded timeline; states
-//! export as the `richnote_alert_state` gauge family (0 = inactive,
-//! 1 = pending, 2 = firing, 3 = resolved).
+//! Every transition is an [`AlertEvent`] in the bounded timeline. The
+//! engine owns no registry: the daemon writes each rule's state from
+//! [`AlertEngine::snapshot`] into its own registry at every stats cut, as
+//! the `richnote_alert_state{rule}` gauge family valued by
+//! [`AlertState::gauge_value`] (0 = inactive, 1 = pending, 2 = firing,
+//! 3 = resolved).
 
 use crate::history::{HistoryQuery, MetricsHistory};
-use crate::registry::{GaugeHandle, Registry, RegistrySnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -232,39 +234,26 @@ struct RuleRuntime {
     state: AlertState,
     since_secs: f64,
     value: Option<f64>,
-    gauge: GaugeHandle,
 }
 
 /// Evaluates a rule set over a history in caller-supplied time, tracking
-/// per-rule state, a bounded timeline of transitions, and the
-/// `richnote_alert_state` gauge family.
+/// per-rule state and a bounded timeline of transitions.
 pub struct AlertEngine {
     rules: Vec<AlertRule>,
     runtime: Vec<RuleRuntime>,
     timeline: VecDeque<AlertEvent>,
     events_dropped: u64,
-    registry: Registry,
 }
 
 impl AlertEngine {
     /// An engine over `rules`. Invalid rules are the caller's problem —
     /// validate with [`AlertRule::validate`] at config load.
     pub fn new(rules: Vec<AlertRule>) -> Self {
-        let mut registry = Registry::new();
         let runtime = rules
             .iter()
-            .map(|r| RuleRuntime {
-                state: AlertState::Inactive,
-                since_secs: 0.0,
-                value: None,
-                gauge: registry.gauge(
-                    "richnote_alert_state",
-                    "Alert-rule state (0 inactive, 1 pending, 2 firing, 3 resolved)",
-                    &[("rule", r.name.as_str())],
-                ),
-            })
+            .map(|_| RuleRuntime { state: AlertState::Inactive, since_secs: 0.0, value: None })
             .collect();
-        AlertEngine { rules, runtime, timeline: VecDeque::new(), events_dropped: 0, registry }
+        AlertEngine { rules, runtime, timeline: VecDeque::new(), events_dropped: 0 }
     }
 
     /// The configured rules.
@@ -305,12 +294,6 @@ impl AlertEngine {
                 threshold: rule.threshold(),
             })
             .collect()
-    }
-
-    /// The `richnote_alert_state` gauge family as a snapshot, mergeable
-    /// into a daemon-wide registry snapshot.
-    pub fn registry_snapshot(&self) -> RegistrySnapshot {
-        self.registry.snapshot()
     }
 
     /// Evaluates every rule at `now_secs`, returning the transitions this
@@ -371,7 +354,6 @@ impl AlertEngine {
                 }
                 (AlertState::Inactive, false) | (AlertState::Firing, true) => {}
             }
-            self.registry.set_gauge(rt.gauge, rt.state.gauge_value());
         }
         for e in &events {
             if self.timeline.len() == TIMELINE_CAPACITY {
@@ -617,7 +599,7 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
+    use crate::registry::{Registry, RegistrySnapshot};
 
     /// A snapshot with the given cumulative drop/pub counters and one
     /// ack-stage histogram observation set.
@@ -824,13 +806,8 @@ mod tests {
         e.evaluate(0.0, &h, None);
         h.record(10.0, snap(90, 200, &[]));
         e.evaluate(10.0, &h, None);
-        let snap = e.registry_snapshot();
-        let fam = snap.family("richnote_alert_state").expect("gauge family");
-        assert_eq!(fam.series.len(), 1);
-        match fam.series[0].value {
-            crate::registry::MetricValue::Gauge(v) => assert_eq!(v, 2.0),
-            ref other => panic!("expected gauge, got {other:?}"),
-        }
+        let states: Vec<f64> = e.snapshot().iter().map(|a| a.state.gauge_value()).collect();
+        assert_eq!(states, [2.0], "one rule, firing");
     }
 
     #[test]

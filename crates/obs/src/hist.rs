@@ -18,23 +18,23 @@ pub const BUCKETS: usize = 40;
 /// span `[min, max]` rather than assuming the nominal bucket bounds — at
 /// bucket edges the nominal upper bound can overstate a quantile by ~2×.
 ///
-/// The serde field layout (`counts`/`count`/`sum_us`/`max_us`) is identical
-/// to the server's former `LatencyHistogram`, which this type replaces —
-/// checkpoints and wire snapshots deserialize unchanged. The span vectors
-/// (`bucket_min`/`bucket_max`) are omitted entirely while untracked, so a
-/// histogram deserialized from a legacy checkpoint re-serializes
-/// byte-for-byte; they appear only once a value is recorded.
+/// The serde fields are `counts`, `count`, `sum_us` and `max_us`, plus the
+/// span vectors `bucket_min`/`bucket_max`, which an empty histogram omits.
+/// Decoding is strict: `counts` holds [`BUCKETS`] entries summing to
+/// `count`, and a histogram with samples carries both span vectors, each
+/// [`BUCKETS`] long. Anything else is a [`DeError`], so every bucket a
+/// reader indexes exists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Log2Histogram {
     counts: Vec<u64>,
     count: u64,
     sum_us: u64,
     max_us: u64,
-    /// Smallest observed value per bucket (`u64::MAX` while empty); empty
-    /// vector = spans untracked (legacy data).
+    /// Smallest observed value per bucket (`u64::MAX` where empty); an
+    /// empty vector until the first sample.
     bucket_min: Vec<u64>,
-    /// Largest observed value per bucket (0 while empty); empty vector =
-    /// spans untracked (legacy data).
+    /// Largest observed value per bucket (0 where empty); an empty vector
+    /// until the first sample.
     bucket_max: Vec<u64>,
 }
 
@@ -54,26 +54,31 @@ impl Serialize for Log2Histogram {
     }
 }
 
+/// Field `name` of `v`: exactly [`BUCKETS`] counts.
+fn buckets(v: &Value, name: &str) -> Result<Vec<u64>, DeError> {
+    let b: Vec<u64> = serde::field(v, name)?;
+    if b.len() == BUCKETS {
+        Ok(b)
+    } else {
+        Err(DeError(format!("field `{name}`: {} buckets, expected {BUCKETS}", b.len())))
+    }
+}
+
 impl Deserialize for Log2Histogram {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let opt_spans = |name: &str| -> Result<Vec<u64>, DeError> {
-            match v.get(name) {
-                Some(inner) => Vec::<u64>::from_value(inner)
-                    .map_err(|e| DeError(format!("field `{name}`: {e}"))),
-                None => Ok(Vec::new()),
-            }
-        };
-        let mut bucket_min = opt_spans("bucket_min")?;
-        let mut bucket_max = opt_spans("bucket_max")?;
-        // Spans are all-or-nothing and exactly BUCKETS long; anything else
-        // (a truncated hand-edited file, say) degrades to untracked.
-        if bucket_min.len() != BUCKETS || bucket_max.len() != BUCKETS {
-            bucket_min = Vec::new();
-            bucket_max = Vec::new();
+        let counts = buckets(v, "counts")?;
+        let count: u64 = serde::field(v, "count")?;
+        if counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) != Some(count) {
+            return Err(DeError(format!("field `count`: {count} is not the sum of `counts`")));
         }
+        // Only an empty histogram may omit its spans, and then both.
+        let (bucket_min, bucket_max) = match (v.get("bucket_min"), v.get("bucket_max")) {
+            (None, None) if count == 0 => (Vec::new(), Vec::new()),
+            _ => (buckets(v, "bucket_min")?, buckets(v, "bucket_max")?),
+        };
         Ok(Log2Histogram {
-            counts: serde::field(v, "counts")?,
-            count: serde::field(v, "count")?,
+            counts,
+            count,
             sum_us: serde::field(v, "sum_us")?,
             max_us: serde::field(v, "max_us")?,
             bucket_min,
@@ -126,45 +131,18 @@ impl Log2Histogram {
         }
     }
 
-    /// The smallest value bucket `i` can hold.
-    fn bucket_lower_bound(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1u64 << (i - 1)
-        }
-    }
-
-    /// Materializes the span vectors. Buckets counted before tracking
-    /// started (legacy checkpoints) widen to their nominal bounds, clamped
-    /// to the observed global maximum.
+    /// Materializes the span vectors before the first sample lands.
     fn ensure_spans(&mut self) {
-        if !self.bucket_min.is_empty() {
-            return;
-        }
-        self.bucket_min = vec![u64::MAX; BUCKETS];
-        self.bucket_max = vec![0; BUCKETS];
-        for i in 0..BUCKETS {
-            if self.counts[i] > 0 {
-                self.bucket_min[i] = Self::bucket_lower_bound(i);
-                self.bucket_max[i] = Self::bucket_upper_bound(i).min(self.max_us);
-            }
+        if self.bucket_min.is_empty() {
+            self.bucket_min = vec![u64::MAX; BUCKETS];
+            self.bucket_max = vec![0; BUCKETS];
         }
     }
 
     /// The observed `[min, max]` span of bucket `i`, or `None` if the
-    /// bucket is empty. For data recorded before span tracking (legacy
-    /// checkpoints) this falls back to the nominal bucket bounds clamped
-    /// to the global maximum.
+    /// bucket is empty.
     pub fn bucket_span(&self, i: usize) -> Option<(u64, u64)> {
-        if self.counts[i] == 0 {
-            return None;
-        }
-        if self.bucket_min.is_empty() {
-            Some((Self::bucket_lower_bound(i), Self::bucket_upper_bound(i).min(self.max_us)))
-        } else {
-            Some((self.bucket_min[i], self.bucket_max[i]))
-        }
+        (self.counts[i] > 0).then(|| (self.bucket_min[i], self.bucket_max[i]))
     }
 
     /// Records one value in microseconds.
@@ -179,12 +157,10 @@ impl Log2Histogram {
         self.max_us = self.max_us.max(us);
     }
 
-    /// Merges another histogram into this one. Span tracking survives a
-    /// merge: tracked spans union bucket-wise, and a legacy (untracked)
-    /// side contributes its nominal bucket bounds. Merging two untracked
-    /// histograms stays untracked, preserving the legacy serde layout.
+    /// Merges another histogram into this one; spans union bucket-wise.
+    /// Merging an empty histogram changes nothing.
     pub fn merge(&mut self, other: &Log2Histogram) {
-        if !(self.bucket_min.is_empty() && other.bucket_min.is_empty()) {
+        if other.count > 0 {
             self.ensure_spans();
             for i in 0..BUCKETS {
                 if let Some((omin, omax)) = other.bucket_span(i) {
@@ -471,36 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_histograms_widen_to_nominal_bounds() {
-        // A histogram deserialized from pre-span data has counts but no
-        // spans: quantiles fall back to the nominal bucket bounds (the old
-        // behaviour) and merging into a tracked histogram keeps both sets
-        // of samples bounded.
-        let legacy_json =
-            format!("{{\"counts\":{:?},\"count\":2,\"sum_us\":1600,\"max_us\":900}}", {
-                let mut v = vec![0u64; BUCKETS];
-                v[10] = 2; // two samples somewhere in [512, 1024)
-                v
-            });
-        let legacy: Log2Histogram = serde_json::from_str(&legacy_json).unwrap();
-        assert_eq!(legacy.bucket_span(10), Some((512, 900)), "nominal bounds clamped to max");
-        assert_eq!(legacy.quantile(0.5), 900);
-
-        let mut tracked = Log2Histogram::new();
-        tracked.record_us(600);
-        tracked.merge(&legacy);
-        assert_eq!(tracked.count(), 3);
-        assert_eq!(tracked.bucket_span(10), Some((512, 900)));
-
-        // Merging two untracked histograms stays untracked (and therefore
-        // serializes in the legacy layout).
-        let mut a: Log2Histogram = serde_json::from_str(&legacy_json).unwrap();
-        let b: Log2Histogram = serde_json::from_str(&legacy_json).unwrap();
-        a.merge(&b);
-        assert!(!serde_json::to_string(&a).unwrap().contains("bucket_min"));
-    }
-
-    #[test]
     fn empty_histogram_is_all_zero() {
         let h = Log2Histogram::new();
         assert_eq!(h.quantile(0.99), 0);
@@ -523,20 +469,16 @@ mod tests {
 
     #[test]
     fn serde_field_layout_is_stable() {
-        // Checkpoints written by the pre-obs LatencyHistogram must load,
-        // and must re-serialize without sprouting span fields.
-        let legacy = format!("{{\"counts\":{:?},\"count\":1,\"sum_us\":7,\"max_us\":7}}", {
-            let mut v = vec![0u64; BUCKETS];
-            v[3] = 1;
-            v
-        });
-        let h: Log2Histogram = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max_us(), 7);
-        let back = serde_json::to_string(&h).unwrap();
-        assert_eq!(back, legacy.replace(", ", ","), "legacy layout preserved byte-for-byte");
-        let h2: Log2Histogram = serde_json::from_str(&back).unwrap();
-        assert_eq!(h, h2);
+        // An empty histogram omits the span fields, and round-trips
+        // byte for byte.
+        let empty = serde_json::to_string(&Log2Histogram::new()).unwrap();
+        assert_eq!(
+            empty,
+            format!("{{\"counts\":{:?},\"count\":0,\"sum_us\":0,\"max_us\":0}}", [0u64; BUCKETS])
+                .replace(", ", ",")
+        );
+        let back: Log2Histogram = serde_json::from_str(&empty).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), empty);
 
         // A recorded histogram carries its spans through serde.
         let mut h = Log2Histogram::new();
@@ -546,5 +488,31 @@ mod tests {
         let h2: Log2Histogram = serde_json::from_str(&s).unwrap();
         assert_eq!(h, h2);
         assert_eq!(h2.bucket_span(4), Some((9, 9)));
+    }
+
+    /// Every bucket a reader indexes must exist: a `counts` of the wrong
+    /// length, a counted histogram without spans (the layout written before
+    /// spans were tracked), spans of the wrong length and a `count` that
+    /// disagrees with `counts` are all decode errors.
+    #[test]
+    fn decoder_rejects_histograms_with_missing_buckets() {
+        let decode = |json: &str| serde_json::from_str::<Log2Histogram>(json);
+        let counts = |bucket: usize| {
+            let mut v = [0u64; BUCKETS];
+            v[bucket] = 1;
+            format!("{v:?}")
+        };
+        let err = decode(r#"{"counts":[1],"count":1,"sum_us":1,"max_us":1}"#).unwrap_err();
+        assert!(err.to_string().contains("`counts`"), "{err}");
+        let unspanned = format!(r#"{{"counts":{},"count":1,"sum_us":7,"max_us":7}}"#, counts(3));
+        let err = decode(&unspanned).unwrap_err();
+        assert!(err.to_string().contains("`bucket_min`"), "{err}");
+        let short_spans = format!(
+            r#"{{"counts":{},"count":1,"sum_us":7,"max_us":7,"bucket_min":[7],"bucket_max":[7]}}"#,
+            counts(3)
+        );
+        assert!(decode(&short_spans).is_err());
+        let miscounted = format!(r#"{{"counts":{},"count":2,"sum_us":7,"max_us":7}}"#, counts(3));
+        assert!(decode(&miscounted).is_err());
     }
 }

@@ -5,10 +5,21 @@
 //!
 //! A [`Registry`] is owned by exactly one recording thread (a shard worker
 //! owns its registry outright; connection threads share one behind a
-//! mutex for the low-rate server-side stages). All series are registered
-//! up front and recording goes through the returned integer handles, so
-//! the hot path is a vector index plus an add — no hashing, no string
-//! comparison, no atomics.
+//! mutex for the low-rate server-side stages). Most series are registered
+//! when their owner starts; a series whose labels are only known later
+//! (a quality cohort cell, an alert rule) registers at the first stats
+//! cut that has a value for it. Looking a series up again compares the
+//! caller's borrowed labels with the stored ones and allocates nothing.
+//! Recording goes through the returned integer handles, so the hot path
+//! is a vector index plus an add — no hashing, no string comparison, no
+//! atomics.
+//!
+//! # Storage
+//!
+//! Each family keeps its own series, sorted by labels, and families are
+//! kept sorted by name; a series holds an index into the value column of
+//! its kind (counters, gauges, histograms). A snapshot is therefore one
+//! walk over the families in order.
 //!
 //! # Merging
 //!
@@ -21,6 +32,7 @@
 
 use crate::hist::Log2Histogram;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// What a family measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,26 +57,29 @@ pub struct GaugeHandle(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramHandle(usize);
 
+/// One family: its name, help and kind, and its series sorted by labels,
+/// each holding an index into the value column of the family's kind.
 #[derive(Debug, Clone)]
-struct FamilyDef {
+struct Family {
     name: String,
     help: String,
     kind: MetricKind,
+    series: Vec<(Vec<(String, String)>, usize)>,
 }
 
-#[derive(Debug, Clone)]
-struct SeriesDef {
-    family: usize,
-    labels: Vec<(String, String)>,
-}
-
-/// The registry: registered families plus per-series cells.
+/// The registry: families sorted by name, plus one value column per kind.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    families: Vec<FamilyDef>,
-    counters: Vec<(SeriesDef, u64)>,
-    gauges: Vec<(SeriesDef, f64)>,
-    histograms: Vec<(SeriesDef, Log2Histogram)>,
+    families: Vec<Family>,
+    counters: Vec<u64>,
+    gauges: Vec<f64>,
+    histograms: Vec<Log2Histogram>,
+}
+
+/// Orders stored labels against borrowed ones the way `Vec<(String,
+/// String)>` orders itself, without copying either side.
+fn cmp_labels(stored: &[(String, String)], labels: &[(&str, &str)]) -> Ordering {
+    stored.iter().map(|(k, v)| (k.as_str(), v.as_str())).cmp(labels.iter().copied())
 }
 
 impl Registry {
@@ -73,47 +88,61 @@ impl Registry {
         Registry::default()
     }
 
-    fn family(&mut self, name: &str, help: &str, kind: MetricKind) -> usize {
-        if let Some(i) = self.families.iter().position(|f| f.name == name) {
-            assert_eq!(
-                self.families[i].kind, kind,
-                "family {name} registered twice with different kinds"
-            );
-            return i;
+    /// The value-column index of series `labels` in family `name`. A new
+    /// series gets `next`, the column's length, so the caller pushes its
+    /// zero value exactly when the returned index equals `next`. Only a
+    /// new family or series allocates.
+    fn series(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: MetricKind,
+        labels: &[(&str, &str)],
+        next: usize,
+    ) -> usize {
+        let fi = match self.families.binary_search_by(|f| f.name.as_str().cmp(name)) {
+            Ok(fi) => {
+                assert_eq!(
+                    self.families[fi].kind, kind,
+                    "family {name} registered twice with different kinds"
+                );
+                fi
+            }
+            Err(fi) => {
+                let family =
+                    Family { name: name.into(), help: help.into(), kind, series: Vec::new() };
+                self.families.insert(fi, family);
+                fi
+            }
+        };
+        let series = &mut self.families[fi].series;
+        match series.binary_search_by(|(stored, _)| cmp_labels(stored, labels)) {
+            Ok(si) => series[si].1,
+            Err(si) => {
+                let owned = labels.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+                series.insert(si, (owned, next));
+                next
+            }
         }
-        self.families.push(FamilyDef { name: name.into(), help: help.into(), kind });
-        self.families.len() - 1
     }
 
-    fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-        labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect()
-    }
-
-    /// Registers (or looks up) a counter series. Registration is O(series)
-    /// and meant for startup; recording through the handle is O(1).
+    /// Registers (or looks up) a counter series. Looking up an existing
+    /// series allocates nothing; recording through the handle is O(1).
     pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> CounterHandle {
-        let family = self.family(name, help, MetricKind::Counter);
-        let labels = Self::owned_labels(labels);
-        if let Some(i) =
-            self.counters.iter().position(|(s, _)| s.family == family && s.labels == labels)
-        {
-            return CounterHandle(i);
+        let i = self.series(name, help, MetricKind::Counter, labels, self.counters.len());
+        if i == self.counters.len() {
+            self.counters.push(0);
         }
-        self.counters.push((SeriesDef { family, labels }, 0));
-        CounterHandle(self.counters.len() - 1)
+        CounterHandle(i)
     }
 
     /// Registers (or looks up) a gauge series.
     pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)]) -> GaugeHandle {
-        let family = self.family(name, help, MetricKind::Gauge);
-        let labels = Self::owned_labels(labels);
-        if let Some(i) =
-            self.gauges.iter().position(|(s, _)| s.family == family && s.labels == labels)
-        {
-            return GaugeHandle(i);
+        let i = self.series(name, help, MetricKind::Gauge, labels, self.gauges.len());
+        if i == self.gauges.len() {
+            self.gauges.push(0.0);
         }
-        self.gauges.push((SeriesDef { family, labels }, 0.0));
-        GaugeHandle(self.gauges.len() - 1)
+        GaugeHandle(i)
     }
 
     /// Registers (or looks up) a histogram series.
@@ -123,41 +152,32 @@ impl Registry {
         help: &str,
         labels: &[(&str, &str)],
     ) -> HistogramHandle {
-        let family = self.family(name, help, MetricKind::Histogram);
-        let labels = Self::owned_labels(labels);
-        if let Some(i) =
-            self.histograms.iter().position(|(s, _)| s.family == family && s.labels == labels)
-        {
-            return HistogramHandle(i);
+        let i = self.series(name, help, MetricKind::Histogram, labels, self.histograms.len());
+        if i == self.histograms.len() {
+            self.histograms.push(Log2Histogram::new());
         }
-        self.histograms.push((SeriesDef { family, labels }, Log2Histogram::new()));
-        HistogramHandle(self.histograms.len() - 1)
+        HistogramHandle(i)
     }
 
     /// Adds `by` to a counter.
     pub fn inc(&mut self, h: CounterHandle, by: u64) {
-        self.counters[h.0].1 += by;
+        self.counters[h.0] += by;
     }
 
-    /// Overwrites a counter (used when restoring lifetime counters from a
-    /// checkpoint).
+    /// Overwrites a counter with a total its owner keeps (written at a
+    /// stats cut).
     pub fn set_counter(&mut self, h: CounterHandle, value: u64) {
-        self.counters[h.0].1 = value;
-    }
-
-    /// Current value of a counter.
-    pub fn counter_value(&self, h: CounterHandle) -> u64 {
-        self.counters[h.0].1
+        self.counters[h.0] = value;
     }
 
     /// Sets a gauge.
     pub fn set_gauge(&mut self, h: GaugeHandle, value: f64) {
-        self.gauges[h.0].1 = value;
+        self.gauges[h.0] = value;
     }
 
     /// Records one microsecond sample into a histogram.
     pub fn observe_us(&mut self, h: HistogramHandle, us: u64) {
-        self.histograms[h.0].1.record_us(us);
+        self.histograms[h.0].record_us(us);
     }
 
     /// Merges a locally accumulated histogram into a series.
@@ -166,50 +186,36 @@ impl Registry {
     /// into their own [`Log2Histogram`] and fold them in periodically,
     /// instead of taking a shared registry lock per sample.
     pub fn merge_histogram(&mut self, h: HistogramHandle, other: &Log2Histogram) {
-        self.histograms[h.0].1.merge(other);
+        self.histograms[h.0].merge(other);
     }
 
     /// A serializable cut of every series, with families sorted by name
-    /// and series sorted by labels — deterministic regardless of
-    /// registration order.
+    /// and series sorted by labels — the order the registry keeps them in,
+    /// whatever the registration order.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let mut families: Vec<FamilySnapshot> = self
+        let families = self
             .families
             .iter()
-            .enumerate()
-            .map(|(fi, f)| {
-                let mut series: Vec<SeriesSnapshot> = Vec::new();
-                match f.kind {
-                    MetricKind::Counter => {
-                        for (s, v) in self.counters.iter().filter(|(s, _)| s.family == fi) {
-                            series.push(SeriesSnapshot {
-                                labels: s.labels.clone(),
-                                value: MetricValue::Counter(*v),
-                            });
-                        }
-                    }
-                    MetricKind::Gauge => {
-                        for (s, v) in self.gauges.iter().filter(|(s, _)| s.family == fi) {
-                            series.push(SeriesSnapshot {
-                                labels: s.labels.clone(),
-                                value: MetricValue::Gauge(*v),
-                            });
-                        }
-                    }
-                    MetricKind::Histogram => {
-                        for (s, v) in self.histograms.iter().filter(|(s, _)| s.family == fi) {
-                            series.push(SeriesSnapshot {
-                                labels: s.labels.clone(),
-                                value: MetricValue::Histogram(v.clone()),
-                            });
-                        }
-                    }
-                }
-                series.sort_by(|a, b| a.labels.cmp(&b.labels));
-                FamilySnapshot { name: f.name.clone(), help: f.help.clone(), kind: f.kind, series }
+            .map(|f| FamilySnapshot {
+                name: f.name.clone(),
+                help: f.help.clone(),
+                kind: f.kind,
+                series: f
+                    .series
+                    .iter()
+                    .map(|(labels, i)| SeriesSnapshot {
+                        labels: labels.clone(),
+                        value: match f.kind {
+                            MetricKind::Counter => MetricValue::Counter(self.counters[*i]),
+                            MetricKind::Gauge => MetricValue::Gauge(self.gauges[*i]),
+                            MetricKind::Histogram => {
+                                MetricValue::Histogram(self.histograms[*i].clone())
+                            }
+                        },
+                    })
+                    .collect(),
             })
             .collect();
-        families.sort_by(|a, b| a.name.cmp(&b.name));
         RegistrySnapshot { families }
     }
 }
@@ -390,7 +396,7 @@ mod tests {
         assert_eq!(a, b);
         r.inc(a, 1);
         r.inc(b, 1);
-        assert_eq!(r.counter_value(a), 2);
+        assert_eq!(r.snapshot().counter_total("x_total"), 2);
     }
 
     #[test]

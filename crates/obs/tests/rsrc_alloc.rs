@@ -86,3 +86,18 @@ fn counting_gate_stops_the_counters() {
     let thawed = burn_allocations(32 * 1024);
     assert!(thawed.allocs >= 1, "counters resumed after re-enable");
 }
+
+#[test]
+fn looking_up_an_existing_series_allocates_nothing() {
+    let _gate = GATE.lock().unwrap();
+    let labels = [("connectivity", "wifi"), ("level", "3"), ("policy", "RichNote"), ("shard", "0")];
+    let mut reg = Registry::new();
+    let g = reg.gauge("richnote_utility_total", "utility", &labels);
+    let c = reg.counter("richnote_delivered_bytes_total", "bytes", &labels);
+    let before = alloc_counts();
+    let g_again = reg.gauge("richnote_utility_total", "utility", &labels);
+    let c_again = reg.counter("richnote_delivered_bytes_total", "bytes", &labels);
+    let d = alloc_counts().since(before);
+    assert_eq!((g_again, c_again), (g, c), "a lookup returns the registered handles");
+    assert_eq!(d.allocs, 0, "re-registering an existing series allocated {} times", d.allocs);
+}

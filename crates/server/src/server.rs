@@ -581,8 +581,18 @@ fn broadcast<T, F: Fn(mpsc::Sender<T>) -> ShardMsg>(router: &Router, make: F) ->
 /// about dead shards: their series are simply absent from the merge (and
 /// the health verdict counts them missing).
 fn collect_stats(ctx: &ConnCtx) -> (RegistrySnapshot, usize) {
+    // Copied, and the alert lock released, before the registry is locked.
+    let alerts = ctx.obs.alerts.lock().unwrap().engine.snapshot();
     {
         let mut reg = ctx.obs.lock_registry();
+        for a in &alerts {
+            let h = reg.gauge(
+                "richnote_alert_state",
+                "Alert-rule state (0 inactive, 1 pending, 2 firing, 3 resolved)",
+                &[("rule", a.rule.as_str())],
+            );
+            reg.set_gauge(h, a.state.gauge_value());
+        }
         reg.set_gauge(ctx.obs.uptime, ctx.obs.started.elapsed().as_secs_f64());
         reg.set_counter(
             ctx.obs.registry_contended,
@@ -598,7 +608,6 @@ fn collect_stats(ctx: &ConnCtx) -> (RegistrySnapshot, usize) {
     for shard_snap in shard_snaps {
         snap.merge(&shard_snap);
     }
-    snap.merge(&ctx.obs.alerts.lock().unwrap().engine.registry_snapshot());
     (snap, alive)
 }
 

@@ -24,9 +24,15 @@
 //! [`CohortLedger`] the simulator keeps too. Recording is a plain field
 //! increment — no locks, no hashing — because all of it is owned by the
 //! shard thread and only *snapshots* cross threads (via
-//! [`ShardMsg::Stats`]). Spans carry only logical fields (rounds, ids,
-//! levels, gradients), so a seeded run produces an identical trace
-//! across machines; wall-clock numbers go to histograms instead.
+//! [`ShardMsg::Stats`]). Each number has one owner: what the shard
+//! already counts — its lifetime totals, its ledger (and the level mix it
+//! yields) and its queue's drop and contention totals — is written into
+//! the registry only at the stats cut ([`ShardState::stats`]); per-event
+//! registry writes are left to the histograms and the adaptive-decision
+//! counters, which nothing else counts. Spans carry only logical fields
+//! (rounds, ids, levels, gradients), so a seeded run produces an
+//! identical trace across machines; wall-clock numbers go to histograms
+//! instead.
 //!
 //! # Failure containment
 //!
@@ -119,7 +125,8 @@ const MAX_LEVEL: u8 = 6;
 /// Quality samples fold into a [`CohortLedger`], the simulator's tally:
 /// a delivery costs an index computation and three adds. A stats cut
 /// writes the ledger's non-empty cells into the registry as the
-/// `{connectivity, level, policy, shard}` cohort families.
+/// `{connectivity, level, policy, shard}` cohort families, and the
+/// `richnote_level_total` counters as its deliveries per level.
 struct ShardObs {
     shard: usize,
     registry: Registry,
@@ -144,7 +151,8 @@ struct ShardObs {
     adapt_offline_predicted: CounterHandle,
     /// Sum of shaped per-user data grants, bytes.
     adapt_grant_bytes: CounterHandle,
-    /// Delivery counters by chosen level, indexed 0..=[`MAX_LEVEL`].
+    /// Delivery counters by chosen level, indexed 0..=[`MAX_LEVEL`]; a
+    /// level never chosen exports 0.
     levels: Vec<CounterHandle>,
     backlog: GaugeHandle,
     users: GaugeHandle,
@@ -166,8 +174,6 @@ struct ShardObs {
     allocs: CounterHandle,
     alloc_bytes: CounterHandle,
     queue_contended: CounterHandle,
-    /// Last queue-contention total seen, for monotone export.
-    last_contended: u64,
     /// Delivery-quality accounting by `{policy, connectivity, level}`.
     quality: CohortLedger,
 }
@@ -334,7 +340,6 @@ impl ShardObs {
             allocs,
             alloc_bytes,
             queue_contended,
-            last_contended: 0,
             quality: CohortLedger::new(),
         }
     }
@@ -408,25 +413,23 @@ impl ShardObs {
         self.flight.lock().unwrap_or_else(PoisonError::into_inner).push(tree);
     }
 
-    /// Bumps the per-level delivery counter.
-    fn record_level(&mut self, level: u8) {
-        if let Some(&h) = self.levels.get(level as usize) {
-            self.registry.inc(h, 1);
-        }
-    }
-
     /// Writes the quality ledger into the registry: one
     /// `richnote_utility_total` gauge and `richnote_delivered_bytes_total`
     /// counter per non-empty `{connectivity, level}` cell, one
     /// `richnote_suppressed_total` counter per cohort that withheld
-    /// anything. Label keys are registered in a fixed order
-    /// (`connectivity`, `level`, `policy`, `shard`) so the daemon's
-    /// vocabulary matches the simulator's byte for byte; registering an
-    /// existing series returns its handle.
+    /// anything, and each `richnote_level_total` counter as the cells'
+    /// deliveries at that level, summed over connectivity. Label keys are
+    /// registered in a fixed order (`connectivity`, `level`, `policy`,
+    /// `shard`) so the daemon's vocabulary matches the simulator's byte for
+    /// byte; registering an existing series returns its handle.
     fn export_quality(&mut self) {
         let s = self.shard.to_string();
         let policy = self.quality.policy();
+        let mut per_level = [0u64; MAX_LEVEL as usize + 1];
         for cell in self.quality.cells() {
+            if let Some(n) = per_level.get_mut(cell.level as usize) {
+                *n += cell.delivered;
+            }
             let lv = cell.level.to_string();
             let labels = [
                 ("connectivity", cell.connectivity.as_str()),
@@ -443,6 +446,9 @@ impl ShardObs {
             let labels = [("connectivity", cohort.as_str()), ("policy", policy), ("shard", &s)];
             let h = self.registry.counter(SUPPRESSED_FAMILY, SUPPRESSED_HELP, &labels);
             self.registry.set_counter(h, count);
+        }
+        for (&h, n) in self.levels.iter().zip(per_level) {
+            self.registry.set_counter(h, n);
         }
     }
 
@@ -463,7 +469,8 @@ impl ShardObs {
     }
 }
 
-/// Reports one user's selections into the shard's registry and span stager.
+/// Reports one user's selections into the shard's quality ledger, adaptive
+/// counters and span stager.
 struct SelectObserver<'a> {
     obs: &'a mut ShardObs,
     user: u64,
@@ -471,7 +478,6 @@ struct SelectObserver<'a> {
 
 impl SelectionObserver for SelectObserver<'_> {
     fn on_select(&mut self, round: u64, content: ContentId, decision: &SelectDecision) {
-        self.obs.record_level(decision.level);
         self.obs.finish_trace(round, self.user, content.value(), decision);
     }
 
@@ -608,12 +614,12 @@ impl ShardState {
 
     /// Loads a checkpoint into a freshly built shard.
     ///
-    /// Lifetime counters (ingested, selected, rounds, bytes) are restored
-    /// into the metric registry so `Stats` survives a restart; wall-clock
-    /// histograms (round duration, stage durations, selection latency)
-    /// restart from zero because a new process has fresh clocks — mixing
-    /// pre- and post-restart wall-clock samples would corrupt the
-    /// percentiles.
+    /// Lifetime totals (ingested, selected, rounds, bytes) are restored
+    /// into the shard's fields, which the stats cut exports, so `Stats`
+    /// survives a restart; wall-clock histograms (round duration, stage
+    /// durations, selection latency) and the quality ledger restart from
+    /// zero because a new process has fresh clocks — mixing pre- and
+    /// post-restart wall-clock samples would corrupt the percentiles.
     ///
     /// # Errors
     ///
@@ -672,11 +678,6 @@ impl ShardState {
             .filter(|(_, &i)| slots[i].queued > 0)
             .map(|(&u, &i)| (u, i))
             .collect();
-        self.obs.registry.set_counter(self.obs.pubs, self.ingested);
-        self.obs.registry.set_counter(self.obs.selected, self.selected);
-        self.obs.registry.set_counter(self.obs.rounds, self.round);
-        self.obs.registry.set_counter(self.obs.bytes_spent, self.bytes_spent);
-        self.obs.registry.set_counter(self.obs.bytes_budgeted, self.bytes_budgeted);
         Ok(self)
     }
 
@@ -762,7 +763,6 @@ impl ShardState {
         slot.queued += 1;
         self.backlog += 1;
         self.ingested += 1;
-        self.obs.registry.inc(self.obs.pubs, 1);
         let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         self.obs.registry.observe_us(self.obs.stage_dequeue, us);
     }
@@ -801,10 +801,6 @@ impl ShardState {
         });
         self.selected += outcome.selected.len() as u64;
         self.round += 1;
-        self.obs.registry.inc(self.obs.rounds, 1);
-        self.obs.registry.inc(self.obs.selected, outcome.selected.len() as u64);
-        self.obs.registry.set_counter(self.obs.bytes_spent, self.bytes_spent);
-        self.obs.registry.set_counter(self.obs.bytes_budgeted, self.bytes_budgeted);
         self.obs.registry.observe_us(self.obs.stage_select, select_us);
         let round_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         self.obs.registry.observe_us(self.obs.round_duration, round_us);
@@ -823,31 +819,30 @@ impl ShardState {
         self.backlog
     }
 
-    /// Folds the ingest queue's drop total into the registry (the queue
-    /// owns the atomic; the shard owns the metric).
-    fn sync_dropped(&mut self, total: u64) {
-        self.obs.registry.set_counter(self.obs.queue_dropped, total);
+    /// Writes the ingest queue's drop and contention totals into the
+    /// registry: the queue keeps them, the cut exports them.
+    fn sync_queue(&mut self, dropped: u64, contended: u64) {
+        self.obs.registry.set_counter(self.obs.queue_dropped, dropped);
+        self.obs.registry.set_counter(self.obs.queue_contended, contended);
     }
 
-    /// Folds the ingest queue's contention total into the registry (the
-    /// queue owns the atomic; the shard owns the metric).
-    fn sync_contended(&mut self, total: u64) {
-        if total > self.obs.last_contended {
-            self.obs.last_contended = total;
-            self.obs.registry.set_counter(self.obs.queue_contended, total);
-        }
-    }
-
-    /// A registry snapshot with gauges refreshed to current state.
+    /// The stats cut: writes the shard's own tallies into the registry
+    /// and snapshots it.
     pub fn stats(&mut self) -> RegistrySnapshot {
-        self.obs.registry.set_gauge(self.obs.backlog, self.backlog as f64);
-        self.obs.registry.set_gauge(self.obs.users, self.slots.len() as f64);
-        self.obs.registry.set_gauge(self.obs.active_users, self.active.len() as f64);
-        self.obs.registry.set_counter(self.obs.trace_shed, self.obs.stager.shed());
-        self.obs.export_quality();
-        self.obs.sample_cpu();
-        self.obs.sample_allocs();
-        self.obs.registry.snapshot()
+        let obs = &mut self.obs;
+        obs.registry.set_counter(obs.pubs, self.ingested);
+        obs.registry.set_counter(obs.selected, self.selected);
+        obs.registry.set_counter(obs.rounds, self.round);
+        obs.registry.set_counter(obs.bytes_spent, self.bytes_spent);
+        obs.registry.set_counter(obs.bytes_budgeted, self.bytes_budgeted);
+        obs.registry.set_gauge(obs.backlog, self.backlog as f64);
+        obs.registry.set_gauge(obs.users, self.slots.len() as f64);
+        obs.registry.set_gauge(obs.active_users, self.active.len() as f64);
+        obs.registry.set_counter(obs.trace_shed, obs.stager.shed());
+        obs.export_quality();
+        obs.sample_cpu();
+        obs.sample_allocs();
+        obs.registry.snapshot()
     }
 
     /// The shard's observability state (trace ring + registry).
@@ -941,7 +936,7 @@ enum Flow {
     Stop,
 }
 
-fn handle_msg(state: &mut ShardState, msg: ShardMsg) -> Flow {
+fn handle_msg(state: &mut ShardState, queue: &BoundedQueue<ShardMsg>, msg: ShardMsg) -> Flow {
     match msg {
         ShardMsg::Ingest { user, item, received, trace } => {
             state.ingest(user, item, received, trace);
@@ -969,6 +964,7 @@ fn handle_msg(state: &mut ShardState, msg: ShardMsg) -> Flow {
             let _ = reply.send(done);
         }
         ShardMsg::Stats { reply } => {
+            state.sync_queue(queue.dropped(), queue.contended());
             let _ = reply.send(state.stats());
         }
         ShardMsg::TraceDump { max, reply } => {
@@ -1005,12 +1001,7 @@ impl ShardWorker {
                 };
                 state.obs.flight = recorder;
                 while let Some(msg) = q.pop() {
-                    // The queue's drop counter lives outside the state;
-                    // fold it in before handling so the dropped counter
-                    // stays fresh.
-                    state.sync_dropped(q.dropped());
-                    state.sync_contended(q.contended());
-                    match catch_unwind(AssertUnwindSafe(|| handle_msg(&mut state, msg))) {
+                    match catch_unwind(AssertUnwindSafe(|| handle_msg(&mut state, &q, msg))) {
                         Ok(Flow::Continue) => {}
                         Ok(Flow::Stop) => break,
                         Err(_) => {
@@ -1241,18 +1232,14 @@ mod tests {
             .set_clock(Box::new(richnote_obs::ManualCpuClock::new(vec![1_000, 3_500, 4_000])));
         shard.ingest(UserId::new(1), item(1, 1, 0.0), Instant::now(), None);
         shard.run_round();
-        shard.sync_contended(7);
+        shard.sync_queue(2, 7);
         let stats = shard.stats();
         let cpu = stats.histogram_merged("richnote_round_cpu_us");
         assert_eq!(cpu.count(), 1);
         assert_eq!(cpu.sum_us(), 2_500);
         assert_eq!(stats.counter_total("richnote_cpu_us_total"), 4_000);
+        assert_eq!(stats.counter_total("richnote_queue_dropped_total"), 2);
         assert_eq!(stats.counter_total("richnote_queue_contended_total"), 7);
-        // Contention export is monotone: a stale (smaller) total is a
-        // re-read of the same atomic, not a decrease.
-        shard.sync_contended(3);
-        let again = shard.stats();
-        assert_eq!(again.counter_total("richnote_queue_contended_total"), 7);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end tests for the observability surface: the wire's `Observe`
-//! views and the `--metrics-addr` scrape
-//! listener, exercised against a live daemon exactly the way the CI
-//! scrape step and a Prometheus agent would.
+//! views and the `--metrics-addr` scrape listener, exercised against a
+//! live daemon (in process, and as the `richnote-server` binary) the way
+//! `curl` and a Prometheus agent would, plus a pin of every exported
+//! number of a seeded run across a checkpoint restart.
 
 use richnote_core::content::{ContentFeatures, ContentKind, Interaction, SocialTie};
 use richnote_core::{AlbumId, ArtistId, ContentId, ContentItem, TrackId, UserId};
@@ -650,4 +651,249 @@ fn http_paths_serve_what_observe_answers() {
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
+}
+
+/// Families whose values follow the wall clock, thread timing or the
+/// build rather than the publication stream, so the pin below leaves them
+/// out: uptime, CPU, allocations, contention, the `_us` histograms (every
+/// family whose name ends in `_us`), how many cumulative acks a pipelined
+/// burst took, and the build identity (git sha and profile).
+const UNPINNED: [&str; 8] = [
+    "richnote_uptime_secs",
+    "richnote_cpu_us_total",
+    "richnote_allocs_total",
+    "richnote_alloc_bytes_total",
+    "richnote_queue_contended_total",
+    "richnote_registry_contended_total",
+    "richnote_ack_batches_total",
+    "richnote_build_info",
+];
+
+/// The family an exposition line belongs to: the name a `# HELP`/`# TYPE`
+/// line describes, or a sample's name with a `_us` histogram's
+/// `_bucket`/`_sum`/`_count` suffix removed.
+fn family_of(line: &str) -> &str {
+    let name = match line.strip_prefix("# HELP ").or_else(|| line.strip_prefix("# TYPE ")) {
+        Some(rest) => rest.split(' ').next().unwrap_or(rest),
+        None => line.split(['{', ' ']).next().unwrap_or(line),
+    };
+    ["_bucket", "_sum", "_count"]
+        .iter()
+        .find_map(|suffix| name.strip_suffix(suffix))
+        .filter(|family| family.ends_with("_us"))
+        .unwrap_or(name)
+}
+
+fn pinned(line: &str) -> bool {
+    let family = family_of(line);
+    !family.ends_with("_us") && !UNPINNED.contains(&family)
+}
+
+/// Every series of `family` as `labels → value`, a gauge's value by its
+/// `to_bits()`, so a comparison is bit for bit.
+fn series_bits(snap: &richnote_obs::RegistrySnapshot, family: &str) -> Vec<(String, u64)> {
+    let Some(fam) = snap.family(family) else { return Vec::new() };
+    fam.series
+        .iter()
+        .map(|s| {
+            let labels: Vec<String> = s.labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let value = match &s.value {
+                richnote_obs::MetricValue::Counter(c) => *c,
+                richnote_obs::MetricValue::Gauge(g) => g.to_bits(),
+                richnote_obs::MetricValue::Histogram(h) => h.count(),
+            };
+            (labels.join(","), value)
+        })
+        .collect()
+}
+
+/// The numbers the metrics plane exports for a seeded 2-shard run that
+/// crosses a checkpoint restart, pinned exactly: the lifetime counters
+/// (restored from the checkpoint), the level mix and quality cohorts
+/// (counted afresh by the new process), the alert state a hair-trigger
+/// rule reaches, and the whole `/metrics` text bar the [`UNPINNED`]
+/// families.
+#[test]
+fn exported_numbers_are_pinned_across_a_restart() {
+    let dir = std::env::temp_dir().join(format!("rn-obs-pin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir scratch");
+    let hair_trigger = richnote_server::AlertRule {
+        name: "pubs_seen".to_string(),
+        kind: richnote_server::AlertRuleKind::Threshold {
+            family: "richnote_pubs_total".to_string(),
+            labels: Vec::new(),
+            quantile: None,
+            window_secs: 60.0,
+            above: 0.0,
+        },
+        for_secs: 0.0,
+    };
+    let cfg = ServerConfig::builder()
+        .addr("127.0.0.1:0")
+        .shards(2)
+        .data_grant(1_000)
+        .metrics_addr("127.0.0.1:0")
+        .checkpoint_dir(dir.to_str().unwrap())
+        .alert_rules(vec![hair_trigger])
+        .build()
+        .expect("config");
+    let items = TraceGenerator::new(TraceConfig::small(23)).generate().items;
+    let (first, second) = items.split_at(items.len() / 2);
+    let publish = |client: &mut Client, batch: &[ContentItem], rounds: u32| {
+        for item in batch {
+            let topic = Topic::FriendFeed(item.recipient);
+            client.subscribe(item.recipient, topic).expect("subscribe");
+            client.publish(topic, item.clone()).expect("publish");
+        }
+        client.sync().expect("sync");
+        client.tick(rounds).expect("tick");
+    };
+
+    let (addr, handle) = Server::spawn(cfg.clone()).expect("spawn");
+    let mut client = Client::builder(addr).connect().expect("connect");
+    publish(&mut client, first, 2);
+    client.checkpoint().expect("checkpoint");
+    client.shutdown().expect("stop");
+    handle.join().expect("server thread");
+
+    let server = Server::bind(cfg).expect("restart");
+    assert!(server.restored().is_some(), "the restart restores the checkpoint");
+    let (addr, metrics) = (server.local_addr(), server.metrics_local_addr().expect("listener"));
+    let handle = std::thread::spawn(move || {
+        let _ = server.run();
+    });
+    let mut client = Client::builder(addr).connect().expect("reconnect");
+    client.tick(100).expect("idle rounds");
+    publish(&mut client, second, 1);
+    let snap = client.stats().expect("stats").snapshot;
+    let response = scrape(metrics, "/metrics");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (_, body) = response.split_once("\r\n\r\n").expect("an HTTP head/body split");
+    let text: String = body.lines().filter(|l| pinned(l)).map(|l| format!("{l}\n")).collect();
+    let per_shard = |shard0: u64, shard1: u64| {
+        vec![("shard=0".to_string(), shard0), ("shard=1".to_string(), shard1)]
+    };
+    assert_eq!(series_bits(&snap, "richnote_pubs_total"), per_shard(353, 520));
+    assert_eq!(series_bits(&snap, "richnote_selected_total"), per_shard(353, 520));
+    assert_eq!(series_bits(&snap, "richnote_rounds_total"), per_shard(103, 103));
+    assert_eq!(series_bits(&snap, "richnote_bytes_spent_total"), per_shard(2_370_600, 1_604_000));
+    assert_eq!(
+        series_bits(&snap, "richnote_bytes_budgeted_total"),
+        per_shard(2_988_000, 2_783_000)
+    );
+    let levels: Vec<(String, u64)> = [(0, [0, 158, 23, 0, 0, 0, 0]), (1, [0, 333, 15, 0, 0, 0, 0])]
+        .into_iter()
+        .flat_map(|(shard, counts)| {
+            counts
+                .into_iter()
+                .enumerate()
+                .map(move |(level, n)| (format!("shard={shard},level={level}"), n))
+        })
+        .collect();
+    assert_eq!(series_bits(&snap, "richnote_level_total"), levels);
+    assert_eq!(
+        series_bits(&snap, "richnote_alert_state"),
+        [("rule=pubs_seen".to_string(), 2.0f64.to_bits())],
+        "the hair-trigger rule is firing"
+    );
+    let cell = |level: u8, shard: u8, value: u64| {
+        (format!("connectivity=unknown,level={level},policy=RichNote,shard={shard}"), value)
+    };
+    assert_eq!(
+        series_bits(&snap, "richnote_utility_total"),
+        [
+            cell(1, 0, 4_609_794_506_583_892_301),
+            cell(1, 1, 4_614_680_912_179_589_223),
+            cell(2, 0, 4_617_936_264_653_946_661),
+            cell(2, 1, 4_615_334_913_878_137_529),
+        ]
+    );
+    assert_eq!(
+        series_bits(&snap, "richnote_delivered_bytes_total"),
+        [cell(1, 0, 31_600), cell(1, 1, 66_600), cell(2, 0, 2_304_600), cell(2, 1, 1_503_000)]
+    );
+    assert_eq!(
+        series_bits(&snap, "richnote_suppressed_total"),
+        [
+            ("connectivity=unknown,policy=RichNote,shard=0".to_string(), 2),
+            ("connectivity=unknown,policy=RichNote,shard=1".to_string(), 76),
+        ]
+    );
+    assert_eq!(text, include_str!("golden/pinned_metrics.txt"));
+}
+
+/// A `richnote-server` child process, killed and reaped when dropped, so
+/// a failed assertion leaves no daemon behind.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The release binary as an operator runs it, scraped before any traffic:
+/// every core family (cost accounting included) is served from the start,
+/// every sample line is well formed, the stock `round_p99` rule exports
+/// its state, and a fresh daemon's `/healthz` is `ok`.
+#[test]
+fn a_fresh_daemon_binary_serves_well_formed_metrics_and_health() {
+    use std::io::BufRead;
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_richnote-server"))
+        .args(["--addr", "127.0.0.1:0", "--shards", "2", "--metrics-addr", "127.0.0.1:0"])
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn richnote-server");
+    let mut daemon = Daemon(child);
+    let mut stderr = std::io::BufReader::new(daemon.0.stderr.take().expect("piped stderr"));
+    let mut seen = String::new();
+    let metrics: std::net::SocketAddr = loop {
+        let mut line = String::new();
+        let n = stderr.read_line(&mut line).expect("read daemon stderr");
+        assert!(n > 0, "daemon exited before announcing its metrics address:\n{seen}");
+        if let Some(rest) = line.trim().split("metrics exposition on http://").nth(1) {
+            break rest.trim_end_matches("/metrics").parse().expect("metrics address");
+        }
+        seen.push_str(&line);
+    };
+
+    let response = scrape(metrics, "/metrics");
+    let (head, body) = response.split_once("\r\n\r\n").expect("an HTTP head/body split");
+    assert!(head.starts_with("HTTP/1.0 200 OK"), "unexpected status line in {head:?}");
+    for family in [
+        "richnote_round_duration_us",
+        "richnote_pubs_total",
+        "richnote_queue_dropped_total",
+        "richnote_cpu_us_total",
+        "richnote_allocs_total",
+    ] {
+        assert!(
+            body.lines().any(|l| l.starts_with(&format!("# TYPE {family} "))),
+            "missing TYPE line for {family}"
+        );
+        assert!(body.lines().any(|l| l.starts_with(family)), "missing sample line for {family}");
+    }
+    // Every non-comment line is `name{labels} value` with a finite value.
+    for line in body.lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        assert!(
+            fields.len() == 2 && fields[1].parse::<f64>().is_ok_and(f64::is_finite),
+            "malformed: {line:?}"
+        );
+    }
+    assert!(
+        body.contains("richnote_alert_state{rule=\"round_p99\"}"),
+        "missing richnote_alert_state for round_p99"
+    );
+
+    let response = scrape(metrics, "/healthz");
+    let (head, body) = response.split_once("\r\n\r\n").expect("an HTTP head/body split");
+    assert!(head.starts_with("HTTP/1.0 200 OK"), "/healthz answered {head:?}");
+    assert!(body.contains("\"status\":\"ok\""), "fresh daemon not ok: {body}");
+    assert!(!body.contains("\"slos\""), "/healthz still carries slos: {body}");
 }
